@@ -8,7 +8,6 @@ from .grid import (
     VectorField,
     curl,
     divergence,
-    forward_transform,
     gradient,
     inverse_transform,
     leray_project,

@@ -5,8 +5,10 @@ The process exits with status 0 exactly when every inequality the invoked
 command asserts holds, and 1 otherwise.
 
 `simulate` and `sweep` read a structured text config of `key = value` lines
-(# starts a comment) with keys: grid, nu (comma list for sweep), T, cfl,
-seed/ic, stride, sigma, samples, out.
+(# starts a comment).  Both accept exactly the keys grid, nu (comma list for
+sweep), T, cfl, ic, seed (used by ic = random), stride, samples, sigma and
+out; any other key is an error (exit status 2), as is a sweep whose
+viscosities collide on one run directory name (nu_<nu:.1e>).
 """
 
 from __future__ import annotations
@@ -23,9 +25,17 @@ from .flow import SolverConfig, run
 from .grid import GridSpec, load_field_csv
 from .norms import NormReport, compute_norms
 
+_COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "seed": "42",
+                    "stride": "1", "sigma": "1.0"}
+_SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "0.0", "T": "1.0", "samples": "1",
+                      "out": "run_output"}
+_SWEEP_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "1e-1,1e-2,1e-3", "T": "0.5", "samples": "100",
+                   "out": "sweep_output"}
 
-def _parse_config(path: str) -> dict:
-    out: dict = {}
+
+def _load_config(path: str, defaults: dict) -> dict:
+    """Config values over `defaults`, rejecting keys it lacks; ic = random becomes random_<seed>."""
+    out = dict(defaults)
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -33,7 +43,11 @@ def _parse_config(path: str) -> dict:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key = value): {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in defaults:
+            raise ValueError(f"unknown config key {key!r}; expected one of {', '.join(defaults)}")
         out[key] = val
+    if out["ic"] == "random":
+        out["ic"] = f"random_{out['seed']}"
     return out
 
 
@@ -102,28 +116,19 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfgmap = _parse_config(args.config)
-    grid = GridSpec(int(cfgmap.get("grid", 64)))
+    conf = _load_config(args.config, _SIMULATE_DEFAULTS)
+    grid = GridSpec(int(conf["grid"]))
     cfg = SolverConfig(
         grid=grid,
-        nu=float(cfgmap.get("nu", 0.0)),
-        horizon=float(cfgmap.get("T", 1.0)),
-        cfl=float(cfgmap.get("cfl", 0.5)),
-        output_stride=int(cfgmap.get("stride", 1)),
-        min_samples=int(cfgmap.get("samples", 1)),
-        sigma=float(cfgmap.get("sigma", 1.0)),
+        nu=float(conf["nu"]),
+        horizon=float(conf["T"]),
+        cfl=float(conf["cfl"]),
+        output_stride=int(conf["stride"]),
+        min_samples=int(conf["samples"]),
+        sigma=float(conf["sigma"]),
     )
-    ic = cfgmap.get("ic", "taylor_green")
-    if ic == "random":
-        ic = f"random_{cfgmap.get('seed', 42)}"
-    u0 = inviscid.initial_condition(grid, ic)
-    result = run(u0, cfg)
-    outdir = Path(cfgmap.get("out", "run_output"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    result.series.write_csv(outdir / "series.csv")
-    from .grid import save_field_csv
-
-    save_field_csv(result.states[-1].vorticity, outdir / "final_vorticity.csv")
+    result = run(inviscid.initial_condition(grid, conf["ic"]), cfg)
+    inviscid.write_run(result, Path(conf["out"]))
     e = result.series.energy
     print(f"steps: {round(cfg.horizon / result.dt)}, samples: {len(result.sample_times)}")
     print(f"energy: {e[0]:.9g} -> {e[-1]:.9g}")
@@ -133,20 +138,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfgmap = _parse_config(args.config)
-    ic = cfgmap.get("ic", "taylor_green")
-    if ic == "random":
-        ic = f"random_{cfgmap.get('seed', 42)}"
+    conf = _load_config(args.config, _SWEEP_DEFAULTS)
     cfg = inviscid.ExperimentConfig(
-        grid_points=int(cfgmap.get("grid", 64)),
-        horizon=float(cfgmap.get("T", 0.5)),
-        nu_list=tuple(float(v) for v in cfgmap.get("nu", "1e-1,1e-2,1e-3").split(",")),
-        sigma=float(cfgmap.get("sigma", 1.0)),
-        initial_condition_id=ic,
-        cfl=float(cfgmap.get("cfl", 0.5)),
-        min_samples=int(cfgmap.get("samples", 100)),
-        output_stride=int(cfgmap.get("stride", 1)),
-        output_dir=cfgmap.get("out", "sweep_output"),
+        grid_points=int(conf["grid"]),
+        horizon=float(conf["T"]),
+        nu_list=tuple(float(v) for v in conf["nu"].split(",")),
+        sigma=float(conf["sigma"]),
+        initial_condition_id=conf["ic"],
+        cfl=float(conf["cfl"]),
+        min_samples=int(conf["samples"]),
+        output_stride=int(conf["stride"]),
+        output_dir=conf["out"],
     )
     result = inviscid.run_sweep(cfg)
     series = result.series

@@ -33,7 +33,6 @@ class SolverConfig:
     nu: float
     horizon: float
     cfl: float = 0.5
-    dealias_fraction: float = 2.0 / 3.0
     output_stride: int = 1
     min_samples: int = 1
     sigma: float = 1.0
@@ -46,8 +45,6 @@ class SolverConfig:
             raise ValueError("horizon must be positive")
         if not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
-        if abs(self.dealias_fraction - 2.0 / 3.0) > 1e-12:
-            raise ValueError("dealias_fraction is fixed at 2/3")
         if self.output_stride < 1 or self.min_samples < 1:
             raise ValueError("output_stride and min_samples must be positive integers")
         if self.sigma <= 0:
@@ -296,6 +293,13 @@ def _collect_series(states, cfg: SolverConfig, compute_norms: bool) -> NormSerie
     return NormSeries(times, f0, g0, h0, energy, enstrophy)
 
 
+def require_shared_sample_times(run_nu: RunResult, run_euler: RunResult) -> None:
+    """Raise unless two runs were sampled at the same times (paired runs)."""
+    t_n, t_e = run_nu.sample_times, run_euler.sample_times
+    if len(t_n) != len(t_e) or not np.allclose(t_n, t_e, rtol=0, atol=1e-12):
+        raise ValueError("paired runs must share sample times")
+
+
 def gap_l2(a: VectorField, b: VectorField) -> float:
     """L2 norm of the velocity difference."""
     if a.grid != b.grid:
@@ -335,22 +339,20 @@ def two_mode_velocity(grid: GridSpec) -> VectorField:
     return FlowState(grid, 0.0, np.fft.fft2(omega) / (n * n)).velocity
 
 
-def random_band_velocity(grid: GridSpec, seed: int = 42, band: int = 4,
-                         target_l2: float | None = None) -> VectorField:
-    """Random band-limited field (modes with 1 <= max|k_i| <= band), fixed seed.
+def random_band_velocity(grid: GridSpec, seed: int = 42) -> VectorField:
+    """Random band-limited field (modes with 1 <= max|k_i| <= 4), fixed seed.
 
-    Normalized so ||u||_L2 matches the Taylor-Green value pi * sqrt(2) unless
-    a target is supplied.
+    Normalized so ||u||_L2 matches the Taylor-Green value pi * sqrt(2).
     """
     n = grid.points_per_axis
     rng = np.random.default_rng(seed)
     k1, k2 = _wavenumbers(n)
-    mask = (np.maximum(np.abs(k1), np.abs(k2)) <= band) & ((k1 != 0) | (k2 != 0))
+    mask = (np.maximum(np.abs(k1), np.abs(k2)) <= 4) & ((k1 != 0) | (k2 != 0))
     noise = np.fft.fft2(rng.standard_normal((n, n))) / (n * n)
     omega_hat = np.where(mask, noise, 0.0)
     state = FlowState(grid, 0.0, omega_hat)
     u = state.velocity
-    target = float(np.pi * np.sqrt(2.0)) if target_l2 is None else target_l2
+    target = float(np.pi * np.sqrt(2.0))
     norm = math.sqrt(2.0 * kinetic_energy(u))
     scale = target / norm if norm > 0 else 1.0
     return VectorField.from_values(grid, u.u1.values * scale, u.u2.values * scale)
@@ -392,10 +394,8 @@ class IdentityTerms:
 
 def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTerms:
     """Evaluate the identity on paired runs sharing sample times."""
+    require_shared_sample_times(run_nu, run_euler)
     t_n = run_nu.sample_times
-    t_e = run_euler.sample_times
-    if len(t_n) != len(t_e) or not np.allclose(t_n, t_e, rtol=0, atol=1e-12):
-        raise ValueError("paired runs must share sample times")
     if len(t_n) < 5:
         raise ValueError("need at least 5 samples for the interior stencil")
     nu = run_nu.config.nu

@@ -33,21 +33,15 @@ class GridSpec:
     """Uniform n x n discretization of the 2-torus of side 2pi."""
 
     points_per_axis: int
-    domain_length: float = TWO_PI
-    dimensions: int = 2
 
     def __post_init__(self) -> None:
         n = self.points_per_axis
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
-        if abs(self.domain_length - TWO_PI) > 1e-15 * TWO_PI:
-            raise ValueError("domain_length is fixed at 2pi per axis")
-        if self.dimensions != 2:
-            raise ValueError("only 2D grids are supported")
 
     @property
     def spacing(self) -> float:
-        return self.domain_length / self.points_per_axis
+        return TWO_PI / self.points_per_axis
 
     @property
     def cell_volume(self) -> float:
@@ -61,10 +55,6 @@ class GridSpec:
         """Meshgrid (X1, X2) with values[i, j] sampled at (X1[i, j], X2[i, j])."""
         x = np.arange(self.points_per_axis) * self.spacing
         return np.meshgrid(x, x, indexing="ij")
-
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer wavenumber meshes (k1, k2) matching fft2 layout."""
-        return _wavenumbers(self.points_per_axis)
 
 
 @lru_cache(maxsize=32)
@@ -194,11 +184,6 @@ def _require_same_grid(a: GridSpec, b: GridSpec) -> None:
         raise ValueError("fields live on different grids")
 
 
-def forward_transform(field: ScalarField) -> np.ndarray:
-    """Fourier coefficients of the field (normalized by n**2)."""
-    return field.spectral
-
-
 def inverse_transform(grid: GridSpec, coeff: np.ndarray) -> ScalarField:
     """Field whose Fourier coefficients are `coeff` (real part taken)."""
     n = grid.points_per_axis
@@ -292,14 +277,19 @@ def save_field_csv(field: ScalarField, path: str | Path) -> None:
 
 
 def load_field_csv(path: str | Path) -> ScalarField:
+    """Read a field written by save_field_csv; rows must follow row-major grid order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
         if header != FIELD_CSV_HEADER:
             raise ValueError(f"expected header {FIELD_CSV_HEADER}, got {header}")
-        values = [float(row[2]) for row in reader]
-    n = round(len(values) ** 0.5)
-    if n * n != len(values):
-        raise ValueError(f"row count {len(values)} is not a perfect square")
+        rows = np.array([[float(c) for c in row] for row in reader]).reshape(-1, 3)
+    n = round(len(rows) ** 0.5)
+    if n * n != len(rows):
+        raise ValueError(f"row count {len(rows)} is not a perfect square")
     grid = GridSpec(n)
-    return ScalarField(grid, np.array(values).reshape(grid.shape))
+    x1, x2 = grid.coordinates()
+    if not (np.allclose(rows[:, 0], x1.ravel(), rtol=0, atol=1e-9)
+            and np.allclose(rows[:, 1], x2.ravel(), rtol=0, atol=1e-9)):
+        raise ValueError("x1,x2 coordinates do not follow the row-major grid order")
+    return ScalarField(grid, rows[:, 2].reshape(grid.shape))

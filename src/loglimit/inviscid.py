@@ -22,6 +22,7 @@ from .flow import (
     SolverConfig,
     gap_l2,
     random_band_velocity,
+    require_shared_sample_times,
     run,
     taylor_green_velocity,
     two_mode_velocity,
@@ -48,6 +49,11 @@ def initial_condition(grid: GridSpec, ic_id: str) -> VectorField:
     raise ValueError(f"unknown initial condition {ic_id!r}")
 
 
+def run_label(nu: float) -> str:
+    """Name of a viscous run's output directory."""
+    return f"nu_{nu:.1e}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     grid_points: int
@@ -67,6 +73,9 @@ class ExperimentConfig:
             raise ValueError("nu_list entries must lie in (0, 1)")
         if any(a <= b for a, b in zip(nus, nus[1:])):
             raise ValueError("nu_list must be strictly decreasing")
+        labels = [run_label(nu) for nu in nus]
+        if self.output_dir is not None and len(set(labels)) < len(labels):
+            raise ValueError(f"viscosities {nus} collide on run directory names {labels}")
 
     def solver_config(self, nu: float) -> SolverConfig:
         return SolverConfig(
@@ -116,17 +125,15 @@ def fit_exponent(nu: np.ndarray, sup_gap: np.ndarray) -> float | None:
     return float(np.polyfit(np.log(nu[keep]), np.log(sup_gap[keep]), 1)[0])
 
 
-def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True,
-              viscous_norms: bool = False) -> SweepResult:
+def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
-    The regularity series f0 is sampled on the reference run (that is where M
-    and the majorant coefficient come from); viscous runs skip the costly f0
-    scan unless viscous_norms is set, since only their g0 series enters any
-    downstream check.
+    The regularity series f0 is sampled on the reference run only (that is
+    where M and the majorant coefficient come from); viscous runs skip the
+    costly f0 scan, since only their g0 series enters any downstream check.
     """
-    euler = run(initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id),
-                cfg.solver_config(0.0), compute_norms=compute_norms)
+    u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
+    euler = run(u0, cfg.solver_config(0.0), compute_norms=compute_norms)
     if euler.blow_up:
         raise RuntimeError("reference run blew up; sweep aborted")
     runs: dict = {}
@@ -134,16 +141,12 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True,
     sup_gaps = []
     aborted = False
     for nu in cfg.nu_list:
-        res = run(initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id),
-                  cfg.solver_config(nu), compute_norms=compute_norms and viscous_norms)
+        res = run(u0, cfg.solver_config(nu), compute_norms=False)
         runs[nu] = res
         if res.blow_up:
             aborted = True
             break
-        if len(res.sample_times) != len(euler.sample_times) or not np.allclose(
-            res.sample_times, euler.sample_times, rtol=0, atol=1e-12
-        ):
-            raise RuntimeError("paired runs fell out of sample-time lockstep")
+        require_shared_sample_times(res, euler)
         gaps = np.array(
             [gap_l2(a.velocity, b.velocity) for a, b in zip(res.states, euler.states)]
         )
@@ -179,13 +182,16 @@ def persist_sweep(result: SweepResult, outdir: Path) -> None:
                 f"{nu:.17g},{result.series.sup_gap[i]:.17g},{result.series.M:.17g},"
                 f"{result.series.theory_exponent:.17g},{bound:.17g}\n"
             )
-    for label, res in [("euler", result.euler)] + [
-        (f"nu_{nu:.1e}", res) for nu, res in result.runs.items()
-    ]:
-        sub = outdir / label
-        sub.mkdir(exist_ok=True)
-        res.series.write_csv(sub / "series.csv")
-        save_field_csv(res.states[-1].vorticity, sub / "final_vorticity.csv")
+    write_run(result.euler, outdir / "euler")
+    for nu, res in result.runs.items():
+        write_run(res, outdir / run_label(nu))
+
+
+def write_run(res: RunResult, outdir: Path) -> None:
+    """series.csv and final_vorticity.csv of one run, in outdir (created if missing)."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    res.series.write_csv(outdir / "series.csv")
+    save_field_csv(res.states[-1].vorticity, outdir / "final_vorticity.csv")
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ class RateReport:
     passed: bool
 
 
-def verify_rate(series: GapSeries, prefactor_fit: bool = True) -> RateReport:
+def verify_rate(series: GapSeries) -> RateReport:
     """Check sup_gap(nu) <= C * nu^theory_exponent with C anchored at the
     largest nu, and report the fitted power rho next to the theory exponent."""
     nu, sup = np.asarray(series.nu), np.asarray(series.sup_gap)
@@ -207,10 +213,7 @@ def verify_rate(series: GapSeries, prefactor_fit: bool = True) -> RateReport:
     rho = fit_exponent(nu, sup)
     theta = series.theory_exponent
     i_anchor = int(np.argmax(nu))
-    if prefactor_fit:
-        c_fit = sup[i_anchor] / nu[i_anchor] ** theta if sup[i_anchor] > 0 else 1.0
-    else:
-        c_fit = 1.0
+    c_fit = sup[i_anchor] / nu[i_anchor] ** theta if sup[i_anchor] > 0 else 1.0
     bounds = c_fit * nu**theta
     bad = tuple(
         (float(nu[i]), float(sup[i]), float(bounds[i]))

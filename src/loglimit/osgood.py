@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _Z_BLOWUP = 1e290  # ln y beyond this is treated as a blow-up of the majorant
+_REL_TOL = 1e-8  # step halving stops once y(T) moves by less than this
+_MAX_HALVINGS = 16
 
 
 @dataclass(frozen=True)
@@ -69,12 +71,10 @@ class OsgoodProblem:
         horizon: float,
         g: float = 0.0,
         g0: float = 0.0,
-        samples: int = 65,
-        log_penalty: float | None = None,
     ) -> "OsgoodProblem":
-        t = np.linspace(0.0, horizon, samples)
+        t = np.linspace(0.0, horizon, 65)
         ones = np.ones_like(t)
-        return cls(t, M * ones, g * ones, g0 * ones, nu, log_penalty)
+        return cls(t, M * ones, g * ones, g0 * ones, nu)
 
     def integral_f(self, t: float) -> float:
         return _integral_to(self.times, self.f, t)
@@ -175,51 +175,41 @@ def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
     return Trajectory(np.array(ts), np.array(zs))
 
 
-def integrate_majorant(
-    p: OsgoodProblem,
-    rel_tol: float = 1e-8,
-    initial_step: float | None = None,
-    max_halvings: int = 16,
-) -> Trajectory:
-    """RK4 trajectory refined until halving the step moves y(T) by < rel_tol.
+def integrate_majorant(p: OsgoodProblem) -> Trajectory:
+    """RK4 trajectory refined until halving the step moves y(T) by < 1e-8.
 
     The comparison runs on ln y, where an absolute difference equals the
     relative change of y.  Once ln y itself grows past order one (majorants
     routinely leave the float range of y) the tolerance is applied relative
     to ln y, which is the sharpest statement float64 can represent there.
     """
-    if initial_step is None:
-        fmax = float(p.f.max())
-        h = min(p.horizon / 64.0, 0.25 / fmax if fmax > 0 else math.inf)
-    else:
-        h = initial_step
+    fmax = float(p.f.max())
+    h = min(p.horizon / 64.0, 0.25 / fmax if fmax > 0 else math.inf)
     coarse = _advance(p, h)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         if coarse.blow_up:
             return coarse
         h *= 0.5
         fine = _advance(p, h)
         if fine.blow_up:
             return fine
-        if abs(fine.log_y[-1] - coarse.log_y[-1]) < rel_tol * max(1.0, abs(fine.log_y[-1])):
+        if abs(fine.log_y[-1] - coarse.log_y[-1]) < _REL_TOL * max(1.0, abs(fine.log_y[-1])):
             return fine
         coarse = fine
     return coarse
 
 
-def log_gronwall_bound(p: OsgoodProblem, t: float, prefactor: float = 1.0) -> float:
+def log_gronwall_bound(p: OsgoodProblem, t: float) -> float:
     """ln of the closed-form envelope (2/nu^2)^(int f) * (nu + int g + nu int g0^2)."""
     if p.nu >= 1:
         raise ValueError("the closed-form envelope requires nu < 1")
-    if prefactor <= 0:
-        raise ValueError("prefactor must be positive")
     mass = p.nu + p.integral_g(t) + p.nu * p.integral_g0_squared(t)
-    return p.integral_f(t) * math.log(2.0 / p.nu**2) + math.log(mass) + math.log(prefactor)
+    return p.integral_f(t) * math.log(2.0 / p.nu**2) + math.log(mass)
 
 
-def gronwall_bound(p: OsgoodProblem, t: float, prefactor: float = 1.0) -> float:
+def gronwall_bound(p: OsgoodProblem, t: float) -> float:
     """Closed-form envelope value (inf if it overflows a float)."""
-    logval = log_gronwall_bound(p, t, prefactor)
+    logval = log_gronwall_bound(p, t)
     return math.exp(logval) if logval < 709.0 else math.inf
 
 
@@ -291,7 +281,6 @@ def check_majorization(
     x_squared: np.ndarray,
     problem: OsgoodProblem,
     tol: float = 0.05,
-    trajectory: Trajectory | None = None,
 ) -> MajorizationReport:
     """Check measured samples x(t) against the majorant: x <= y * (1 + tol).
 
@@ -306,7 +295,7 @@ def check_majorization(
         raise ValueError("sample horizon does not match the majorant horizon")
     if x.min() < 0:
         raise ValueError("squared-gap samples must be nonnegative")
-    traj = trajectory if trajectory is not None else integrate_majorant(problem)
+    traj = integrate_majorant(problem)
     log_y = traj.log_y_at(times)
     with np.errstate(divide="ignore"):
         log_x = np.where(x > 0, np.log(x), -np.inf)

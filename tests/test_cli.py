@@ -83,6 +83,15 @@ class TestSimulate:
         assert main(["simulate", str(config)]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unknown_config_key_is_error(command, tmp_path, capsys):
+    config = tmp_path / "typo.cfg"
+    config.write_text(f"grid = 32\nsmaples = 10\nout = {tmp_path / 'out'}\n")
+    assert main([command, str(config)]) == 2
+    assert "smaples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSweepAndRateFit:
     def test_sweep_then_rate_fit(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"

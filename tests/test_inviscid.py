@@ -32,6 +32,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(32, 0.5, nu_list=(1e-3, 1e-2))
 
+    def test_colliding_run_labels_rejected(self, tmp_path):
+        # both viscosities round to nu_1.2e-03; the second run would
+        # overwrite the first one's directory
+        with pytest.raises(ValueError, match="collide"):
+            ExperimentConfig(32, 0.5, nu_list=(1.24e-3, 1.23e-3), output_dir=str(tmp_path))
+        ExperimentConfig(32, 0.5, nu_list=(1.24e-3, 1.23e-3))  # nothing written, no collision
+
     def test_nu_must_be_below_one(self):
         with pytest.raises(ValueError):
             ExperimentConfig(32, 0.5, nu_list=(2.0, 1e-2))
