@@ -27,7 +27,8 @@ res_n = run(u0, SolverConfig(grid=grid, nu=nu, horizon=T, min_samples=50), compu
 worst = 0.0
 for s in res_n.states:
     expected = math.exp(-2 * nu * s.time)
-    measured = math.sqrt(2 * 0.5 * np.sum(s.velocity.u1.values**2 + s.velocity.u2.values**2)
+    u = s.velocity
+    measured = math.sqrt(2 * 0.5 * np.sum(u.u1.values**2 + u.u2.values**2)
                          * grid.cell_volume) / (math.pi * math.sqrt(2))
     worst = max(worst, abs(measured - expected))
 print(f"  max deviation of ||u(t)|| / ||u0|| from exp(-2 nu t): {worst:.2e}")

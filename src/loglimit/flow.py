@@ -25,6 +25,7 @@ from .grid import GridSpec, ScalarField, VectorField, _wavenumbers, derivative, 
 from .norms import bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
+BLOW_UP_SPEED = 1e8  # a sample with max |u| above this marks the run as blown up
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,6 @@ class SolverConfig:
     output_stride: int = 1
     min_samples: int = 1
     sigma: float = 1.0
-    blow_up_speed: float = 1e8
 
     def __post_init__(self) -> None:
         if self.nu < 0:
@@ -69,9 +69,10 @@ def _spectral_operators(n: int):
 
 
 class FlowState:
-    """Vorticity-spectrum snapshot with lazily derived velocity."""
+    """Vorticity-spectrum snapshot: a state keeps only its spectrum and derives
+    the velocity on each access, so callers bind it once where they reuse it."""
 
-    __slots__ = ("grid", "time", "omega_hat", "_velocity")
+    __slots__ = ("grid", "time", "omega_hat")
 
     def __init__(self, grid: GridSpec, time: float, omega_hat: np.ndarray):
         n = grid.points_per_axis
@@ -83,7 +84,6 @@ class FlowState:
         self.grid = grid
         self.time = time
         self.omega_hat = w
-        self._velocity: VectorField | None = None
 
     @classmethod
     def from_velocity(cls, u: VectorField, time: float = 0.0) -> "FlowState":
@@ -97,13 +97,11 @@ class FlowState:
 
     @property
     def velocity(self) -> VectorField:
-        if self._velocity is None:
-            n = self.grid.points_per_axis
-            _, _, bs1, bs2 = _spectral_operators(n)
-            v1 = np.real(np.fft.ifft2(bs1 * self.omega_hat * n * n))
-            v2 = np.real(np.fft.ifft2(bs2 * self.omega_hat * n * n))
-            self._velocity = VectorField.from_values(self.grid, v1, v2)
-        return self._velocity
+        n = self.grid.points_per_axis
+        _, _, bs1, bs2 = _spectral_operators(n)
+        v1 = np.real(np.fft.ifft2(bs1 * self.omega_hat * n * n))
+        v2 = np.real(np.fft.ifft2(bs2 * self.omega_hat * n * n))
+        return VectorField.from_values(self.grid, v1, v2)
 
 
 def _advection_rhs(grid: GridSpec, omega_hat: np.ndarray) -> np.ndarray:
@@ -122,10 +120,8 @@ def _advection_rhs(grid: GridSpec, omega_hat: np.ndarray) -> np.ndarray:
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
     """dt = cfl * h / ||u||_Linf (capped by the horizon for resting fields)."""
-    umax = max(
-        float(np.abs(state.velocity.u1.values).max()),
-        float(np.abs(state.velocity.u2.values).max()),
-    )
+    u = state.velocity
+    umax = max(float(np.abs(u.u1.values).max()), float(np.abs(u.u2.values).max()))
     if umax == 0.0:
         return cfg.horizon
     return cfg.cfl * state.grid.spacing / umax
@@ -189,10 +185,11 @@ def gradient_bmo(u: VectorField) -> float:
     to rounding.
     """
     d1u1, d2u1, d1u2, d2u2 = velocity_gradient(u)
-    total = bmo_seminorm(d1u1) + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
+    b11 = bmo_seminorm(d1u1)
+    total = b11 + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
     scale = float(np.abs(d1u1.values).max())
     if float(np.abs(d1u1.values + d2u2.values).max()) <= 1e-12 * max(scale, 1e-300):
-        return total + bmo_seminorm(d1u1)
+        return total + b11
     return total + bmo_seminorm(d2u2)
 
 
@@ -249,7 +246,7 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
     n_chunks = max(cfg.min_samples, math.ceil(cfg.horizon / (dt0 * chunk)))
     dt = cfg.horizon / (n_chunks * chunk)
     states = [state]
-    blow_up = _blown(state, cfg)
+    blow_up = _blown(state)
     if not blow_up:
         for _ in range(n_chunks):
             try:
@@ -259,19 +256,19 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
                 blow_up = True
                 break
             states.append(state)
-            if _blown(state, cfg):
+            if _blown(state):
                 blow_up = True
                 break
     series = _collect_series(states, cfg, compute_norms)
     return RunResult(cfg, tuple(states), series, dt, blow_up)
 
 
-def _blown(state: FlowState, cfg: SolverConfig) -> bool:
+def _blown(state: FlowState) -> bool:
     u = state.velocity
     vals = (u.u1.values, u.u2.values)
     return any(not np.all(np.isfinite(v)) for v in vals) or max(
         float(np.abs(v).max()) for v in vals
-    ) > cfg.blow_up_speed
+    ) > BLOW_UP_SPEED
 
 
 def _collect_series(states, cfg: SolverConfig, compute_norms: bool) -> NormSeries:

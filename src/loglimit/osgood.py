@@ -220,7 +220,6 @@ class RateBound:
     M: float
     T: float
     exponent: float
-    constant: float = 1.0
     iterates: dict = field(default_factory=dict)  # n -> (1 - T/n)^(2 M n), None if T/n >= 1
     monotone: bool = True
     extrapolated: float | None = None

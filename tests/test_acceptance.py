@@ -50,9 +50,16 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
+def report_timing(criterion: int, seconds: float, bound: float) -> None:
+    """Wall-clock seconds go on their own line, so ACCEPTANCE lines are byte-stable."""
+    print(f"TIMING {criterion}: {seconds:.1f}s (bound {bound:.0f}s)")
+
+
 @pytest.fixture(scope="module")
 def corpus_scan_full():
-    return scan_corpus(sizes=(32, 64, 128))
+    t0 = time.monotonic()
+    scan = scan_corpus(sizes=(32, 64, 128))
+    return scan, time.monotonic() - t0
 
 
 @pytest.fixture(scope="module")
@@ -73,33 +80,26 @@ def sweeps():
 
 
 def test_acceptance_01_main_inequality(corpus_scan_full):
-    scan = corpus_scan_full
+    scan, elapsed = corpus_scan_full
     ok = math.isfinite(scan.max_ratio) and scan.max_ratio > 0
     slope = scan.ratio_slope
     ok = ok and slope is not None and slope <= 0.05
-    ok = ok and scan.elapsed_seconds <= 120.0
-    report(
-        "1 main inequality",
-        ok,
-        f"max ratio {scan.max_ratio:.4f}, log-slope {slope:.2e}, "
-        f"{scan.elapsed_seconds:.0f}s",
-    )
+    ok = ok and elapsed <= 120.0
+    report("1 main inequality", ok, f"max ratio {scan.max_ratio:.4f}, log-slope {slope:.2e}")
+    report_timing(1, elapsed, 120.0)
     assert math.isfinite(scan.max_ratio)
     assert slope <= 0.05
-    assert scan.elapsed_seconds <= 120.0
+    assert elapsed <= 120.0
 
 
 def test_acceptance_02_zygmund_bound_dominates():
     t0 = time.monotonic()
-    scan = zygmund_family_scan(GridSpec(256), n_values=(2, 4, 8, 16, 32, 64))
+    scan = zygmund_family_scan(GridSpec(256))
     elapsed = time.monotonic() - t0
     dominated = all(max(t.riesz_l1) <= t.bound * (1 + 1e-12) for t in scan["trials"])
     ok = dominated and elapsed <= 60.0
-    report(
-        "2 zygmund domination",
-        ok,
-        f"corpus constant {scan['c0']:.4f}, {elapsed:.1f}s",
-    )
+    report("2 zygmund domination", ok, f"corpus constant {scan['c0']:.4f}")
+    report_timing(2, elapsed, 60.0)
     assert dominated
     assert elapsed <= 60.0
 
@@ -111,7 +111,7 @@ def test_acceptance_02_zygmund_bound_dominates():
     "a 20 percent match is unattainable because the L1 bound is one-sided",
 )
 def test_acceptance_02_zygmund_growth_match():
-    scan = zygmund_family_scan(GridSpec(256), n_values=(2, 4, 8, 16, 32, 64))
+    scan = zygmund_family_scan(GridSpec(256))
     ok = all(
         abs(scan["riesz_slopes"][axis] - scan["slope_llogl"]) <= 0.2 * scan["slope_llogl"]
         for axis in (1, 2)
@@ -234,8 +234,9 @@ def test_acceptance_06_taylor_green_anchors():
         "6 taylor-green anchors",
         ok,
         f"steady drift {drift:.1e}, decay error {decay_err:.1e}, "
-        f"gap error {gap_err:.1e}, rho {rho:.4f}, {elapsed:.0f}s",
+        f"gap error {gap_err:.1e}, rho {rho:.4f}",
     )
+    report_timing(6, elapsed, 300.0)
     assert drift <= 1e-8
     assert decay_err <= 1e-6
     assert gap_err <= 1e-2
@@ -255,7 +256,8 @@ def test_acceptance_07_rate_bound_sweeps(sweeps):
             f"{ic}: M={series.M:.1f}, rho={rate.rho:.3f}, violations={len(rate.violations)}"
         )
     ok = ok and elapsed <= 900.0
-    report("7 rate bound", ok, "; ".join(details) + f"; {elapsed:.0f}s")
+    report("7 rate bound", ok, "; ".join(details))
+    report_timing(7, elapsed, 900.0)
     for ic in SWEEP_IC_IDS:
         rate = verify_rate(results[ic].series)
         assert rate.passed, f"{ic}: rate bound violated at {rate.violations}"
@@ -317,7 +319,7 @@ def test_acceptance_09_energy_identity():
 
 def test_acceptance_10_majorization(sweeps, corpus_scan_full):
     results, _ = sweeps
-    c_emp = corpus_scan_full.max_ratio_by_size[64]
+    c_emp = corpus_scan_full[0].max_ratio_by_size[64]
     ok = True
     details = []
     for ic in SWEEP_IC_IDS:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import loglimit.flow
 from loglimit.flow import (
     FlowState,
     SolverConfig,
@@ -13,6 +14,7 @@ from loglimit.flow import (
     energy_identity_terms,
     enstrophy_of,
     gap_l2,
+    gradient_bmo,
     gradient_l2,
     kinetic_energy,
     random_band_velocity,
@@ -21,8 +23,10 @@ from loglimit.flow import (
     taylor_green_velocity,
     taylor_green_vorticity,
     two_mode_velocity,
+    velocity_gradient,
 )
 from loglimit.grid import GridSpec, VectorField, divergence
+from loglimit.norms import bmo_seminorm
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -143,7 +147,7 @@ class TestRun:
 
     def test_blow_up_marker_on_absurd_speed(self, grid32):
         u = taylor_green_velocity(grid32, amplitude=1e9)
-        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.1, blow_up_speed=1e6)
+        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.1)
         res = run(u, cfg, compute_norms=False)
         assert res.blow_up
         assert len(res.states) == 1  # bailed before stepping
@@ -258,3 +262,25 @@ class TestInitialConditions:
         assert abs(u.u1.mean()) < 1e-13
         vmax = np.abs(u.u1.values).max()
         assert np.abs(divergence(u).values).max() < 1e-10 * vmax
+
+
+class TestGradientBmo:
+    @pytest.mark.parametrize("divergence_free, scans", [(True, 3), (False, 4)])
+    def test_scan_count_and_value(self, grid32, monkeypatch, divergence_free, scans):
+        # d1 u1 = -d2 u2 for Taylor-Green; the gradient of sin x1 sin x2 has
+        # d1 u1 = +d2 u2, so its fourth component needs its own scan
+        if divergence_free:
+            u = taylor_green_velocity(grid32)
+        else:
+            x1, x2 = grid32.coordinates()
+            u = VectorField.from_values(grid32, np.cos(x1) * np.sin(x2), np.sin(x1) * np.cos(x2))
+        expected = sum(bmo_seminorm(c) for c in velocity_gradient(u))
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return bmo_seminorm(g)
+
+        monkeypatch.setattr(loglimit.flow, "bmo_seminorm", counting)
+        assert gradient_bmo(u) == pytest.approx(expected, rel=1e-14)
+        assert len(calls) == scans

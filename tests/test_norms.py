@@ -88,17 +88,24 @@ class TestBmo:
         f = field_of(grid32, lambda a, b: np.where(a < np.pi, 1.0, -1.0))
         assert bmo_seminorm(f) == pytest.approx(1.0, abs=1e-14)
 
-    def test_brute_force_agreement_16(self, grid16):
-        cases = [
-            random_band_limited(16, 4, seed=0),
-            random_band_limited(16, 7, seed=1),
-            np.where(grid16.coordinates()[0] < np.pi, 1.0, -1.0),
-            gaussian_bump(grid16, np.pi / 8).values,
-        ]
-        for vals in cases:
-            fast = bmo_seminorm(ScalarField(grid16, vals))
-            slow = brute_bmo_seminorm(vals)
-            assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13)
+    @pytest.mark.parametrize(
+        "n, build",
+        [
+            (16, lambda grid: random_band_limited(16, 4, seed=0)),
+            (16, lambda grid: random_band_limited(16, 7, seed=1)),
+            (16, lambda grid: np.where(grid.coordinates()[0] < np.pi, 1.0, -1.0)),
+            (16, lambda grid: gaussian_bump(grid, np.pi / 8).values),
+            (32, lambda grid: random_band_limited(32, 8, seed=3)),
+            (32, lambda grid: np.random.default_rng(4).standard_normal(grid.shape)),
+        ],
+        ids=["16-band4", "16-band7", "16-step", "16-bump", "32-band8", "32-normal"],
+    )
+    def test_brute_force_agreement(self, n, build):
+        grid = GridSpec(n)
+        vals = build(grid)
+        fast = bmo_seminorm(ScalarField(grid, vals))
+        slow = brute_bmo_seminorm(vals)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13)
 
 
 class TestHardy:
