@@ -245,49 +245,43 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
     chunk = cfg.output_stride
     n_chunks = max(cfg.min_samples, math.ceil(cfg.horizon / (dt0 * chunk)))
     dt = cfg.horizon / (n_chunks * chunk)
-    states = [state]
-    blow_up = _blown(state)
-    if not blow_up:
-        for _ in range(n_chunks):
+    states, rows = [], []
+    blow_up = False
+    for sample in range(n_chunks + 1):
+        if sample:
             try:
                 for _ in range(chunk):
                     state = step(state, cfg, dt)
             except FloatingPointError:
                 blow_up = True
                 break
-            states.append(state)
-            if _blown(state):
-                blow_up = True
-                break
-    series = _collect_series(states, cfg, compute_norms)
+        states.append(state)
+        u = state.velocity  # derived once: the series row and the blow-up check share it
+        rows.append(_sample_row(state, u, cfg, compute_norms))
+        if _blown(u):
+            blow_up = True
+            break
+    times = np.array([s.time for s in states])
+    series = NormSeries(times, *(np.array(col) for col in zip(*rows)))
     return RunResult(cfg, tuple(states), series, dt, blow_up)
 
 
-def _blown(state: FlowState) -> bool:
-    u = state.velocity
+def _blown(u: VectorField) -> bool:
     vals = (u.u1.values, u.u2.values)
     return any(not np.all(np.isfinite(v)) for v in vals) or max(
         float(np.abs(v).max()) for v in vals
     ) > BLOW_UP_SPEED
 
 
-def _collect_series(states, cfg: SolverConfig, compute_norms: bool) -> NormSeries:
-    times = np.array([s.time for s in states])
-    f0 = np.zeros(len(states))
-    g0 = np.zeros(len(states))
-    h0 = np.zeros(len(states))
-    energy = np.zeros(len(states))
-    enstrophy = np.zeros(len(states))
-    p = 2.0 + cfg.sigma
-    for i, s in enumerate(states):
-        u = s.velocity
-        energy[i] = kinetic_energy(u)
-        enstrophy[i] = enstrophy_of(s.vorticity)
-        g0[i] = gradient_l2(u)
-        h0[i] = lp_norm(speed_field(u), p)
-        if compute_norms:
-            f0[i] = gradient_bmo(u)
-    return NormSeries(times, f0, g0, h0, energy, enstrophy)
+def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_norms: bool):
+    """(f0, g0, h0, energy, enstrophy) of one sample; u is the state's velocity."""
+    return (
+        gradient_bmo(u) if compute_norms else 0.0,
+        gradient_l2(u),
+        lp_norm(speed_field(u), 2.0 + cfg.sigma),
+        kinetic_energy(u),
+        enstrophy_of(state.vorticity),
+    )
 
 
 def require_shared_sample_times(run_nu: RunResult, run_euler: RunResult) -> None:

@@ -42,6 +42,29 @@ def brute_bmo_seminorm(values: np.ndarray) -> float:
     return best
 
 
+def translate_bmo_seminorm(values: np.ndarray) -> float:
+    """Sup of mean absolute deviation over all dyadic squares, every square
+    evaluated: per side s, the s^2 wrapped translates of the centered field sum
+    every square's cells at once, so all n^2 translates of a level are read."""
+    n = values.shape[0]
+    v = values - values.mean()
+    best = float(np.abs(v).mean())
+    s = n // 2
+    while s >= 2:
+        padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
+        offsets = [(a, b) for a in range(s) for b in range(s)]
+        mean = np.zeros((n, n))
+        for a, b in offsets:
+            mean += padded[a : a + n, b : b + n]
+        mean /= s * s
+        mad = np.zeros((n, n))
+        for a, b in offsets:
+            mad += np.abs(padded[a : a + n, b : b + n] - mean)
+        best = max(best, float(mad.max()) / (s * s))
+        s //= 2
+    return best
+
+
 def brute_riesz(values: np.ndarray, axis: int) -> np.ndarray:
     """Direct O(n^4) DFT evaluation of the -i k_axis / |k| multiplier."""
     n = values.shape[0]

@@ -152,6 +152,23 @@ class TestRun:
         assert res.blow_up
         assert len(res.states) == 1  # bailed before stepping
 
+    def test_velocity_derived_once_per_sample(self, grid32, monkeypatch):
+        # the blow-up check and the series row of a sample share one velocity;
+        # the one extra derivation is the initial CFL bound
+        u0 = random_band_velocity(grid32, seed=3)
+        derive = FlowState.velocity.fget
+        calls = []
+
+        def counting(state):
+            calls.append(state.time)
+            return derive(state)
+
+        monkeypatch.setattr(FlowState, "velocity", property(counting))
+        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2, min_samples=10)
+        res = run(u0, cfg, compute_norms=False)
+        assert len(res.states) == 11
+        assert len(calls) <= len(res.states) + 1
+
     def test_spectral_accuracy_under_refinement(self):
         # same initial data and the same dt on 32, 64, and a 128 reference;
         # the coarse-grid error collapses by far more than the factor a

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
+from loglimit.flow import random_band_velocity, velocity_gradient
 from loglimit.grid import TWO_PI, GridSpec, ScalarField
-from loglimit.logineq import gaussian_bump, normalized_indicator
+from loglimit.logineq import CORPUS_BUILDERS, gaussian_bump, normalized_indicator
 from loglimit.norms import (
     NormReport,
+    _std_bounds,
     bmo_seminorm,
     compute_norms,
     hardy_norm,
@@ -24,6 +27,7 @@ from reference import (
     brute_lp_norm,
     brute_zygmund,
     random_band_limited,
+    translate_bmo_seminorm,
 )
 
 
@@ -89,23 +93,77 @@ class TestBmo:
         assert bmo_seminorm(f) == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "n, build",
+        "n, build, shift",
         [
-            (16, lambda grid: random_band_limited(16, 4, seed=0)),
-            (16, lambda grid: random_band_limited(16, 7, seed=1)),
-            (16, lambda grid: np.where(grid.coordinates()[0] < np.pi, 1.0, -1.0)),
-            (16, lambda grid: gaussian_bump(grid, np.pi / 8).values),
-            (32, lambda grid: random_band_limited(32, 8, seed=3)),
-            (32, lambda grid: np.random.default_rng(4).standard_normal(grid.shape)),
+            (16, lambda grid: random_band_limited(16, 4, seed=0), 0.0),
+            (16, lambda grid: random_band_limited(16, 7, seed=1), 0.0),
+            (16, lambda grid: np.where(grid.coordinates()[0] < np.pi, 1.0, -1.0), 0.0),
+            (16, lambda grid: gaussian_bump(grid, np.pi / 8).values, 0.0),
+            (32, lambda grid: random_band_limited(32, 8, seed=3), 0.0),
+            (32, lambda grid: np.random.default_rng(4).standard_normal(grid.shape), 0.0),
+            # every 2 x 2 square splits 50/50, so its deviation equals its std
+            (16, lambda grid: (np.add(*np.indices(grid.shape)) % 2).astype(float), 0.0),
+            (16, lambda grid: (np.maximum(*np.indices(grid.shape)) < 8).astype(float), 0.0),
+            (16, lambda grid: 1e-200 * np.random.default_rng(10).standard_normal(grid.shape), 0.0),
+            (16, lambda grid: 1e200 * np.random.default_rng(10).standard_normal(grid.shape), 0.0),
+            # the oracle's uncentered mean would round at ulp(1e6) / 2 ~ 6e-11 and
+            # move the deviation by ~1e-11, so it reads the shift back to zero,
+            # which is exact (Sterbenz) and leaves every deviation unchanged
+            (16, lambda grid: 1e6 + np.random.default_rng(10).standard_normal(grid.shape), 1e6),
         ],
-        ids=["16-band4", "16-band7", "16-step", "16-bump", "32-band8", "32-normal"],
+        ids=[
+            "16-band4", "16-band7", "16-step", "16-bump", "32-band8", "32-normal",
+            "16-checkerboard", "16-indicator", "16-normal-1e-200", "16-normal-1e200",
+            "16-normal-plus-1e6",
+        ],
     )
-    def test_brute_force_agreement(self, n, build):
+    def test_brute_force_agreement(self, n, build, shift):
         grid = GridSpec(n)
         vals = build(grid)
         fast = bmo_seminorm(ScalarField(grid, vals))
-        slow = brute_bmo_seminorm(vals)
-        assert fast == pytest.approx(slow, rel=1e-12, abs=1e-13)
+        slow = brute_bmo_seminorm(vals - shift)
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda grid, b=b: b(grid).values for _, _, b in CORPUS_BUILDERS]
+        + [
+            lambda grid, i=i: velocity_gradient(random_band_velocity(grid, seed=42))[i].values
+            for i in range(4)
+        ],
+        ids=[fid for fid, _, _ in CORPUS_BUILDERS] + ["d1u1", "d2u1", "d1u2", "d2u2"],
+    )
+    def test_matches_full_translate_scan(self, build):
+        # the workloads' own fields at n = 64, where the pruned levels, the
+        # dense fallback and the seed step all run; the brute oracle is too slow
+        grid = GridSpec(64)
+        vals = build(grid)
+        got = bmo_seminorm(ScalarField(grid, vals))
+        assert got == pytest.approx(translate_bmo_seminorm(vals), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda idx: (idx[0] + idx[1]) % 2 * 1.0,
+            lambda idx: (np.maximum(*idx) < 16) * 1.0,
+            lambda idx: np.where(idx[0] < 16, 1.0, -1.0),
+            lambda idx: 1e200 * np.random.default_rng(2).standard_normal(idx[0].shape),
+            lambda idx: 1e-200 * np.random.default_rng(2).standard_normal(idx[0].shape),
+            lambda idx: 1e8 + 1e-7 * ((idx[0] + idx[1]) % 2),
+        ],
+        ids=["checkerboard", "indicator", "step", "normal-1e200", "normal-1e-200", "offset-checkerboard"],
+    )
+    def test_std_bound_dominates_every_square(self, build):
+        # the pruning is exact only if no square's computed deviation exceeds
+        # its bound; two-valued squares split 50/50 meet it to rounding
+        vals = build(np.indices((32, 32)))
+        v = vals - vals.mean()
+        e = int(np.frexp(np.abs(v).max())[1])
+        for s, bound in _std_bounds(np.ldexp(v, -e)).items():
+            padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
+            blocks = sliding_window_view(padded, (s, s)).reshape(32 * 32, s * s)
+            mad = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).mean(axis=1)
+            assert np.all(bound >= np.ldexp(mad, -e))
 
 
 class TestHardy:
