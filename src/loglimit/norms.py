@@ -32,14 +32,8 @@ def lp_norm(g: ScalarField, p: float) -> float:
     return float((np.sum(np.abs(g.values) ** p) * cv) ** (1.0 / p))
 
 
-# Windows whose exact mean oscillation is evaluated in the seed step, per level.
-_SEED_WINDOWS = 4
 # Gathered s x s blocks hold at most this many cells at once.
 _GATHER_CELLS = 1 << 16
-# A level whose surviving windows exceed this share is scanned by translate sums:
-# per cell, the gather costs about 1.2x the translate sum at s >= 16 and up to
-# 4x at s = 4 (n = 128), so the crossover sits between their break-even shares.
-_DENSE_SHARE = 0.5
 _U = np.finfo(float).eps / 2  # unit roundoff
 
 
@@ -60,33 +54,26 @@ def bmo_seminorm(g: ScalarField) -> float:
         return 0.0  # every square of a constant oscillates by exactly zero
     # centered, so the rounding of the s^2-term sums scales with the oscillation
     v = vals - vals.mean()
-    n = g.grid.points_per_axis
     best = float(np.abs(v).mean())  # full-torus square, all translates equal
     # bounds live on w = v * 2^-e, max|w| in [1/2, 1): w^2 neither overflows nor
     # underflows to matter, and the power-of-two scaling adds no rounding
     e = int(np.frexp(np.abs(v).max())[1])
-    levels = _std_bounds(np.ldexp(v, -e))
-    padded = {s: np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap") for s in levels}
-    # seed the running best with the highest-bound squares of every level
-    for s, bound in levels.items():
-        top = np.argpartition(bound, -_SEED_WINDOWS)[-_SEED_WINDOWS:]
-        best = max(best, _gathered_max(padded[s], s, top))
-    for s, bound in levels.items():
+    # small squares first: they are cheap to read, and on rough fields one of
+    # them holds the maximum, which then prunes nearly all larger squares
+    for s, bound in _std_bounds(np.ldexp(v, -e)).items():
         live = np.flatnonzero(bound > np.ldexp(best, -e))
-        if live.size > _DENSE_SHARE * n * n:
-            best = max(best, _translate_max(padded[s], s))
-            continue
         live = live[np.argsort(-bound[live])]
+        padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
         chunk = max(1, _GATHER_CELLS // (s * s))
         for start in range(0, live.size, chunk):
             if bound[live[start]] <= np.ldexp(best, -e):
                 break  # bounds are sorted: no later square can beat best
-            best = max(best, _gathered_max(padded[s], s, live[start : start + chunk]))
+            best = max(best, _gathered_max(padded, s, live[start : start + chunk]))
     return best
 
 
 def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
-    """Per level s = n/2 .. 2, flat upper bounds on the computed mean absolute
+    """Per level s = 2 .. n/2, flat upper bounds on the computed mean absolute
     deviation of every wrapped s x s square of w, indexed by corner i * n + j.
 
     Window sums of w and w^2 are built by pairwise doubling, O(n^2) per level.
@@ -115,7 +102,7 @@ def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
         var = np.maximum(q - m * m, 0.0) + 4 * (depth + 2) * _U * q
         tol = 1e-9 + 3 * s * s * _U
         out[s] = ((np.sqrt(var) + tol * np.sqrt(q)) * (1 + tol) + 2.0**-500).ravel()
-    return dict(reversed(out.items()))
+    return out
 
 
 def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
@@ -125,26 +112,6 @@ def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
     blocks = sliding_window_view(padded, (s, s))[i, j].reshape(corners.size, s * s)
     blocks -= blocks.mean(axis=1, keepdims=True)
     return float(np.abs(blocks, out=blocks).sum(axis=1).max()) / (s * s)
-
-
-def _translate_max(padded: np.ndarray, s: int) -> float:
-    """Largest mean absolute deviation over all s x s squares, every cell read.
-
-    Entry (i, j) of the wrapped translate padded[a:a+n, b:b+n] is cell (a, b)
-    of the s x s square at (i, j): the s^2 translates sum every square.
-    """
-    n = padded.shape[0] - s + 1
-    offsets = [(a, b) for a in range(s) for b in range(s)]
-    mean = np.zeros((n, n))
-    for a, b in offsets:
-        mean += padded[a : a + n, b : b + n]
-    mean /= s * s
-    mad = np.zeros((n, n))
-    dev = np.empty((n, n))
-    for a, b in offsets:
-        np.subtract(padded[a : a + n, b : b + n], mean, out=dev)
-        mad += np.abs(dev, out=dev)
-    return float(mad.max()) / (s * s)
 
 
 def hardy_norm(g: ScalarField) -> float:

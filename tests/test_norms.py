@@ -134,8 +134,8 @@ class TestBmo:
         ids=[fid for fid, _, _ in CORPUS_BUILDERS] + ["d1u1", "d2u1", "d1u2", "d2u2"],
     )
     def test_matches_full_translate_scan(self, build):
-        # the workloads' own fields at n = 64, where the pruned levels, the
-        # dense fallback and the seed step all run; the brute oracle is too slow
+        # the workloads' own fields at n = 64, where the pruning leaves from
+        # under 1% to most of a level's squares; the brute oracle is too slow
         grid = GridSpec(64)
         vals = build(grid)
         got = bmo_seminorm(ScalarField(grid, vals))
