@@ -175,7 +175,6 @@ def _cmd_rate_fit(args) -> int:
         M=float(np.atleast_1d(data["M"])[0]),
         theory_exponent=float(np.atleast_1d(data["theory_exponent"])[0]),
         fitted_exponent=inviscid.fit_exponent(nu, sup),
-        horizon=args.T,
     )
     rate = inviscid.verify_rate(series)
     print(f"rho = {rate.rho:.6f}, theory exponent = {rate.theory_exponent:.6g}, "
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-fit", help="fit and check the rate bound on a gaps.csv")
     p.add_argument("gaps")
-    p.add_argument("--T", type=float, default=0.5)
     p.set_defaults(func=_cmd_rate_fit)
     return parser
 

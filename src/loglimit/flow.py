@@ -16,12 +16,14 @@ kinetic energy, and enstrophy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, _wavenumbers, derivative, leray_project
+from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier, _dealias_mask,
+                   _derivative_multiplier, _laplacian, _mode_box, curl, derivative,
+                   inverse_transform, leray_project)
 from .norms import bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -51,34 +53,16 @@ class SolverConfig:
             raise ValueError("sigma must be positive")
 
 
-@lru_cache(maxsize=32)
-def _spectral_operators(n: int):
-    k1, k2 = _wavenumbers(n)
-    ksq = k1**2 + k2**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    cut = n // 3
-    dealias = (np.abs(k1) < cut) & (np.abs(k2) < cut)
-    # Biot-Savart: u = (d2 psi, -d1 psi), omega = -Laplace psi
-    bs1 = 1j * k2 / ksq_safe
-    bs2 = -1j * k1 / ksq_safe
-    bs1[0, 0] = 0.0
-    bs2[0, 0] = 0.0
-    for arr in (ksq, dealias, bs1, bs2):
-        arr.setflags(write=False)
-    return ksq, dealias, bs1, bs2
-
-
 class FlowState:
-    """Vorticity-spectrum snapshot: a state keeps only its spectrum and derives
-    the velocity on each access, so callers bind it once where they reuse it."""
+    """Vorticity-spectrum snapshot: a state keeps only its dealiased, mean-free
+    spectrum and derives the velocity (Biot-Savart) and vorticity through
+    grid.inverse_transform on each access; callers bind them once to reuse them."""
 
     __slots__ = ("grid", "time", "omega_hat")
 
     def __init__(self, grid: GridSpec, time: float, omega_hat: np.ndarray):
-        n = grid.points_per_axis
-        _, dealias, _, _ = _spectral_operators(n)
         w = np.array(omega_hat, dtype=complex)
-        w[~dealias] = 0.0
+        w[~_dealias_mask(grid.points_per_axis)] = 0.0
         w[0, 0] = 0.0  # torus vorticity has zero mean
         w.setflags(write=False)
         self.grid = grid
@@ -87,33 +71,30 @@ class FlowState:
 
     @classmethod
     def from_velocity(cls, u: VectorField, time: float = 0.0) -> "FlowState":
-        omega = derivative(u.u2, 1) - derivative(u.u1, 2)
-        return cls(u.grid, time, omega.spectral)
+        return cls(u.grid, time, curl(u).spectral)
 
     @property
     def vorticity(self) -> ScalarField:
-        n = self.grid.points_per_axis
-        return ScalarField(self.grid, np.real(np.fft.ifft2(self.omega_hat * n * n)))
+        return inverse_transform(self.grid, self.omega_hat)
 
     @property
     def velocity(self) -> VectorField:
         n = self.grid.points_per_axis
-        _, _, bs1, bs2 = _spectral_operators(n)
-        v1 = np.real(np.fft.ifft2(bs1 * self.omega_hat * n * n))
-        v2 = np.real(np.fft.ifft2(bs2 * self.omega_hat * n * n))
-        return VectorField.from_values(self.grid, v1, v2)
+        return VectorField(
+            *(inverse_transform(self.grid, _biot_savart_multiplier(n, axis) * self.omega_hat)
+              for axis in (1, 2))
+        )
 
 
 def _advection_rhs(grid: GridSpec, omega_hat: np.ndarray) -> np.ndarray:
     """Dealiased -(u . grad omega), acting on normalized coefficients."""
     n = grid.points_per_axis
-    k1, k2 = _wavenumbers(n)
-    _, dealias, bs1, bs2 = _spectral_operators(n)
+    dealias = _dealias_mask(n)
     w = np.where(dealias, omega_hat, 0.0) * (n * n)
-    u1 = np.real(np.fft.ifft2(bs1 * w))
-    u2 = np.real(np.fft.ifft2(bs2 * w))
-    w1 = np.real(np.fft.ifft2(1j * k1 * w))
-    w2 = np.real(np.fft.ifft2(1j * k2 * w))
+    u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
+    u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
+    w1 = np.real(np.fft.ifft2(_derivative_multiplier(n, 1) * w))
+    w2 = np.real(np.fft.ifft2(_derivative_multiplier(n, 2) * w))
     product = np.fft.fft2(u1 * w1 + u2 * w2) / (n * n)
     return -np.where(dealias, product, 0.0)
 
@@ -129,7 +110,7 @@ def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
 
 def _step_raw(grid: GridSpec, omega_hat: np.ndarray, nu: float, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega."""
-    ksq, _, _, _ = _spectral_operators(grid.points_per_axis)
+    ksq, _ = _laplacian(grid.points_per_axis)
     e_half = np.exp(-nu * ksq * (dt / 2.0)) if nu > 0 else 1.0
     e_full = e_half * e_half if nu > 0 else 1.0
     k1 = _advection_rhs(grid, omega_hat)
@@ -177,14 +158,15 @@ def velocity_gradient(u: VectorField) -> tuple[ScalarField, ScalarField, ScalarF
     )
 
 
-def gradient_bmo(u: VectorField) -> float:
-    """Mean-oscillation seminorm of grad u, summed over the four components.
+def gradient_bmo(grad: tuple[ScalarField, ...]) -> float:
+    """Mean-oscillation seminorm of a velocity gradient (the four components
+    of velocity_gradient), summed over the components.
 
     For divergence-free fields d1 u1 = -d2 u2 exactly, and the seminorm is
     sign-blind, so one of the four scans is reused when that identity holds
     to rounding.
     """
-    d1u1, d2u1, d1u2, d2u2 = velocity_gradient(u)
+    d1u1, d2u1, d1u2, d2u2 = grad
     b11 = bmo_seminorm(d1u1)
     total = b11 + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
     scale = float(np.abs(d1u1.values).max())
@@ -193,10 +175,10 @@ def gradient_bmo(u: VectorField) -> float:
     return total + bmo_seminorm(d2u2)
 
 
-def gradient_l2(u: VectorField) -> float:
-    comps = velocity_gradient(u)
-    cv = u.grid.cell_volume
-    return math.sqrt(sum(float(np.sum(c.values**2)) * cv for c in comps))
+def gradient_l2(grad: tuple[ScalarField, ...]) -> float:
+    """L2 norm of a velocity gradient (the four components of velocity_gradient)."""
+    cv = grad[0].grid.cell_volume
+    return math.sqrt(sum(float(np.sum(c.values**2)) * cv for c in grad))
 
 
 def kinetic_energy(u: VectorField) -> float:
@@ -275,20 +257,26 @@ def _blown(u: VectorField) -> bool:
 
 def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_norms: bool):
     """(f0, g0, h0, energy, enstrophy) of one sample; u is the state's velocity."""
+    grad = velocity_gradient(u)
     return (
-        gradient_bmo(u) if compute_norms else 0.0,
-        gradient_l2(u),
+        gradient_bmo(grad) if compute_norms else 0.0,
+        gradient_l2(grad),
         lp_norm(speed_field(u), 2.0 + cfg.sigma),
         kinetic_energy(u),
         enstrophy_of(state.vorticity),
     )
 
 
-def require_shared_sample_times(run_nu: RunResult, run_euler: RunResult) -> None:
-    """Raise unless two runs were sampled at the same times (paired runs)."""
+def paired_velocities(
+    run_nu: RunResult, run_euler: RunResult
+) -> Iterator[tuple[VectorField, VectorField]]:
+    """Iterator over the (u_nu, u_euler) velocities of two runs, one pair per
+    sample, each derived once.  Raises ValueError at the call, not when the
+    iterator is read, unless both runs were sampled at the same times."""
     t_n, t_e = run_nu.sample_times, run_euler.sample_times
     if len(t_n) != len(t_e) or not np.allclose(t_n, t_e, rtol=0, atol=1e-12):
         raise ValueError("paired runs must share sample times")
+    return ((sn.velocity, se.velocity) for sn, se in zip(run_nu.states, run_euler.states))
 
 
 def gap_l2(a: VectorField, b: VectorField) -> float:
@@ -326,8 +314,7 @@ def two_mode_velocity(grid: GridSpec) -> VectorField:
     """Superposition of the Taylor-Green cell and a tilted (2, 1) mode."""
     x1, x2 = grid.coordinates()
     omega = 2.0 * np.sin(x1) * np.sin(x2) + np.cos(2.0 * x1 + x2)
-    n = grid.points_per_axis
-    return FlowState(grid, 0.0, np.fft.fft2(omega) / (n * n)).velocity
+    return FlowState(grid, 0.0, ScalarField(grid, omega).spectral).velocity
 
 
 def random_band_velocity(grid: GridSpec, seed: int = 42) -> VectorField:
@@ -335,13 +322,10 @@ def random_band_velocity(grid: GridSpec, seed: int = 42) -> VectorField:
 
     Normalized so ||u||_L2 matches the Taylor-Green value pi * sqrt(2).
     """
-    n = grid.points_per_axis
     rng = np.random.default_rng(seed)
-    k1, k2 = _wavenumbers(n)
-    mask = (np.maximum(np.abs(k1), np.abs(k2)) <= 4) & ((k1 != 0) | (k2 != 0))
-    noise = np.fft.fft2(rng.standard_normal((n, n))) / (n * n)
-    omega_hat = np.where(mask, noise, 0.0)
-    state = FlowState(grid, 0.0, omega_hat)
+    noise = ScalarField(grid, rng.standard_normal(grid.shape)).spectral
+    # FlowState drops the zero mode
+    state = FlowState(grid, 0.0, np.where(_mode_box(grid.points_per_axis, 4), noise, 0.0))
     u = state.velocity
     target = float(np.pi * np.sqrt(2.0))
     norm = math.sqrt(2.0 * kinetic_energy(u))
@@ -384,36 +368,26 @@ class IdentityTerms:
 
 
 def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTerms:
-    """Evaluate the identity on paired runs sharing sample times."""
-    require_shared_sample_times(run_nu, run_euler)
+    """Evaluate the identity in one pass over paired runs sharing sample times."""
+    pairs = paired_velocities(run_nu, run_euler)
     t_n = run_nu.sample_times
     if len(t_n) < 5:
         raise ValueError("need at least 5 samples for the interior stencil")
     nu = run_nu.config.nu
     cv = run_nu.config.grid.cell_volume
-    half_gap_sq = np.array(
-        [0.5 * gap_l2(sn.velocity, se.velocity) ** 2
-         for sn, se in zip(run_nu.states, run_euler.states)]
-    )
-    dt = t_n[1] - t_n[0]
     interior = range(2, len(t_n) - 2)
-    ddt = np.array(
-        [
-            (-half_gap_sq[i + 2] + 8 * half_gap_sq[i + 1] - 8 * half_gap_sq[i - 1] + half_gap_sq[i - 2])
-            / (12 * dt)
-            for i in interior
-        ]
-    )
-    adv = np.zeros(len(ddt))
-    visc = np.zeros(len(ddt))
-    for j, i in enumerate(interior):
-        u_n = run_nu.states[i].velocity
-        u_e = run_euler.states[i].velocity
+    half_gap_sq = np.zeros(len(t_n))
+    adv = np.zeros(len(interior))
+    visc = np.zeros(len(interior))
+    for i, (u_n, u_e) in enumerate(pairs):
+        half_gap_sq[i] = 0.5 * gap_l2(u_n, u_e) ** 2
+        if i not in interior:
+            continue
         w1 = u_n.u1.values - u_e.u1.values
         w2 = u_n.u2.values - u_e.u2.values
         grad_e = velocity_gradient(u_e)
         # sum_ij w_i w_j d_i uE_j with (d1u1, d2u1, d1u2, d2u2) ordering
-        adv[j] = float(
+        adv[i - 2] = float(
             np.sum(
                 w1 * w1 * grad_e[0].values
                 + w2 * w1 * grad_e[1].values
@@ -424,7 +398,15 @@ def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTe
         )
         grad_n = velocity_gradient(u_n)
         grad_gap = velocity_gradient(VectorField.from_values(u_n.grid, w1, w2))
-        visc[j] = nu * float(
+        visc[i - 2] = nu * float(
             np.sum(sum(gn.values * gw.values for gn, gw in zip(grad_n, grad_gap))) * cv
         )
+    dt = t_n[1] - t_n[0]
+    ddt = np.array(
+        [
+            (-half_gap_sq[i + 2] + 8 * half_gap_sq[i + 1] - 8 * half_gap_sq[i - 1] + half_gap_sq[i - 2])
+            / (12 * dt)
+            for i in interior
+        ]
+    )
     return IdentityTerms(t_n[2:-2], ddt, adv, visc)

@@ -7,6 +7,9 @@ computed, cached array of Fourier coefficients.  The normalization is
 
 so a field is the trigonometric polynomial  sum_k coeff[k] * exp(i k.x)  and
 Parseval reads  (cell volume) * sum(values**2) == (2pi)**2 * sum(|coeff|**2).
+This module is the only one that knows the wavenumber layout and this
+normalization; the solver's Biot-Savart, Laplacian and 2/3 dealiasing
+symbols are cached here beside the derivative and Riesz multipliers.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
@@ -68,11 +71,14 @@ def _wavenumbers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _wavenumber_norm(n: int) -> np.ndarray:
+def _laplacian(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|k|^2, and a copy with the zero mode set to 1 that is safe to divide by."""
     k1, k2 = _wavenumbers(n)
-    kk = np.sqrt(k1**2 + k2**2)
-    kk.setflags(write=False)
-    return kk
+    ksq = k1**2 + k2**2
+    ksq_safe = np.where(ksq == 0, 1.0, ksq)
+    for a in (ksq, ksq_safe):
+        a.setflags(write=False)
+    return ksq, ksq_safe
 
 
 def _as_valid_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -175,9 +181,6 @@ class VectorField:
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.u1 + other.u1, self.u2 + other.u2)
 
-    def max_speed(self) -> float:
-        return float(np.sqrt(self.u1.values**2 + self.u2.values**2).max())
-
 
 def _require_same_grid(a: GridSpec, b: GridSpec) -> None:
     if a != b:
@@ -210,14 +213,38 @@ def _derivative_multiplier(n: int, axis: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _riesz_multiplier(n: int, axis: int) -> np.ndarray:
     k1, k2 = _wavenumbers(n)
-    kk = _wavenumber_norm(n).copy()
-    kk[0, 0] = 1.0
-    mult = -1j * (k1 if axis == 1 else k2) / kk
+    _, ksq_safe = _laplacian(n)
+    mult = -1j * (k1 if axis == 1 else k2) / np.sqrt(ksq_safe)
     mult[0, 0] = 0.0
     mult[n // 2, :] = 0.0
     mult[:, n // 2] = 0.0
     mult.setflags(write=False)
     return mult
+
+
+@lru_cache(maxsize=32)
+def _biot_savart_multiplier(n: int, axis: int) -> np.ndarray:
+    """Biot-Savart: u = (d2 psi, -d1 psi) from omega = -Laplace psi, zero mode annihilated."""
+    k1, k2 = _wavenumbers(n)
+    _, ksq_safe = _laplacian(n)
+    mult = 1j * k2 / ksq_safe if axis == 1 else -1j * k1 / ksq_safe
+    mult[0, 0] = 0.0
+    mult.setflags(write=False)
+    return mult
+
+
+@lru_cache(maxsize=32)
+def _mode_box(n: int, kmax: int) -> np.ndarray:
+    """Mask of the modes with |k1| <= kmax and |k2| <= kmax."""
+    k1, k2 = _wavenumbers(n)
+    mask = (np.abs(k1) <= kmax) & (np.abs(k2) <= kmax)
+    mask.setflags(write=False)
+    return mask
+
+
+def _dealias_mask(n: int) -> np.ndarray:
+    """2/3 rule: keep the modes with |k1|, |k2| < n // 3."""
+    return _mode_box(n, n // 3 - 1)
 
 
 def derivative(field: ScalarField, axis: int) -> ScalarField:
@@ -256,8 +283,7 @@ def leray_project(v: VectorField) -> VectorField:
     """
     n = v.grid.points_per_axis
     k1, k2 = _wavenumbers(n)
-    ksq = k1**2 + k2**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
+    _, ksq_safe = _laplacian(n)
     v1 = v.u1.spectral
     v2 = v.u2.spectral
     kdotv = (k1 * v1 + k2 * v2) / ksq_safe

@@ -21,8 +21,8 @@ from .flow import (
     RunResult,
     SolverConfig,
     gap_l2,
+    paired_velocities,
     random_band_velocity,
-    require_shared_sample_times,
     run,
     taylor_green_velocity,
     two_mode_velocity,
@@ -98,8 +98,6 @@ class GapSeries:
     M: float
     theory_exponent: float
     fitted_exponent: float | None
-    horizon: float
-    ic_id: str = ""
 
     @property
     def monotone(self) -> bool:
@@ -146,10 +144,7 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
         if res.blow_up:
             aborted = True
             break
-        require_shared_sample_times(res, euler)
-        gaps = np.array(
-            [gap_l2(a.velocity, b.velocity) for a, b in zip(res.states, euler.states)]
-        )
+        gaps = np.array([gap_l2(u_nu, u_e) for u_nu, u_e in paired_velocities(res, euler)])
         gap_curves[nu] = gaps
         sup_gaps.append(float(gaps.max()))
     nus = np.array(list(gap_curves.keys()))
@@ -161,8 +156,6 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
         M=M,
         theory_exponent=math.exp(-2.0 * M * cfg.horizon),
         fitted_exponent=fit_exponent(nus, sup),
-        horizon=cfg.horizon,
-        ic_id=cfg.initial_condition_id,
     )
     result = SweepResult(cfg, euler, runs, gap_curves, series, aborted)
     if cfg.output_dir is not None:
@@ -241,12 +234,12 @@ def measured_forcing(run_nu: RunResult, run_euler: RunResult, nu: float, sigma: 
     alpha is the squared velocity gap; the remainder of its truncation split
     at threshold 1/nu is paired with the reference-flow gradient magnitudes.
     For resolved sweeps the remainder is empty and g vanishes identically.
+    The runs must share sample times (ValueError otherwise).
     """
     cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9), sigma=sigma)
     cv = run_nu.config.grid.cell_volume
     out = np.zeros(len(run_nu.states))
-    for i, (sn, se) in enumerate(zip(run_nu.states, run_euler.states)):
-        un, ue = sn.velocity, se.velocity
+    for i, (un, ue) in enumerate(paired_velocities(run_nu, run_euler)):
         alpha_vals = (un.u1.values - ue.u1.values) ** 2 + (un.u2.values - ue.u2.values) ** 2
         if alpha_vals.max() <= cfg.threshold:
             continue

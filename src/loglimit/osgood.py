@@ -106,7 +106,6 @@ class Trajectory:
     times: np.ndarray
     log_y: np.ndarray
     blow_up: bool = False
-    blow_up_time: float | None = None
 
     @property
     def y(self) -> np.ndarray:
@@ -153,7 +152,7 @@ def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
         h = min(h_nominal, T - t)
         z_new = _rk4(rhs, t, z, h)
         if not math.isfinite(z_new) or z_new > _Z_BLOWUP:
-            return Trajectory(np.array(ts), np.array(zs), blow_up=True, blow_up_time=t)
+            return Trajectory(np.array(ts), np.array(zs), blow_up=True)
         if z != 0.0 and z_new != 0.0 and (z < 0.0) != (z_new < 0.0):
             # bisect the step length to land on the |ln y| kink at y = 1
             lo, hi = 0.0, h

@@ -23,8 +23,14 @@ def brute_lp_norm(values: np.ndarray, p: float) -> float:
 
 
 def brute_bmo_seminorm(values: np.ndarray) -> float:
-    """Sup of mean absolute deviation over all dyadic squares, python loops."""
+    """Sup of mean absolute deviation over all dyadic squares, python loops.
+
+    The field's exactly summed mean is subtracted first: the seminorm is blind
+    to constants, and a square's mean of values far from zero would otherwise
+    round at the offset's scale, not the field's.
+    """
     n = values.shape[0]
+    values = values - math.fsum(values.ravel()) / values.size
     best = 0.0
     s = n
     while s >= 1:

@@ -104,7 +104,7 @@ class TestSweepAndRateFit:
         assert "PASS" in capsys.readouterr().out
         gaps = outdir / "gaps.csv"
         assert gaps.exists()
-        assert main(["rate-fit", str(gaps), "--T", "0.3"]) == 0
+        assert main(["rate-fit", str(gaps)]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_rate_fit_detects_violation(self, tmp_path, capsys):

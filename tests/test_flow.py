@@ -169,6 +169,20 @@ class TestRun:
         assert len(res.states) == 11
         assert len(calls) <= len(res.states) + 1
 
+    def test_velocity_gradient_derived_once_per_sample(self, grid32, monkeypatch):
+        # f0 and g0 of a sample read the same four gradient components
+        derive = loglimit.flow.velocity_gradient
+        calls = []
+
+        def counting(u):
+            calls.append(u)
+            return derive(u)
+
+        monkeypatch.setattr(loglimit.flow, "velocity_gradient", counting)
+        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2, min_samples=10)
+        res = run(taylor_green_velocity(grid32), cfg, compute_norms=True)
+        assert len(calls) == len(res.states) == 11
+
     def test_spectral_accuracy_under_refinement(self):
         # same initial data and the same dt on 32, 64, and a 128 reference;
         # the coarse-grid error collapses by far more than the factor a
@@ -259,12 +273,27 @@ class TestEnergyIdentity:
         with pytest.raises(ValueError, match="sample times"):
             energy_identity_terms(res_b, res_a)
 
+    def test_velocities_derived_once_per_sample(self, grid32, monkeypatch):
+        u = taylor_green_velocity(grid32)
+        res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10), compute_norms=False)
+        res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10), compute_norms=False)
+        derive = FlowState.velocity.fget
+        calls = []
+
+        def counting(state):
+            calls.append(state.time)
+            return derive(state)
+
+        monkeypatch.setattr(FlowState, "velocity", property(counting))
+        energy_identity_terms(res_n, res_e)
+        assert len(calls) == 2 * len(res_e.states)
+
 
 class TestInitialConditions:
     def test_taylor_green_norms(self, grid64):
         u = taylor_green_velocity(grid64)
         assert kinetic_energy(u) == pytest.approx(math.pi**2, rel=1e-12)
-        assert gradient_l2(u) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert gradient_l2(velocity_gradient(u)) == pytest.approx(2 * math.pi, rel=1e-12)
         w = FlowState.from_velocity(u).vorticity
         assert enstrophy_of(w) == pytest.approx(2 * math.pi**2, rel=1e-12)
 
@@ -299,5 +328,5 @@ class TestGradientBmo:
             return bmo_seminorm(g)
 
         monkeypatch.setattr(loglimit.flow, "bmo_seminorm", counting)
-        assert gradient_bmo(u) == pytest.approx(expected, rel=1e-14)
+        assert gradient_bmo(velocity_gradient(u)) == pytest.approx(expected, rel=1e-14)
         assert len(calls) == scans

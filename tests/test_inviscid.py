@@ -12,10 +12,12 @@ from loglimit.inviscid import (
     initial_condition,
     iterate_intervals,
     majorant_problem,
+    measured_forcing,
     run_sweep,
     sweep_majorization,
     verify_rate,
 )
+from loglimit.flow import SolverConfig, run, taylor_green_velocity
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
 
@@ -110,14 +112,13 @@ class TestRunSweep:
 
 
 class TestVerifyRate:
-    def _series(self, nu, sup, theory, T=0.5):
+    def _series(self, nu, sup, theory):
         return GapSeries(
             nu=np.asarray(nu, dtype=float),
             sup_gap=np.asarray(sup, dtype=float),
             M=1.0,
             theory_exponent=theory,
             fitted_exponent=fit_exponent(np.asarray(nu, float), np.asarray(sup, float)),
-            horizon=T,
         )
 
     def test_exact_linear_series(self):
@@ -164,6 +165,16 @@ class TestMajorization:
         assert np.all(p.f == 4.0 * result.euler.series.f0)
         assert np.all(p.g == 0.0)  # gaps never exceed 1/nu here
         assert p.nu == 1e-1
+
+    def test_measured_forcing_requires_shared_sample_times(self):
+        grid = GridSpec(32)
+        u = taylor_green_velocity(grid)
+        res_e = run(u, SolverConfig(grid=grid, nu=0.0, horizon=0.5, min_samples=10),
+                    compute_norms=False)
+        res_n = run(u, SolverConfig(grid=grid, nu=0.1, horizon=0.5, min_samples=11),
+                    compute_norms=False)
+        with pytest.raises(ValueError, match="sample times"):
+            measured_forcing(res_n, res_e, 0.1, sigma=1.0)
 
 
 class TestIterateIntervals:

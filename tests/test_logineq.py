@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import loglimit.logineq
 from loglimit.grid import GridSpec, ScalarField
 from loglimit.logineq import (
     CORPUS_BUILDERS,
@@ -213,20 +214,22 @@ class TestZygmundEstimate:
 
 
 class TestCorpusScan:
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            scan_corpus(sizes=(16,), corpus_builders=())
+    def test_empty_sizes_rejected(self):
+        with pytest.raises(ValueError, match="at least one size"):
+            scan_corpus(sizes=())
 
-    def test_constants_only_corpus_all_degenerate(self):
+    def test_constants_only_corpus_all_degenerate(self, monkeypatch):
         builders = tuple(b for b in CORPUS_BUILDERS if b[1] == "constants")
-        scan = scan_corpus(sizes=(16,), corpus_builders=builders)
+        monkeypatch.setattr(loglimit.logineq, "CORPUS_BUILDERS", builders)
+        scan = scan_corpus(sizes=(16,))
         assert all(t.degenerate for t in scan.trials)
         assert scan.max_ratio == 0.0
 
-    def test_deterministic_bit_for_bit(self):
+    def test_deterministic_bit_for_bit(self, monkeypatch):
         builders = (CORPUS_BUILDERS[3], CORPUS_BUILDERS[1])  # step f, cosine g
-        one = scan_corpus(sizes=(64,), corpus_builders=builders)
-        two = scan_corpus(sizes=(64,), corpus_builders=builders)
+        monkeypatch.setattr(loglimit.logineq, "CORPUS_BUILDERS", builders)
+        one = scan_corpus(sizes=(64,))
+        two = scan_corpus(sizes=(64,))
         r1 = [t.ratio for t in one.trials if t.ratio is not None]
         r2 = [t.ratio for t in two.trials if t.ratio is not None]
         assert r1 == r2

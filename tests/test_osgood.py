@@ -238,7 +238,7 @@ class TestMajorization:
 
 class TestTrajectory:
     def test_log_y_at_extends_blowup_with_inf(self):
-        traj = Trajectory(np.array([0.0, 0.5]), np.array([0.0, 1.0]), blow_up=True, blow_up_time=0.5)
+        traj = Trajectory(np.array([0.0, 0.5]), np.array([0.0, 1.0]), blow_up=True)
         vals = traj.log_y_at(np.array([0.25, 0.75]))
         assert vals[0] == pytest.approx(0.5)
         assert vals[1] == np.inf
