@@ -267,16 +267,17 @@ def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_nor
     )
 
 
-def paired_velocities(
-    run_nu: RunResult, run_euler: RunResult
-) -> Iterator[tuple[VectorField, VectorField]]:
-    """Iterator over the (u_nu, u_euler) velocities of two runs, one pair per
-    sample, each derived once.  Raises ValueError at the call, not when the
-    iterator is read, unless both runs were sampled at the same times."""
-    t_n, t_e = run_nu.sample_times, run_euler.sample_times
-    if len(t_n) != len(t_e) or not np.allclose(t_n, t_e, rtol=0, atol=1e-12):
-        raise ValueError("paired runs must share sample times")
-    return ((sn.velocity, se.velocity) for sn, se in zip(run_nu.states, run_euler.states))
+def paired_velocities(*runs: RunResult) -> Iterator[tuple[VectorField, ...]]:
+    """Iterator over the velocities of any number of runs, one tuple per
+    sample in the order of `runs`, each velocity derived once.  Raises
+    ValueError at the call, not when the iterator is read, unless every run
+    was sampled at the first run's times."""
+    t_ref = runs[0].sample_times
+    for other in runs[1:]:
+        t = other.sample_times
+        if len(t) != len(t_ref) or not np.allclose(t, t_ref, rtol=0, atol=1e-12):
+            raise ValueError("paired runs must share sample times")
+    return (tuple(s.velocity for s in states) for states in zip(*(r.states for r in runs)))
 
 
 def gap_l2(a: VectorField, b: VectorField) -> float:

@@ -107,10 +107,14 @@ class GapSeries:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """`runs` holds every viscous run started, a blown-up last one included
+    (then `aborted` is set); the paired quantities cover completed runs."""
+
     config: ExperimentConfig
     euler: RunResult
     runs: dict  # nu -> RunResult
     gap_curves: dict  # nu -> np.ndarray of gap(t) at sample times
+    forcing: dict  # nu -> np.ndarray of measured_forcing at sample times
     series: GapSeries
     aborted: bool = False
 
@@ -126,6 +130,10 @@ def fit_exponent(nu: np.ndarray, sup_gap: np.ndarray) -> float | None:
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
+    The sweep stops at the first viscous run that blows up.  One pass over
+    the completed runs' paired samples, each velocity derived once, then
+    records per nu the gap curve (gap_l2) and the forcing (measured_forcing).
+
     The regularity series f0 is sampled on the reference run only (that is
     where M and the majorant coefficient come from); viscous runs skip the
     costly f0 scan, since only their g0 series enters any downstream check.
@@ -135,20 +143,22 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     if euler.blow_up:
         raise RuntimeError("reference run blew up; sweep aborted")
     runs: dict = {}
-    gap_curves: dict = {}
-    sup_gaps = []
     aborted = False
     for nu in cfg.nu_list:
-        res = run(u0, cfg.solver_config(nu), compute_norms=False)
-        runs[nu] = res
-        if res.blow_up:
+        runs[nu] = run(u0, cfg.solver_config(nu), compute_norms=False)
+        if runs[nu].blow_up:
             aborted = True
             break
-        gaps = np.array([gap_l2(u_nu, u_e) for u_nu, u_e in paired_velocities(res, euler)])
-        gap_curves[nu] = gaps
-        sup_gaps.append(float(gaps.max()))
-    nus = np.array(list(gap_curves.keys()))
-    sup = np.array(sup_gaps)
+    done = [nu for nu, res in runs.items() if not res.blow_up]
+    gap_curves = {nu: np.zeros(len(euler.states)) for nu in done}
+    forcing = {nu: np.zeros(len(euler.states)) for nu in done}
+    if done:
+        for i, (u_e, *u_nus) in enumerate(paired_velocities(euler, *(runs[nu] for nu in done))):
+            for nu, u_nu in zip(done, u_nus):
+                gap_curves[nu][i] = gap_l2(u_nu, u_e)
+                forcing[nu][i] = measured_forcing(u_nu, u_e, nu, cfg.sigma)
+    nus = np.array(done)
+    sup = np.array([gap_curves[nu].max() for nu in done])
     M = float(np.max(euler.series.f0 + euler.series.g0**2))
     series = GapSeries(
         nu=nus,
@@ -157,7 +167,7 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
         theory_exponent=math.exp(-2.0 * M * cfg.horizon),
         fitted_exponent=fit_exponent(nus, sup),
     )
-    result = SweepResult(cfg, euler, runs, gap_curves, series, aborted)
+    result = SweepResult(cfg, euler, runs, gap_curves, forcing, series, aborted)
     if cfg.output_dir is not None:
         persist_sweep(result, Path(cfg.output_dir))
     return result
@@ -228,55 +238,47 @@ def verify_rate(series: GapSeries) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def measured_forcing(run_nu: RunResult, run_euler: RunResult, nu: float, sigma: float) -> np.ndarray:
-    """g(t) = integral over the super-level set {alpha > 1/nu} of alpha |grad uE|.
+def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float, sigma: float) -> float:
+    """g at one sample: integral over {alpha > 1/nu} of alpha_r |grad uE|.
 
-    alpha is the squared velocity gap; the remainder of its truncation split
-    at threshold 1/nu is paired with the reference-flow gradient magnitudes.
-    For resolved sweeps the remainder is empty and g vanishes identically.
-    The runs must share sample times (ValueError otherwise).
+    alpha = |u_nu - u_euler|^2 is the squared velocity gap of a paired
+    sample; the remainder alpha_r of its truncation split at threshold 1/nu
+    is paired with the reference-flow gradient magnitudes.  For resolved
+    sweeps the remainder is empty and g vanishes identically.
     """
     cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9), sigma=sigma)
-    cv = run_nu.config.grid.cell_volume
-    out = np.zeros(len(run_nu.states))
-    for i, (un, ue) in enumerate(paired_velocities(run_nu, run_euler)):
-        alpha_vals = (un.u1.values - ue.u1.values) ** 2 + (un.u2.values - ue.u2.values) ** 2
-        if alpha_vals.max() <= cfg.threshold:
-            continue
-        alpha = ScalarField(run_nu.config.grid, alpha_vals)
-        _, alpha_r = truncate_split(alpha, cfg)
-        beta = sum(np.abs(c.values) for c in velocity_gradient(ue))
-        out[i] = float(np.sum(np.abs(alpha_r.values) * beta) * cv)
-    return out
+    d1, d2 = u_nu.u1.values - u_euler.u1.values, u_nu.u2.values - u_euler.u2.values
+    alpha_vals = d1**2 + d2**2
+    if alpha_vals.max() <= cfg.threshold:
+        return 0.0
+    _, alpha_r = truncate_split(ScalarField(u_nu.grid, alpha_vals), cfg)
+    beta = sum(np.abs(c.values) for c in velocity_gradient(u_euler))
+    return float(np.sum(np.abs(alpha_r.values) * beta) * u_nu.grid.cell_volume)
 
 
-def majorant_problem(
-    run_nu: RunResult, run_euler: RunResult, nu: float, c_emp: float, sigma: float
-) -> OsgoodProblem:
-    """Majorant coefficients measured from a paired run.
+def majorant_problem(result: SweepResult, nu: float, c_emp: float) -> OsgoodProblem:
+    """Majorant coefficients of the sweep member nu, from measured series.
 
     f(t) = 2 * c_emp * f0(t) with f0 from the reference run; the forcing g is
-    the measured remainder pairing; g0 adds both runs' gradient L2 norms.
+    the sweep's measured remainder pairing; g0 adds both runs' gradient L2
+    norms.
     """
-    times = run_euler.sample_times
-    f = 2.0 * c_emp * run_euler.series.f0
-    g = measured_forcing(run_nu, run_euler, nu, sigma)
-    g0 = run_euler.series.g0 + run_nu.series.g0
-    return OsgoodProblem(times, f, g, g0, nu)
+    euler = result.euler
+    f = 2.0 * c_emp * euler.series.f0
+    g0 = euler.series.g0 + result.runs[nu].series.g0
+    return OsgoodProblem(euler.sample_times, f, result.forcing[nu], g0, nu)
 
 
 def sweep_majorization(
     result: SweepResult, c_emp: float, tol: float = 0.05
 ) -> dict[float, MajorizationReport]:
-    """check_majorization for every sweep member."""
-    out = {}
-    for nu, res in result.runs.items():
-        if res.blow_up:
-            continue
-        problem = majorant_problem(res, result.euler, nu, c_emp, result.config.sigma)
-        x_sq = result.gap_curves[nu] ** 2
-        out[nu] = check_majorization(result.euler.sample_times, x_sq, problem, tol=tol)
-    return out
+    """check_majorization for every completed sweep member."""
+    return {
+        nu: check_majorization(
+            result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol=tol
+        )
+        for nu, gaps in result.gap_curves.items()
+    }
 
 
 # ---------------------------------------------------------------------------

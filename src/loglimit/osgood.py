@@ -107,11 +107,6 @@ class Trajectory:
     log_y: np.ndarray
     blow_up: bool = False
 
-    @property
-    def y(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_y)
-
     def log_y_at(self, t: np.ndarray) -> np.ndarray:
         """Interpolated ln y; +inf past a blow-up truncation point."""
         out = np.interp(t, self.times, self.log_y)

@@ -17,6 +17,7 @@ from loglimit.flow import (
     gradient_bmo,
     gradient_l2,
     kinetic_energy,
+    paired_velocities,
     random_band_velocity,
     run,
     step,
@@ -239,6 +240,27 @@ class TestGap:
         b = taylor_green_velocity(GridSpec(64))
         with pytest.raises(ValueError):
             gap_l2(a, b)
+
+
+class TestPairedVelocities:
+    def test_three_runs_one_tuple_per_sample(self, grid32):
+        u = taylor_green_velocity(grid32)
+        runs = [run(u, tg_config(grid32, nu, 0.2, samples=5), compute_norms=False)
+                for nu in (0.0, 0.1, 0.01)]
+        tuples = list(paired_velocities(*runs))
+        assert len(tuples) == len(runs[0].states)
+        for i, velocities in enumerate(tuples):
+            assert len(velocities) == 3
+            for r, v in zip(runs, velocities):
+                assert np.array_equal(v.u1.values, r.states[i].velocity.u1.values)
+
+    def test_three_runs_require_shared_sample_times(self, grid32):
+        u = taylor_green_velocity(grid32)
+        runs = [run(u, tg_config(grid32, nu, 0.2, samples=s), compute_norms=False)
+                for nu, s in ((0.0, 5), (0.1, 5), (0.01, 6))]
+        paired_velocities(*runs[:2])
+        with pytest.raises(ValueError, match="sample times"):
+            paired_velocities(*runs)
 
 
 class TestEnergyIdentity:

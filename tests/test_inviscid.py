@@ -1,5 +1,6 @@
 """Viscosity sweeps, rate fitting, majorization coupling, interval iteration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,12 @@ from loglimit.inviscid import (
     initial_condition,
     iterate_intervals,
     majorant_problem,
-    measured_forcing,
     run_sweep,
     sweep_majorization,
     verify_rate,
 )
-from loglimit.flow import SolverConfig, run, taylor_green_velocity
+from loglimit import inviscid
+from loglimit.flow import FlowState, run
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
 
@@ -97,6 +98,33 @@ class TestRunSweep:
         assert np.all(result.series.sup_gap == 0.0)
         assert result.series.fitted_exponent is None
 
+    @pytest.mark.parametrize("blown", [0, 1])
+    def test_blow_up_aborts_sweep(self, blown, monkeypatch):
+        cfg = ExperimentConfig(
+            grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
+            initial_condition_id="taylor_green", min_samples=10,
+        )
+        started = []
+
+        def blowing_run(u0, solver_cfg, compute_norms=True):
+            started.append(solver_cfg.nu)
+            res = run(u0, solver_cfg, compute_norms=compute_norms)
+            if solver_cfg.nu == cfg.nu_list[blown]:
+                return dataclasses.replace(res, blow_up=True)
+            return res
+
+        monkeypatch.setattr(inviscid, "run", blowing_run)
+        result = run_sweep(cfg, compute_norms=False)
+        completed = list(cfg.nu_list[:blown])
+        assert result.aborted
+        assert started == [0.0] + list(cfg.nu_list[: blown + 1])
+        assert list(result.runs) == list(cfg.nu_list[: blown + 1])
+        assert list(result.gap_curves) == completed
+        assert list(result.forcing) == completed
+        assert list(result.series.nu) == completed
+        assert len(result.series.sup_gap) == blown
+        assert list(sweep_majorization(result, c_emp=1.0)) == completed
+
     def test_persistence(self, tmp_path):
         cfg = ExperimentConfig(
             grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
@@ -160,21 +188,88 @@ class TestMajorization:
             initial_condition_id="taylor_green", min_samples=20,
         )
         result = run_sweep(cfg, compute_norms=True)
-        p = majorant_problem(result.runs[1e-1], result.euler, 1e-1, c_emp=2.0, sigma=1.0)
+        p = majorant_problem(result, 1e-1, c_emp=2.0)
         assert np.array_equal(p.times, result.euler.sample_times)
         assert np.all(p.f == 4.0 * result.euler.series.f0)
         assert np.all(p.g == 0.0)  # gaps never exceed 1/nu here
         assert p.nu == 1e-1
 
-    def test_measured_forcing_requires_shared_sample_times(self):
-        grid = GridSpec(32)
-        u = taylor_green_velocity(grid)
-        res_e = run(u, SolverConfig(grid=grid, nu=0.0, horizon=0.5, min_samples=10),
-                    compute_norms=False)
-        res_n = run(u, SolverConfig(grid=grid, nu=0.1, horizon=0.5, min_samples=11),
-                    compute_norms=False)
-        with pytest.raises(ValueError, match="sample times"):
-            measured_forcing(res_n, res_e, 0.1, sigma=1.0)
+
+def forcing_oracle(u_nu, u_e, nu):
+    """fsum over cells of max(alpha - 1/nu, 0) * sum_ij |d_i uE_j| * cell volume,
+    alpha = |u_nu - u_e|^2, with derivatives from one-dimensional FFTs."""
+    n = u_e.grid.points_per_axis
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    beta = np.zeros((n, n))
+    for comp in (u_e.u1.values, u_e.u2.values):
+        for axis in (0, 1):
+            shape = [1, 1]
+            shape[axis] = n
+            d = np.fft.ifft(1j * k.reshape(shape) * np.fft.fft(comp, axis=axis), axis=axis)
+            beta += np.abs(d.real)
+    alpha = (u_nu.u1.values - u_e.u1.values) ** 2 + (u_nu.u2.values - u_e.u2.values) ** 2
+    excess = np.maximum(alpha - 1.0 / nu, 0.0)
+    return math.fsum((excess * beta * u_e.grid.cell_volume).ravel())
+
+
+class TestForcing:
+    @pytest.fixture(scope="class")
+    def large_nu_sweep(self):
+        # at nu = 0.9 the squared gap exceeds 1/nu on a few samples
+        cfg = ExperimentConfig(
+            grid_points=32, horizon=0.5, nu_list=(0.9, 0.5),
+            initial_condition_id="random_42", min_samples=10,
+        )
+        return run_sweep(cfg, compute_norms=True)
+
+    def test_nonzero_forcing_matches_oracle(self, large_nu_sweep):
+        result = large_nu_sweep
+        for nu in result.config.nu_list:
+            g = result.forcing[nu]
+            expected = [
+                forcing_oracle(sn.velocity, se.velocity, nu)
+                for sn, se in zip(result.runs[nu].states, result.euler.states)
+            ]
+            assert len(g) == len(expected)
+            for got, want in zip(g, expected):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.count_nonzero(result.forcing[0.9]) == 4
+        assert np.array_equal(majorant_problem(result, 0.9, c_emp=1.0).g, result.forcing[0.9])
+
+    def test_paired_pass_derives_each_velocity_once(self, monkeypatch):
+        # sweep_f0 configuration: 1 reference + K = 4 viscous runs of N samples
+        cfg = ExperimentConfig(
+            grid_points=64, horizon=0.5, nu_list=(1e-1, 1e-2, 1e-3, 1e-4),
+            initial_condition_id="random_42", min_samples=50,
+        )
+        derive = FlowState.velocity.fget
+        derived = [0]
+
+        def counting(state):
+            derived[0] += 1
+            return derive(state)
+
+        before_pass = [0]  # derivations by the initial condition and the runs
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                before = derived[0]
+                out = fn(*args, **kwargs)
+                before_pass[0] += derived[0] - before
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(FlowState, "velocity", property(counting))
+        monkeypatch.setattr(inviscid, "run", counted(inviscid.run))
+        monkeypatch.setattr(inviscid, "initial_condition", counted(inviscid.initial_condition))
+        result = run_sweep(cfg, compute_norms=False)
+        after_sweep = derived[0]
+        sweep_majorization(result, c_emp=1.0)
+        assert derived[0] == after_sweep  # majorization reads no flow state
+        K, N = len(cfg.nu_list), len(result.euler.states)
+        assert after_sweep - before_pass[0] == (1 + K) * N
+        assert derived[0] == 516
 
 
 class TestIterateIntervals:
@@ -244,7 +339,7 @@ class TestCrossModule:
         assert np.all(result.series.sup_gap > 0)
         assert result.series.monotone
         for nu in cfg.nu_list:
-            p = majorant_problem(result.runs[nu], result.euler, nu, c_emp=1.0, sigma=1.0)
+            p = majorant_problem(result, nu, c_emp=1.0)
             gaps_sq = result.gap_curves[nu] ** 2
             for t, x in zip(result.euler.sample_times[1:], gaps_sq[1:]):
                 assert math.log(max(x, 1e-300)) <= log_gronwall_bound(p, float(t))
@@ -257,7 +352,7 @@ class TestCrossModule:
         )
         result = run_sweep(cfg, compute_norms=True)
         nu = 5e-2
-        p = majorant_problem(result.runs[nu], result.euler, nu, c_emp=1.0, sigma=1.0)
+        p = majorant_problem(result, nu, c_emp=1.0)
         x_sq = result.gap_curves[nu] ** 2
         report = check_majorization(result.euler.sample_times, x_sq, p, tol=0.05)
         assert report.passed
