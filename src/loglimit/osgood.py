@@ -15,11 +15,16 @@ halving, applied to the transformed equation
 
 The |z| kink at y = 1 is handled by bisecting any step that would cross it,
 which keeps the scheme fourth order piecewise.
+
+The coefficients are looked up once per distinct RK4 stage time (k2 and k3
+share t + h/2, and a step's t + h is the next step's t) by a pure-Python copy
+of numpy's scalar interpolation formula, bit-identical to ``np.interp``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +48,14 @@ class OsgoodProblem:
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
-        if t.ndim != 1 or len(t) < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be increasing and start at 0")
+        if (
+            t.ndim != 1
+            or len(t) < 2
+            or not np.all(np.isfinite(t))
+            or t[0] != 0.0
+            or np.any(np.diff(t) <= 0)
+        ):
+            raise ValueError("times must be finite, increasing and start at 0")
         for name in ("f", "g", "g0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != t.shape:
@@ -115,37 +126,66 @@ class Trajectory:
         return out
 
 
-def _make_rhs(p: OsgoodProblem):
-    times, fs, gs, g0s = p.times, p.f, p.g, p.g0
-    nu, pen = p.nu, p.log_penalty
+def _interp(xp: list, fp: list, j: int, x: float) -> float:
+    """np.interp(x, xp, fp) bit for bit, for x >= xp[0] and j = bisect_right(xp, x) - 1.
 
-    def rhs(t: float, z: float) -> float:
-        ft = float(np.interp(t, times, fs))
-        forcing = float(np.interp(t, times, gs)) + nu * float(np.interp(t, times, g0s)) ** 2
-        val = ft * (abs(z) + 1.0 + pen)
-        if forcing > 0.0:
-            val += forcing * (math.exp(-z) if -z < 700.0 else math.inf)
-        return val
+    This is numpy's compiled scalar formula: a knot, the last knot or a
+    point past it (t + (T - t) can land 1 ulp beyond T) returns the sample
+    there; anything else interpolates from the left knot, then from the
+    right knot if that gives NaN.
+    """
+    if j == len(xp) - 1 or x == xp[j]:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    val = slope * (x - xp[j]) + fp[j]
+    if val != val:
+        val = slope * (x - xp[j + 1]) + fp[j + 1]
+        if val != val and fp[j] == fp[j + 1]:
+            val = fp[j]
+    return val
 
-    return rhs
+
+def _coefficients(p: OsgoodProblem):
+    """Lookup t -> (f(t), g(t) + nu * g0(t)^2) for 0 <= t; one bisection serves all three."""
+    xp, fs, gs, g0s = p.times.tolist(), p.f.tolist(), p.g.tolist(), p.g0.tolist()
+    nu = p.nu
+
+    def at(t: float) -> tuple[float, float]:
+        j = bisect_right(xp, t) - 1
+        return _interp(xp, fs, j, t), _interp(xp, gs, j, t) + nu * _interp(xp, g0s, j, t) ** 2
+
+    return at
 
 
-def _rk4(rhs, t: float, z: float, h: float) -> float:
-    k1 = rhs(t, z)
-    k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
-    k4 = rhs(t + h, z + h * k3)
+def _slope(c: tuple[float, float], pen: float, z: float) -> float:
+    """dz/dt at coefficients c = (f, forcing)."""
+    ft, forcing = c
+    val = ft * (abs(z) + 1.0 + pen)
+    if forcing > 0.0:
+        val += forcing * (math.exp(-z) if -z < 700.0 else math.inf)
+    return val
+
+
+def _rk4(c0, c_half, c1, pen: float, z: float, h: float) -> float:
+    """One RK4 step given the coefficients at t, t + h/2 and t + h."""
+    k1 = _slope(c0, pen, z)
+    k2 = _slope(c_half, pen, z + 0.5 * h * k1)
+    k3 = _slope(c_half, pen, z + 0.5 * h * k2)
+    k4 = _slope(c1, pen, z + h * k3)
     return z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
-    rhs = _make_rhs(p)
+    at = _coefficients(p)
+    pen = p.log_penalty
     T = p.horizon
     t, z = 0.0, math.log(p.nu)
+    c0 = at(t)
     ts, zs = [t], [z]
     while t < T - 1e-14 * T:
         h = min(h_nominal, T - t)
-        z_new = _rk4(rhs, t, z, h)
+        c1 = at(t + h)
+        z_new = _rk4(c0, at(t + 0.5 * h), c1, pen, z, h)
         if not math.isfinite(z_new) or z_new > _Z_BLOWUP:
             return Trajectory(np.array(ts), np.array(zs), blow_up=True)
         if z != 0.0 and z_new != 0.0 and (z < 0.0) != (z_new < 0.0):
@@ -153,7 +193,7 @@ def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
             lo, hi = 0.0, h
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                zm = _rk4(rhs, t, z, mid)
+                zm = _rk4(c0, at(t + 0.5 * mid), at(t + mid), pen, z, mid)
                 if zm == 0.0:
                     break
                 if (zm < 0.0) == (z < 0.0):
@@ -162,8 +202,10 @@ def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
                     hi = mid
             h = 0.5 * (lo + hi)
             t, z = t + h, 0.0
+            c0 = at(t)
         else:
             t, z = t + h, z_new
+            c0 = c1
         ts.append(t)
         zs.append(z)
     return Trajectory(np.array(ts), np.array(zs))
@@ -171,6 +213,8 @@ def _advance(p: OsgoodProblem, h_nominal: float) -> Trajectory:
 
 def integrate_majorant(p: OsgoodProblem) -> Trajectory:
     """RK4 trajectory refined until halving the step moves y(T) by < 1e-8.
+
+    Raises RuntimeError if that takes more than _MAX_HALVINGS halvings.
 
     The comparison runs on ln y, where an absolute difference equals the
     relative change of y.  Once ln y itself grows past order one (majorants
@@ -190,7 +234,9 @@ def integrate_majorant(p: OsgoodProblem) -> Trajectory:
         if abs(fine.log_y[-1] - coarse.log_y[-1]) < _REL_TOL * max(1.0, abs(fine.log_y[-1])):
             return fine
         coarse = fine
-    return coarse
+    raise RuntimeError(
+        f"majorant step did not converge to relative {_REL_TOL} in {_MAX_HALVINGS} halvings"
+    )
 
 
 def log_gronwall_bound(p: OsgoodProblem, t: float) -> float:

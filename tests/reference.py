@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: direct DFT double sums, python-loop
 square scans, and fsum quadrature.  These implementations share no code with
-the package paths they check.
+the package paths they check.  The majorant integrator at the end is the
+np.interp-based one the package's coefficient lookup replaced; it is kept as
+the reference that lookup must match bit for bit.
 """
 
 from __future__ import annotations
@@ -125,3 +127,84 @@ def random_band_limited(n: int, band: int, seed: int) -> np.ndarray:
     spec = np.fft.fft2(rng.standard_normal((n, n))) * mask
     vals = np.real(np.fft.ifft2(spec))
     return vals / max(1e-12, np.abs(vals).max())
+
+
+# The majorant integrator as it was with np.interp coefficients, kept as the
+# exactness reference: the package's pure-Python lookup must reproduce its
+# trajectories bit for bit.  The constants mirror loglimit.osgood's.
+_MAJORANT_Z_BLOWUP = 1e290
+_MAJORANT_REL_TOL = 1e-8
+_MAJORANT_MAX_HALVINGS = 16
+
+
+def _majorant_rhs(p):
+    times, fs, gs, g0s = p.times, p.f, p.g, p.g0
+    nu, pen = p.nu, p.log_penalty
+
+    def rhs(t: float, z: float) -> float:
+        ft = float(np.interp(t, times, fs))
+        forcing = float(np.interp(t, times, gs)) + nu * float(np.interp(t, times, g0s)) ** 2
+        val = ft * (abs(z) + 1.0 + pen)
+        if forcing > 0.0:
+            val += forcing * (math.exp(-z) if -z < 700.0 else math.inf)
+        return val
+
+    return rhs
+
+
+def _majorant_rk4(rhs, t: float, z: float, h: float) -> float:
+    k1 = rhs(t, z)
+    k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
+    k4 = rhs(t + h, z + h * k3)
+    return z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _majorant_advance(p, h_nominal: float):
+    """(times, log_y, blow_up) of one RK4 pass at step h_nominal."""
+    rhs = _majorant_rhs(p)
+    T = p.horizon
+    t, z = 0.0, math.log(p.nu)
+    ts, zs = [t], [z]
+    while t < T - 1e-14 * T:
+        h = min(h_nominal, T - t)
+        z_new = _majorant_rk4(rhs, t, z, h)
+        if not math.isfinite(z_new) or z_new > _MAJORANT_Z_BLOWUP:
+            return np.array(ts), np.array(zs), True
+        if z != 0.0 and z_new != 0.0 and (z < 0.0) != (z_new < 0.0):
+            # bisect the step length to land on the |ln y| kink at y = 1
+            lo, hi = 0.0, h
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                zm = _majorant_rk4(rhs, t, z, mid)
+                if zm == 0.0:
+                    break
+                if (zm < 0.0) == (z < 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            h = 0.5 * (lo + hi)
+            t, z = t + h, 0.0
+        else:
+            t, z = t + h, z_new
+        ts.append(t)
+        zs.append(z)
+    return np.array(ts), np.array(zs), False
+
+
+def majorant_reference(p):
+    """(times, log_y, blow_up) of the majorant, step halved until ln y(T) settles."""
+    fmax = float(p.f.max())
+    h = min(p.horizon / 64.0, 0.25 / fmax if fmax > 0 else math.inf)
+    coarse = _majorant_advance(p, h)
+    for _ in range(_MAJORANT_MAX_HALVINGS):
+        if coarse[2]:
+            return coarse
+        h *= 0.5
+        fine = _majorant_advance(p, h)
+        if fine[2]:
+            return fine
+        if abs(fine[1][-1] - coarse[1][-1]) < _MAJORANT_REL_TOL * max(1.0, abs(fine[1][-1])):
+            return fine
+        coarse = fine
+    return coarse

@@ -1,6 +1,7 @@
 """Majorant ODE integration, its closed-form envelope, and the rate limit."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from loglimit import osgood
 from loglimit.osgood import (
     OsgoodProblem,
     Trajectory,
+    _coefficients,
+    _interp,
     check_majorization,
     gronwall_bound,
     integrate_majorant,
@@ -18,6 +22,7 @@ from loglimit.osgood import (
     rate_exponent,
     rate_iterate,
 )
+from reference import majorant_reference
 
 
 def separable_oracle(M: float, nu: float, T: float) -> float:
@@ -49,6 +54,14 @@ class TestProblemValidation:
     def test_times_must_start_at_zero(self):
         with pytest.raises(ValueError):
             OsgoodProblem(np.array([0.1, 1.0]), np.zeros(2), np.zeros(2), np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize(
+        "times", [[0.0, math.nan], [0.0, 0.5, math.inf], [0.0, math.nan, 1.0]]
+    )
+    def test_non_finite_times_rejected(self, times):
+        n = len(times)
+        with pytest.raises(ValueError, match="finite"):
+            OsgoodProblem(np.array(times), np.ones(n), np.ones(n), np.ones(n), 0.1)
 
     def test_negative_coefficients_rejected(self):
         t = np.linspace(0, 1, 3)
@@ -136,6 +149,70 @@ class TestIntegrateMajorant:
         y0 = integrate_majorant(base).log_y_at(t)
         assert np.all(integrate_majorant(bigger_m).log_y_at(t) >= y0 - 1e-9)
         assert np.all(integrate_majorant(bigger_g).log_y_at(t) >= y0 - 1e-9)
+
+    def test_unconverged_step_halving_raises(self, monkeypatch):
+        # this problem crosses the y = 1 kink and settles after 2 halvings
+        monkeypatch.setattr(osgood, "_MAX_HALVINGS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            integrate_majorant(OsgoodProblem.constant(2, 1e-2, 1))
+
+
+def _nonuniform_problem() -> OsgoodProblem:
+    rng = np.random.default_rng(9)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.25, 8))])
+    return OsgoodProblem(
+        t, rng.uniform(0.0, 3.0, 9), rng.uniform(0.0, 0.5, 9), rng.uniform(0.1, 2.0, 9), 1e-2
+    )
+
+
+class TestExactness:
+    """The coefficient lookup reproduces np.interp, so trajectories match bit for bit."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            OsgoodProblem.constant(2, 1e-2, 1),  # crosses the kink at y = 1
+            OsgoodProblem.constant(3, 0.5, 2, g=0.3, g0=1.0),
+            OsgoodProblem.constant(1, 1e-305, 1, g=1.0),  # exp(-z) overflows: blow-up
+            OsgoodProblem.constant(1500, 1e-2, 0.5),  # ln y passes _Z_BLOWUP
+            _nonuniform_problem(),
+        ],
+        ids=["kink", "forced", "inf-blow-up", "z-blow-up", "nonuniform"],
+    )
+    def test_trajectory_matches_np_interp_reference(self, problem):
+        times, log_y, blow_up = majorant_reference(problem)
+        traj = integrate_majorant(problem)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.log_y.tobytes() == log_y.tobytes()
+        assert traj.blow_up == blow_up
+
+    def test_lookup_matches_np_interp_bitwise(self):
+        rng = np.random.default_rng(17)
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.3, 11))])
+        f = np.array([0.0, 1e300, 0.0, 1e-300, 1e-300, 2.5, 0.0, 0.0, 1e300, 7.0, 1e-300, 3.0])
+        g0 = np.array([1e-300, 0.0, 4.0, 1e-300, 0.5, 0.0, 0.0, 2.0, 1e-300, 1.0, 0.0, 9.0])
+        nu = 1e-3
+        p = OsgoodProblem(t, f, f, g0, nu)
+        T = t[-1]
+        points = np.concatenate(
+            [t, [0.0, T, np.nextafter(T, np.inf)], 0.5 * (t[1:] + t[:-1]), rng.uniform(0.0, T, 1000)]
+        )
+        at = _coefficients(p)
+        got = np.array([at(x) for x in points.tolist()])
+        want_f = np.interp(points, t, f)
+        want_forcing = np.array(
+            [float(np.interp(x, t, f)) + nu * float(np.interp(x, t, g0)) ** 2 for x in points]
+        )
+        assert got[:, 0].tobytes() == want_f.tobytes()
+        assert got[:, 1].tobytes() == want_forcing.tobytes()
+        xp, g0p = t.tolist(), g0.tolist()
+        got_g0 = np.array([_interp(xp, g0p, bisect_right(xp, x) - 1, x) for x in points.tolist()])
+        assert got_g0.tobytes() == np.interp(points, t, g0).tobytes()
+        # infinite samples take numpy's NaN fallbacks (OsgoodProblem rejects them)
+        xp, fp = [0.0, 1.0, 2.0, 3.0], [math.inf, math.inf, 1.0, -math.inf]
+        points = [0.5, 1.5, 2.5]
+        got_inf = np.array([_interp(xp, fp, bisect_right(xp, x) - 1, x) for x in points])
+        assert got_inf.tobytes() == np.interp(points, xp, fp).tobytes()
 
 
 class TestGronwallBound:
