@@ -22,8 +22,8 @@ import numpy as np
 
 from . import inviscid, logineq, osgood, splitting
 from .flow import SolverConfig, run
-from .grid import GridSpec, load_field_csv
-from .norms import NormReport, compute_norms
+from .grid import GridSpec, csv_line, load_field_csv, write_csv
+from .norms import NORM_CSV_HEADER, compute_norms
 
 _COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "seed": "42",
                     "stride": "1", "sigma": "1.0"}
@@ -54,7 +54,7 @@ def _load_config(path: str, defaults: dict) -> dict:
 def _cmd_norms(args) -> int:
     field = load_field_csv(args.field)
     report = compute_norms(field, sigma=args.sigma)
-    print(NormReport.csv_header())
+    print(csv_line(NORM_CSV_HEADER))
     print(report.csv_row())
     return 0
 
@@ -82,14 +82,16 @@ def _cmd_osgood(args) -> int:
     traj = osgood.integrate_majorant(problem)
     log_bounds = np.array([osgood.log_gronwall_bound(problem, t) for t in traj.times])
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("t,y,bound\n")
-            with np.errstate(over="ignore"):
-                for t, ly, lb in zip(traj.times, traj.log_y, log_bounds):
-                    fh.write(f"{t:.17g},{math.exp(ly) if ly < 709 else math.inf:.17g},"
-                             f"{math.exp(lb) if lb < 709 else math.inf:.17g}\n")
+        write_csv(args.out, ("t", "y", "bound"), (
+            (t, math.exp(ly) if ly < 709 else math.inf, math.exp(lb) if lb < 709 else math.inf)
+            for t, ly, lb in zip(traj.times.tolist(), traj.log_y.tolist(), log_bounds.tolist())
+        ))
         print(f"wrote trajectory to {args.out}")
-    dominated = bool(traj.log_y[-1] <= log_bounds[-1] + 1e-9) and not traj.blow_up
+    if traj.blow_up:
+        print(f"majorant blew up after t = {traj.times[-1]:.6g}")
+        print("FAIL")
+        return 1
+    dominated = bool(traj.log_y[-1] <= log_bounds[-1] + 1e-9)
     print(f"y(T) = exp({traj.log_y[-1]:.6f}), bound(T) = exp({log_bounds[-1]:.6f})")
     print("PASS" if dominated else "FAIL")
     return 0 if dominated else 1
@@ -169,9 +171,10 @@ def _cmd_rate_fit(args) -> int:
     nu = np.atleast_1d(data["nu"])
     sup = np.atleast_1d(data["sup_gap"])
     order = np.argsort(nu)[::-1]
+    nu, sup = nu[order], sup[order]
     series = inviscid.GapSeries(
-        nu=nu[order],
-        sup_gap=sup[order],
+        nu=nu,
+        sup_gap=sup,
         M=float(np.atleast_1d(data["M"])[0]),
         theory_exponent=float(np.atleast_1d(data["theory_exponent"])[0]),
         fitted_exponent=inviscid.fit_exponent(nu, sup),

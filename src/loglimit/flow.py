@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier, _dealias_mask,
                    _derivative_multiplier, _laplacian, _mode_box, curl, derivative,
-                   inverse_transform, leray_project)
+                   inverse_transform, leray_project, write_csv)
 from .norms import bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -142,10 +142,8 @@ class NormSeries:
     enstrophy: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(SERIES_CSV_HEADER) + "\n")
-            for row in zip(self.times, self.f0, self.g0, self.h0, self.energy, self.enstrophy):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        cols = (self.times, self.f0, self.g0, self.h0, self.energy, self.enstrophy)
+        write_csv(path, SERIES_CSV_HEADER, zip(*(c.tolist() for c in cols)))
 
 
 def velocity_gradient(u: VectorField) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField]:

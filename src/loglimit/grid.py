@@ -11,6 +11,11 @@ This module is the only one that knows the wavenumber layout and this
 normalization; the solver's Biot-Savart, Laplacian and 2/3 dealiasing
 symbols are cached here beside the derivative and Riesz multipliers.
 
+It also owns the CSV format of every file the package writes (`csv_line`,
+`write_csv`): a header row, comma-separated cells, numbers at 17 significant
+digits (so floats round-trip bit for bit), an empty cell for None, and
+lines that end in a bare newline.
+
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
 is filled once under a lock.
@@ -292,14 +297,25 @@ def leray_project(v: VectorField) -> VectorField:
     return VectorField(inverse_transform(v.grid, p1), inverse_transform(v.grid, p2))
 
 
+def csv_line(cells) -> str:
+    """One CSV line without its line end: a str as it is, None as an empty
+    cell, any other number at 17 significant digits."""
+    return ",".join([c if isinstance(c, str) else "" if c is None else f"{c:.17g}"
+                     for c in cells])
+
+
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write the header and then each row as a csv_line, every line ending in \\n."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(csv_line(header) + "\n")
+        fh.writelines(csv_line(row) + "\n" for row in rows)
+
+
 def save_field_csv(field: ScalarField, path: str | Path) -> None:
-    """Write `x1,x2,value` rows in row-major grid order, 17 significant digits."""
+    """Write `x1,x2,value` rows in row-major grid order."""
     x1, x2 = field.grid.coordinates()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_CSV_HEADER)
-        for a, b, val in zip(x1.ravel(), x2.ravel(), field.values.ravel()):
-            writer.writerow((f"{a:.17g}", f"{b:.17g}", f"{val:.17g}"))
+    write_csv(path, FIELD_CSV_HEADER,
+              zip(x1.ravel().tolist(), x2.ravel().tolist(), field.values.ravel().tolist()))
 
 
 def load_field_csv(path: str | Path) -> ScalarField:

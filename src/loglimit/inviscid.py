@@ -28,7 +28,7 @@ from .flow import (
     two_mode_velocity,
     velocity_gradient,
 )
-from .grid import GridSpec, ScalarField, VectorField, save_field_csv
+from .grid import GridSpec, ScalarField, VectorField, save_field_csv, write_csv
 from .osgood import MajorizationReport, OsgoodProblem, check_majorization
 from .splitting import SplitConfig, truncate_split
 
@@ -119,12 +119,14 @@ class SweepResult:
     aborted: bool = False
 
 
-def fit_exponent(nu: np.ndarray, sup_gap: np.ndarray) -> float | None:
-    """Least-squares slope of log sup-gap against log nu (None if degenerate)."""
-    keep = sup_gap > 0
+def fit_exponent(x, y) -> float | None:
+    """Least-squares slope of log y against log x over the points with y > 0
+    (None below 2 such points): log sup-gap against log nu for a sweep."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    keep = y > 0
     if keep.sum() < 2:
         return None
-    return float(np.polyfit(np.log(nu[keep]), np.log(sup_gap[keep]), 1)[0])
+    return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
@@ -176,15 +178,13 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
 def persist_sweep(result: SweepResult, outdir: Path) -> None:
     """gaps.csv at the root, one subdirectory per run with series and state."""
     outdir.mkdir(parents=True, exist_ok=True)
-    rate = verify_rate(result.series) if len(result.series.nu) >= 3 else None
-    with open(outdir / "gaps.csv", "w") as fh:
-        fh.write(",".join(GAPS_CSV_HEADER) + "\n")
-        for i, nu in enumerate(result.series.nu):
-            bound = rate.bound_values[i] if rate is not None else float("nan")
-            fh.write(
-                f"{nu:.17g},{result.series.sup_gap[i]:.17g},{result.series.M:.17g},"
-                f"{result.series.theory_exponent:.17g},{bound:.17g}\n"
-            )
+    series = result.series
+    n = len(series.nu)
+    bounds = verify_rate(series).bound_values if n >= 3 else [float("nan")] * n
+    write_csv(outdir / "gaps.csv", GAPS_CSV_HEADER, (
+        (nu, sup, series.M, series.theory_exponent, bound)
+        for nu, sup, bound in zip(series.nu, series.sup_gap, bounds)
+    ))
     write_run(result.euler, outdir / "euler")
     for nu, res in result.runs.items():
         write_run(res, outdir / run_label(nu))
@@ -213,7 +213,7 @@ def verify_rate(series: GapSeries) -> RateReport:
     nu, sup = np.asarray(series.nu), np.asarray(series.sup_gap)
     if len(nu) < 3:
         raise ValueError("rate fit needs at least 3 viscosity points")
-    rho = fit_exponent(nu, sup)
+    rho = series.fitted_exponent
     theta = series.theory_exponent
     i_anchor = int(np.argmax(nu))
     c_fit = sup[i_anchor] / nu[i_anchor] ** theta if sup[i_anchor] > 0 else 1.0

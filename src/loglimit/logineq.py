@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, GridSpec, ScalarField, riesz_transform
+from .grid import TWO_PI, GridSpec, ScalarField, riesz_transform, write_csv
+from .inviscid import fit_exponent
 from .norms import bmo_seminorm, hardy_norm, lp_norm, zygmund_functional
 
 TRIALS_CSV_HEADER = ("f_id", "g_id", "grid", "lhs", "bmo_f", "l1_g", "linf_g", "bracket", "ratio")
@@ -143,22 +144,6 @@ class IneqTrial:
     rhs_factor: float
     ratio: float | None
     degenerate: bool
-
-    def csv_row(self) -> str:
-        ratio = "" if self.ratio is None else f"{self.ratio:.17g}"
-        return ",".join(
-            [
-                self.f_id,
-                self.g_id,
-                str(self.grid_points),
-                f"{self.lhs:.17g}",
-                f"{self.bmo_f:.17g}",
-                f"{self.l1_g:.17g}",
-                f"{self.linf_g:.17g}",
-                f"{self.bracket:.17g}",
-                ratio,
-            ]
-        )
 
 
 def pairing(f: ScalarField, g: ScalarField) -> float:
@@ -320,18 +305,10 @@ class CorpusScan:
     chain_slope: float | None
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRIALS_CSV_HEADER) + "\n")
-            for t in self.trials:
-                fh.write(t.csv_row() + "\n")
-
-
-def _log_slope(sizes, values) -> float | None:
-    sizes = [s for s, v in zip(sizes, values) if v > 0]
-    vals = [v for v in values if v > 0]
-    if len(vals) < 2:
-        return None
-    return float(np.polyfit(np.log(sizes), np.log(vals), 1)[0])
+        write_csv(path, TRIALS_CSV_HEADER, (
+            (t.f_id, t.g_id, t.grid_points, t.lhs, t.bmo_f, t.l1_g, t.linf_g, t.bracket, t.ratio)
+            for t in self.trials
+        ))
 
 
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
@@ -381,9 +358,9 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
         max_ratio=max(max_by_size.values()),
         max_ratio_by_size=max_by_size,
         max_ratio_by_family=max_by_family,
-        ratio_slope=_log_slope(sizes, [max_by_size[n] for n in sizes]),
+        ratio_slope=fit_exponent(sizes, [max_by_size[n] for n in sizes]),
         duality_max_by_size=duality_by_size,
-        duality_slope=_log_slope(sizes, [duality_by_size[n] for n in sizes]),
+        duality_slope=fit_exponent(sizes, [duality_by_size[n] for n in sizes]),
         chain_max_by_size=chain_by_size,
-        chain_slope=_log_slope(sizes, [chain_by_size[n] for n in sizes]),
+        chain_slope=fit_exponent(sizes, [chain_by_size[n] for n in sizes]),
     )

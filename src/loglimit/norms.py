@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import TWO_PI, ScalarField, riesz_transform
+from .grid import TWO_PI, ScalarField, csv_line, riesz_transform
 
 NORM_CSV_HEADER = ("l1", "l2", "linf", "lp_sigma", "bmo", "hardy", "llogl")
 
@@ -166,13 +166,8 @@ class NormReport:
             if getattr(self, name) < 0:
                 raise ValueError(f"norm {name} must be nonnegative")
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(NORM_CSV_HEADER)
-
     def csv_row(self) -> str:
-        vals = (self.l1, self.l2, self.linf, self.lp_sigma, self.bmo, self.hardy, self.llogl)
-        return ",".join(f"{v:.17g}" for v in vals)
+        return csv_line(getattr(self, name) for name in NORM_CSV_HEADER)
 
 
 def compute_norms(g: ScalarField, sigma: float = 1.0) -> NormReport:

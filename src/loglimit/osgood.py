@@ -32,6 +32,7 @@ import numpy as np
 _Z_BLOWUP = 1e290  # ln y beyond this is treated as a blow-up of the majorant
 _REL_TOL = 1e-8  # step halving stops once y(T) moves by less than this
 _MAX_HALVINGS = 16
+_KNOT_MARGIN = 1.0 + 1e-9  # relative headroom above the largest coefficient sample
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,12 @@ class OsgoodProblem:
             object.__setattr__(self, name, arr)
         if not (self.nu > 0):
             raise ValueError("nu must be positive (the majorant starts at y(0) = nu)")
+        # the forcing g + nu * g0**2 must stay finite wherever it is looked up;
+        # the margin covers interpolants that round above the largest knot,
+        # and float products (unlike Python's float **) overflow to inf quietly
+        g_top, g0_top = float(self.g.max()) * _KNOT_MARGIN, float(self.g0.max()) * _KNOT_MARGIN
+        if not math.isfinite(g_top + self.nu * (g0_top * g0_top)):
+            raise ValueError("forcing g + nu * g0^2 overflows a float at the sampled g and g0")
         if self.log_penalty is None:
             object.__setattr__(self, "log_penalty", math.log1p(1.0 / self.nu))
         elif self.log_penalty < 0:

@@ -49,6 +49,24 @@ class TestOsgood:
     def test_nu_above_one_is_error(self, capsys):
         assert main(["osgood", "--f-const", "1.0", "--nu", "1.5", "--T", "1"]) == 2
 
+    def test_overflowing_forcing_is_error(self, capsys):
+        argv = ["osgood", "--f-const", "1", "--nu", "1e-2", "--T", "1", "--g0-const", "1e200"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_blow_up_reported_as_blow_up(self, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        argv = ["osgood", "--f-const", "1", "--nu", "1e-2", "--T", "1", "--g0-const", "1e150",
+                "--out", str(out)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["majorant blew up after t = 0", "FAIL"]
+        assert not any(line.startswith("y(T)") for line in lines)
+        assert out.read_text().splitlines()[0] == "t,y,bound"
+        assert len(out.read_text().splitlines()) == 2  # the one point reached
+
 
 class TestSplit:
     def test_single_threshold(self, field_csv, capsys):

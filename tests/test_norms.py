@@ -10,9 +10,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from loglimit.flow import random_band_velocity, velocity_gradient
-from loglimit.grid import TWO_PI, GridSpec, ScalarField
+from loglimit.grid import TWO_PI, GridSpec, ScalarField, csv_line
 from loglimit.logineq import CORPUS_BUILDERS, gaussian_bump, normalized_indicator
 from loglimit.norms import (
+    NORM_CSV_HEADER,
     NormReport,
     _std_bounds,
     bmo_seminorm,
@@ -275,7 +276,7 @@ class TestNormReport:
 
     def test_csv_row(self, grid16):
         rep = compute_norms(ScalarField(grid16, np.ones(grid16.shape)))
-        assert NormReport.csv_header() == "l1,l2,linf,lp_sigma,bmo,hardy,llogl"
+        assert csv_line(NORM_CSV_HEADER) == "l1,l2,linf,lp_sigma,bmo,hardy,llogl"
         row = rep.csv_row()
         assert len(row.split(",")) == 7
         assert float(row.split(",")[0]) == pytest.approx(TWO_PI**2)

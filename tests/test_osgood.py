@@ -73,6 +73,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OsgoodProblem(t, np.ones(3), np.zeros(3), np.zeros(3), 0.0)
 
+    def test_overflowing_forcing_rejected(self):
+        # g0^2 = 1e400 overflows a float; the lookup would raise OverflowError
+        with pytest.raises(ValueError, match="overflows"):
+            OsgoodProblem.constant(1, 1e-2, 1, g0=1e200)
+        # both terms are finite, their sum is not
+        with pytest.raises(ValueError, match="overflows"):
+            OsgoodProblem.constant(1, 1.0, 1, g=1e308, g0=1e154)
+
+    def test_largest_finite_forcing_accepted(self):
+        p = OsgoodProblem.constant(1, 1e-2, 1, g0=1e150)
+        assert math.isfinite(_coefficients(p)(0.5)[1])
+
     def test_default_log_penalty(self):
         p = OsgoodProblem.constant(1.0, 1e-2, 1.0)
         assert p.log_penalty == pytest.approx(math.log1p(100.0))
