@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier, _dealias_mask,
-                   _derivative_multiplier, _laplacian, _mode_box, curl, derivative,
-                   inverse_transform, leray_project, write_csv)
+                   _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
+                   _unpack_dealiased, curl, derivative, inverse_transform, leray_project,
+                   write_csv)
 from .norms import bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -56,22 +57,29 @@ class SolverConfig:
 class FlowState:
     """Vorticity-spectrum snapshot: a state keeps only its dealiased, mean-free
     spectrum and derives the velocity (Biot-Savart) and vorticity through
-    grid.inverse_transform on each access; callers bind them once to reuse them."""
+    grid.inverse_transform on each access; callers bind them once to reuse them.
 
-    __slots__ = ("grid", "time", "omega_hat")
+    Only the 2/3-rule mode box is stored, 16 * (2 * (n // 3) - 1)**2 bytes
+    (26 896 at n = 64, 41% of the full spectrum); `omega_hat` rebuilds the
+    read-only n x n spectrum, zero outside the box, on each read."""
+
+    __slots__ = ("grid", "time", "_box")
 
     def __init__(self, grid: GridSpec, time: float, omega_hat: np.ndarray):
-        w = np.array(omega_hat, dtype=complex)
-        w[~_dealias_mask(grid.points_per_axis)] = 0.0
-        w[0, 0] = 0.0  # torus vorticity has zero mean
-        w.setflags(write=False)
+        w = np.asarray(omega_hat, dtype=complex)
+        if w.shape != grid.shape:
+            raise ValueError(f"spectrum shape {w.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.time = time
-        self.omega_hat = w
+        self._box = _pack_dealiased(w)  # torus vorticity has zero mean: no zero mode
 
     @classmethod
     def from_velocity(cls, u: VectorField, time: float = 0.0) -> "FlowState":
         return cls(u.grid, time, curl(u).spectral)
+
+    @property
+    def omega_hat(self) -> np.ndarray:
+        return _unpack_dealiased(self._box, self.grid.points_per_axis)
 
     @property
     def vorticity(self) -> ScalarField:
@@ -80,9 +88,9 @@ class FlowState:
     @property
     def velocity(self) -> VectorField:
         n = self.grid.points_per_axis
+        w = self.omega_hat
         return VectorField(
-            *(inverse_transform(self.grid, _biot_savart_multiplier(n, axis) * self.omega_hat)
-              for axis in (1, 2))
+            *(inverse_transform(self.grid, _biot_savart_multiplier(n, axis) * w) for axis in (1, 2))
         )
 
 

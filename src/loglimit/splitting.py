@@ -7,7 +7,8 @@ Chebyshev bound in the L_{1 + sigma/2} norm, and interpolating the remainder
 between L_{1 + sigma/4} and L_{1 + sigma/2} over its support gives the
 Hoelder bound evaluated here.  Both inequalities are exact for the discrete
 quadrature (cell counting and Riemann sums share the same measure); the
-small slack tolerated by callers only guards floating-point rounding.
+checks forgive an excess of ROUNDING_SLACK relative, which only guards
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import numpy as np
 
 from .grid import ScalarField
 from .norms import lp_norm
+
+# Relative excess a check forgives.  Over the corpus at n = 16..128, 20
+# thresholds each and sigma = 0.5, 1, 2, the worst Hoelder excess is 4.4e-16
+# (equality on indicators) and the smallest Chebyshev margin is +5.2%.
+ROUNDING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ def chebyshev_support_bound(alpha: ScalarField, cfg: SplitConfig) -> ChebyshevRe
     p = 1.0 + cfg.sigma / 2.0
     measured = float(np.count_nonzero(np.abs(alpha.values) > cfg.threshold) * alpha.grid.cell_volume)
     bound = (lp_norm(alpha, p) / cfg.threshold) ** p
-    return ChebyshevResult(measured, bound, measured <= bound * (1.0 + 1e-2) + 1e-300)
+    return ChebyshevResult(measured, bound, measured <= bound * (1.0 + ROUNDING_SLACK) + 1e-300)
 
 
 def holder_remainder_bound(
@@ -110,7 +116,7 @@ def holder_remainder_bound(
     combined = cfg.threshold ** (-sigma / (4.0 + sigma)) * lp_norm(alpha_r, p_high) ** (
         1.0 - 2.0 * sigma / ((sigma + 2.0) * (sigma + 4.0))
     )
-    return HolderResult(lhs, rhs, combined, supp, lhs <= rhs * (1.0 + 1e-2) + 1e-300)
+    return HolderResult(lhs, rhs, combined, supp, lhs <= rhs * (1.0 + ROUNDING_SLACK) + 1e-300)
 
 
 def threshold_sweep(

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct DFT double sums, python-loop
 square scans, and fsum quadrature.  These implementations share no code with
-the package paths they check.  The majorant integrator at the end is the
+the package paths they check.  `dealiased_spectrum` is the full-array 2/3-rule
+masking flow states did before they kept only the mode box.  The majorant integrator at the end is the
 np.interp-based one the package's coefficient lookup replaced; it is kept as
 the reference that lookup must match bit for bit.
 """
@@ -127,6 +128,19 @@ def random_band_limited(n: int, band: int, seed: int) -> np.ndarray:
     spec = np.fft.fft2(rng.standard_normal((n, n))) * mask
     vals = np.real(np.fft.ifft2(spec))
     return vals / max(1e-12, np.abs(vals).max())
+
+
+def dealiased_spectrum(omega_hat: np.ndarray) -> np.ndarray:
+    """A flow state's spectrum as the full-array solver built it: a complex
+    copy with every mode of |k1| or |k2| above n // 3 - 1 zeroed, then the
+    zero mode zeroed."""
+    n = omega_hat.shape[0]
+    w = np.array(omega_hat, dtype=complex)
+    outside = np.abs(np.fft.fftfreq(n, d=1.0 / n)) > n // 3 - 1
+    w[outside, :] = 0.0
+    w[:, outside] = 0.0
+    w[0, 0] = 0.0
+    return w
 
 
 # The majorant integrator as it was with np.interp coefficients, kept as the

@@ -1,6 +1,7 @@
 """Spectral flow solver: exact anchors, conservation, and the energy identity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from loglimit.flow import (
 )
 from loglimit.grid import GridSpec, VectorField, divergence
 from loglimit.norms import bmo_seminorm
+from reference import dealiased_spectrum
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -55,6 +57,35 @@ class TestState:
         v = FlowState.from_velocity(u).velocity
         assert_allclose(v.u1.values, u.u1.values, atol=1e-12)
         assert_allclose(v.u2.values, u.u2.values, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    def test_spectrum_bit_identical_to_full_array_dealiasing(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w.real[rng.random((n, n)) < 0.25] = -0.0
+        w.imag[rng.random((n, n)) < 0.25] = -0.0
+        w[0, 0] = complex(-0.0, -0.0)
+        hat = FlowState(GridSpec(n), 0.0, w).omega_hat
+        assert hat.tobytes() == dealiased_spectrum(w).tobytes()
+        assert not hat.flags.writeable
+
+    def test_state_retains_only_the_mode_box(self, grid64):
+        # the 2/3-rule box at n = 64 is 41 x 41 modes of 16 bytes
+        w = np.fft.fft2(np.random.default_rng(0).standard_normal(grid64.shape))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states = [FlowState(grid64, 0.0, w) for _ in range(64)]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 64
+        assert retained <= 1.05 * 64 * 16 * 41**2
+
+    @pytest.mark.parametrize("shape", [(32, 32), (128, 128), (64, 65)])
+    def test_spectrum_of_another_shape_rejected(self, grid64, shape):
+        with pytest.raises(ValueError, match="shape"):
+            FlowState(grid64, 0.0, np.zeros(shape, dtype=complex))
 
 
 class TestStep:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loglimit import splitting
 from loglimit.grid import GridSpec, ScalarField
 from loglimit.logineq import gaussian_bump, normalized_indicator, truncated_log
 from loglimit.norms import lp_norm
@@ -167,6 +168,34 @@ class TestHolder:
         res = holder_remainder_bound(ar, cfg, alpha=alpha)
         expected = 2.0 ** (-1.0 / 5.0) * lp_norm(ar, 1.5) ** (1 - 2.0 / 15.0)
         assert res.combined_bound == pytest.approx(expected, rel=1e-12)
+
+
+class TestRoundingSlack:
+    """The checks forgive rounding, not a real excess: a 1e-6 relative error
+    in a norm flips a near-equality case."""
+
+    @staticmethod
+    def _chebyshev(grid):
+        # alpha just above m on its support: bound / measured = (c / m)^p = 1 + 1.5e-12
+        m = 2.0
+        mask = normalized_indicator(grid, 0.3).values > 0
+        alpha = ScalarField(grid, np.where(mask, m * (1 + 1e-12), 0.0))
+        return chebyshev_support_bound(alpha, SplitConfig(threshold=m)).satisfied
+
+    @staticmethod
+    def _holder(grid):
+        # c * indicator: lhs == rhs up to rounding
+        mask = normalized_indicator(grid, 0.3).values > 0
+        alpha_r = ScalarField(grid, np.where(mask, 3.7, 0.0))
+        return holder_remainder_bound(alpha_r, SplitConfig(threshold=2.0)).satisfied
+
+    @pytest.mark.parametrize("check, factor", [("_chebyshev", 1 - 1e-6), ("_holder", 1 + 1e-6)])
+    def test_small_norm_error_flips_near_equality(self, grid32, monkeypatch, check, factor):
+        check = getattr(self, check)
+        assert check(grid32)
+        exact = splitting.lp_norm
+        monkeypatch.setattr(splitting, "lp_norm", lambda f, p: factor * exact(f, p))
+        assert not check(grid32)
 
 
 class TestSweep:
