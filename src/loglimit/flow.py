@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier, _dealias_mask,
+from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier,
                    _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
                    _unpack_dealiased, curl, derivative, inverse_transform, leray_project,
                    write_csv)
@@ -42,16 +42,17 @@ class SolverConfig:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError("viscosity must be nonnegative")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # written so that nan fails each test, as it fails every comparison
+        if not 0 <= self.nu < math.inf:
+            raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
         if self.output_stride < 1 or self.min_samples < 1:
             raise ValueError("output_stride and min_samples must be positive integers")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 class FlowState:
@@ -59,9 +60,11 @@ class FlowState:
     spectrum and derives the velocity (Biot-Savart) and vorticity through
     grid.inverse_transform on each access; callers bind them once to reuse them.
 
-    Only the 2/3-rule mode box is stored, 16 * (2 * (n // 3) - 1)**2 bytes
-    (26 896 at n = 64, 41% of the full spectrum); `omega_hat` rebuilds the
-    read-only n x n spectrum, zero outside the box, on each read."""
+    Only the modes of the 2/3 rule are stored, as the mode vector that
+    grid._pack_dealiased gathers (row-major, zero mode first and set to 0):
+    16 * (2 * (n // 3) - 1)**2 bytes (26 896 at n = 64, 41% of the full
+    spectrum).  `step` advances that vector as it is; `omega_hat` rebuilds
+    the read-only n x n spectrum, zero outside the mask, on each read."""
 
     __slots__ = ("grid", "time", "_box")
 
@@ -71,7 +74,17 @@ class FlowState:
             raise ValueError(f"spectrum shape {w.shape} does not match grid {grid.shape}")
         self.grid = grid
         self.time = time
-        self._box = _pack_dealiased(w)  # torus vorticity has zero mean: no zero mode
+        self._box = _pack_dealiased(w)
+        self._box[0] = 0.0  # torus vorticity has zero mean: no zero mode
+
+    @classmethod
+    def _of_box(cls, grid: GridSpec, time: float, box: np.ndarray) -> "FlowState":
+        """The state whose mode vector is `box`, taken over without a copy;
+        its zero mode is set to 0."""
+        state = cls.__new__(cls)
+        state.grid, state.time, state._box = grid, time, box
+        box[0] = 0.0
+        return state
 
     @classmethod
     def from_velocity(cls, u: VectorField, time: float = 0.0) -> "FlowState":
@@ -94,17 +107,16 @@ class FlowState:
         )
 
 
-def _advection_rhs(grid: GridSpec, omega_hat: np.ndarray) -> np.ndarray:
-    """Dealiased -(u . grad omega), acting on normalized coefficients."""
+def _advection_rhs(grid: GridSpec, omega_box: np.ndarray) -> np.ndarray:
+    """Dealiased -(u . grad omega) of a mode vector, as a mode vector; both
+    hold normalized coefficients in grid._pack_dealiased order."""
     n = grid.points_per_axis
-    dealias = _dealias_mask(n)
-    w = np.where(dealias, omega_hat, 0.0) * (n * n)
+    w = _unpack_dealiased(omega_box * (n * n), n)
     u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
     u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
     w1 = np.real(np.fft.ifft2(_derivative_multiplier(n, 1) * w))
     w2 = np.real(np.fft.ifft2(_derivative_multiplier(n, 2) * w))
-    product = np.fft.fft2(u1 * w1 + u2 * w2) / (n * n)
-    return -np.where(dealias, product, 0.0)
+    return -(_pack_dealiased(np.fft.fft2(u1 * w1 + u2 * w2)) / (n * n))
 
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
@@ -116,26 +128,27 @@ def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
     return cfg.cfl * state.grid.spacing / umax
 
 
-def _step_raw(grid: GridSpec, omega_hat: np.ndarray, nu: float, dt: float) -> np.ndarray:
-    """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega."""
-    ksq, _ = _laplacian(grid.points_per_axis)
+def _step_raw(grid: GridSpec, omega_box: np.ndarray, nu: float, dt: float) -> np.ndarray:
+    """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega,
+    on a mode vector in grid._pack_dealiased order."""
+    ksq = _pack_dealiased(_laplacian(grid.points_per_axis)[0])
     e_half = np.exp(-nu * ksq * (dt / 2.0)) if nu > 0 else 1.0
     e_full = e_half * e_half if nu > 0 else 1.0
-    k1 = _advection_rhs(grid, omega_hat)
-    k2 = _advection_rhs(grid, e_half * (omega_hat + (dt / 2.0) * k1))
-    k3 = _advection_rhs(grid, e_half * omega_hat + (dt / 2.0) * k2)
-    k4 = _advection_rhs(grid, e_full * omega_hat + dt * e_half * k3)
-    return e_full * omega_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    k1 = _advection_rhs(grid, omega_box)
+    k2 = _advection_rhs(grid, e_half * (omega_box + (dt / 2.0) * k1))
+    k3 = _advection_rhs(grid, e_half * omega_box + (dt / 2.0) * k2)
+    k4 = _advection_rhs(grid, e_full * omega_box + dt * e_half * k3)
+    return e_full * omega_box + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
     """Advance one RK4 step; dt defaults to the CFL bound of the current state."""
     if dt is None:
         dt = cfl_timestep(state, cfg)
-    new_hat = _step_raw(state.grid, state.omega_hat, cfg.nu, dt)
-    if not np.all(np.isfinite(new_hat.view(float))):
+    new_box = _step_raw(state.grid, state._box, cfg.nu, dt)
+    if not np.all(np.isfinite(new_box.view(float))):
         raise FloatingPointError("flow step produced non-finite spectrum (blow-up)")
-    return FlowState(state.grid, state.time + dt, new_hat)
+    return FlowState._of_box(state.grid, state.time + dt, new_box)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ so a field is the trigonometric polynomial  sum_k coeff[k] * exp(i k.x)  and
 Parseval reads  (cell volume) * sum(values**2) == (2pi)**2 * sum(|coeff|**2).
 This module is the only one that knows the wavenumber layout and this
 normalization; the solver's Biot-Savart, Laplacian and 2/3 dealiasing
-symbols are cached here beside the derivative and Riesz multipliers, and the
-packing of a spectrum into the 2/3-rule mode box a flow state keeps is here.
+symbols are cached here beside the derivative and Riesz multipliers.  The
+2/3 rule has one layout, the boolean `_dealias_mask`: a flow state and the
+solver's stages hold the modes it keeps as a vector gathered through it in
+row-major order (`_pack_dealiased`), and `_unpack_dealiased` scatters such a
+vector back into an n x n spectrum.
 
 It also owns the CSV format of every file the package writes (`csv_line`,
 `write_csv`): a header row, comma-separated cells, numbers at 17 significant
@@ -253,34 +256,16 @@ def _dealias_mask(n: int) -> np.ndarray:
     return _mode_box(n, n // 3 - 1)
 
 
-@lru_cache(maxsize=32)
-def _dealias_corners(n: int) -> tuple:
-    """(full, packed) index pairs of the four corner blocks that hold the
-    2/3-rule box: in the packed (2k+1) x (2k+1) array, k = n // 3 - 1, the
-    modes keep the fft corner layout, 0..k then -k..-1 along each axis."""
-    k = n // 3 - 1
-    axis = ((slice(0, k + 1), slice(0, k + 1)), (slice(n - k, n), slice(k + 1, 2 * k + 1)))
-    return tuple(((r_full, c_full), (r_box, c_box))
-                 for r_full, r_box in axis for c_full, c_box in axis)
-
-
 def _pack_dealiased(coeff: np.ndarray) -> np.ndarray:
-    """The modes of an n x n spectrum that _dealias_mask keeps, packed, with
-    the zero mode set to 0."""
-    n = coeff.shape[0]
-    m = 2 * (n // 3) - 1
-    box = np.empty((m, m), dtype=complex)
-    for full, packed in _dealias_corners(n):
-        box[packed] = coeff[full]
-    box[0, 0] = 0.0
-    return box
+    """The modes of an n x n array that _dealias_mask keeps, as a vector in
+    row-major order: the zero mode first."""
+    return coeff[_dealias_mask(coeff.shape[0])]
 
 
 def _unpack_dealiased(box: np.ndarray, n: int) -> np.ndarray:
-    """Read-only n x n spectrum of a packed box, 0 outside it."""
+    """Read-only n x n spectrum of a packed mode vector, 0 outside the mask."""
     coeff = np.zeros((n, n), dtype=complex)
-    for full, packed in _dealias_corners(n):
-        coeff[full] = box[packed]
+    coeff[_dealias_mask(n)] = box
     coeff.setflags(write=False)
     return coeff
 

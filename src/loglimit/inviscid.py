@@ -34,8 +34,6 @@ from .splitting import SplitConfig, truncate_split
 
 GAPS_CSV_HEADER = ("nu", "sup_gap", "M", "theory_exponent", "bound_value")
 
-INITIAL_CONDITIONS = ("taylor_green", "two_mode", "random_42")
-
 
 def initial_condition(grid: GridSpec, ic_id: str) -> VectorField:
     if ic_id == "taylor_green":
@@ -69,13 +67,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         nus = tuple(float(v) for v in self.nu_list)
         object.__setattr__(self, "nu_list", nus)
-        if len(nus) == 0 or any(v <= 0 or v >= 1 for v in nus):
+        if len(nus) == 0 or not all(0 < v < 1 for v in nus):  # nan fails too
             raise ValueError("nu_list entries must lie in (0, 1)")
         if any(a <= b for a, b in zip(nus, nus[1:])):
             raise ValueError("nu_list must be strictly decreasing")
         labels = [run_label(nu) for nu in nus]
         if self.output_dir is not None and len(set(labels)) < len(labels):
             raise ValueError(f"viscosities {nus} collide on run directory names {labels}")
+        self.solver_config(nus[0])  # the solver's settings fail here, before any run
 
     def solver_config(self, nu: float) -> SolverConfig:
         return SolverConfig(

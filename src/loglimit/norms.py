@@ -121,11 +121,14 @@ def hardy_norm(g: ScalarField) -> float:
     first and its mass |mean| * (2pi)^2 is charged to the L1 term.
     """
     m = g.mean()
-    g0 = g - m
-    total = lp_norm(g0, 1) + abs(m) * TWO_PI**2
-    for axis in (1, 2):
-        total += lp_norm(riesz_transform(g0, axis), 1)
-    return total
+    r1, r2 = riesz_l1(g)
+    return lp_norm(g - m, 1) + abs(m) * TWO_PI**2 + r1 + r2
+
+
+def riesz_l1(g: ScalarField) -> tuple[float, float]:
+    """L1 norms of both Riesz transforms of the mean-free part of g."""
+    g0 = g - g.mean()
+    return lp_norm(riesz_transform(g0, 1), 1), lp_norm(riesz_transform(g0, 2), 1)
 
 
 def zygmund_functional(g: ScalarField, lam: float) -> float:

@@ -94,15 +94,6 @@ class OsgoodProblem:
         ones = np.ones_like(t)
         return cls(t, M * ones, g * ones, g0 * ones, nu)
 
-    def integral_f(self, t: float) -> float:
-        return _integral_to(self.times, self.f, t)
-
-    def integral_g(self, t: float) -> float:
-        return _integral_to(self.times, self.g, t)
-
-    def integral_g0_squared(self, t: float) -> float:
-        return _integral_to(self.times, self.g0**2, t)
-
 
 def _integral_to(times: np.ndarray, vals: np.ndarray, t: float) -> float:
     """Exact integral of the linear interpolant of (times, vals) over [0, t]."""
@@ -250,8 +241,8 @@ def log_gronwall_bound(p: OsgoodProblem, t: float) -> float:
     """ln of the closed-form envelope (2/nu^2)^(int f) * (nu + int g + nu int g0^2)."""
     if p.nu >= 1:
         raise ValueError("the closed-form envelope requires nu < 1")
-    mass = p.nu + p.integral_g(t) + p.nu * p.integral_g0_squared(t)
-    return p.integral_f(t) * math.log(2.0 / p.nu**2) + math.log(mass)
+    mass = p.nu + _integral_to(p.times, p.g, t) + p.nu * _integral_to(p.times, p.g0**2, t)
+    return _integral_to(p.times, p.f, t) * math.log(2.0 / p.nu**2) + math.log(mass)
 
 
 def gronwall_bound(p: OsgoodProblem, t: float) -> float:

@@ -3,9 +3,13 @@
 Everything here is deliberately naive: direct DFT double sums, python-loop
 square scans, and fsum quadrature.  These implementations share no code with
 the package paths they check.  `dealiased_spectrum` is the full-array 2/3-rule
-masking flow states did before they kept only the mode box.  The majorant integrator at the end is the
-np.interp-based one the package's coefficient lookup replaced; it is kept as
-the reference that lookup must match bit for bit.
+masking flow states did before they kept only the mode box, and
+`full_array_step` the solver step on full n x n spectra from before the
+solver stepped that box as a mode vector; it takes its Fourier symbols from
+loglimit.grid, so it checks the mode-vector layout, not the symbols.  The
+majorant integrator at the end is the np.interp-based one the package's
+coefficient lookup replaced; it is kept as the reference that lookup must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from loglimit.grid import (_biot_savart_multiplier, _dealias_mask, _derivative_multiplier,
+                           _laplacian)
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,6 +148,36 @@ def dealiased_spectrum(omega_hat: np.ndarray) -> np.ndarray:
     w[:, outside] = 0.0
     w[0, 0] = 0.0
     return w
+
+
+# The solver step as it was on full n x n spectra, both 2/3-rule masks
+# applied with np.where: the package's mode-vector stepper must reproduce
+# its dealiased spectra bit for bit.
+
+
+def _full_array_advection_rhs(grid, omega_hat: np.ndarray) -> np.ndarray:
+    """Dealiased -(u . grad omega), acting on normalized coefficients."""
+    n = grid.points_per_axis
+    dealias = _dealias_mask(n)
+    w = np.where(dealias, omega_hat, 0.0) * (n * n)
+    u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
+    u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
+    w1 = np.real(np.fft.ifft2(_derivative_multiplier(n, 1) * w))
+    w2 = np.real(np.fft.ifft2(_derivative_multiplier(n, 2) * w))
+    product = np.fft.fft2(u1 * w1 + u2 * w2) / (n * n)
+    return -np.where(dealias, product, 0.0)
+
+
+def full_array_step(grid, omega_hat: np.ndarray, nu: float, dt: float) -> np.ndarray:
+    """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega."""
+    ksq, _ = _laplacian(grid.points_per_axis)
+    e_half = np.exp(-nu * ksq * (dt / 2.0)) if nu > 0 else 1.0
+    e_full = e_half * e_half if nu > 0 else 1.0
+    k1 = _full_array_advection_rhs(grid, omega_hat)
+    k2 = _full_array_advection_rhs(grid, e_half * (omega_hat + (dt / 2.0) * k1))
+    k3 = _full_array_advection_rhs(grid, e_half * omega_hat + (dt / 2.0) * k2)
+    k4 = _full_array_advection_rhs(grid, e_full * omega_hat + dt * e_half * k3)
+    return e_full * omega_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
 # The majorant integrator as it was with np.interp coefficients, kept as the

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import loglimit.cli
+import loglimit.inviscid
 from loglimit.cli import main
 from loglimit.grid import GridSpec, save_field_csv
 from loglimit.logineq import gaussian_bump
@@ -107,6 +109,29 @@ def test_unknown_config_key_is_error(command, tmp_path, capsys):
     config.write_text(f"grid = 32\nsmaples = 10\nout = {tmp_path / 'out'}\n")
     assert main([command, str(config)]) == 2
     assert "smaples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("simulate", "nu = nan"),
+    ("simulate", "nu = inf"),
+    ("simulate", "sigma = nan"),
+    ("simulate", "T = inf"),
+    ("simulate", "T = nan"),
+    ("sweep", "nu = 1e-1,nan,1e-3"),
+    ("sweep", "T = inf"),
+    ("sweep", "sigma = nan"),
+])
+def test_non_finite_setting_is_error(command, setting, tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a flow was run before the settings were checked")
+
+    monkeypatch.setattr(loglimit.cli, "run", no_run)
+    monkeypatch.setattr(loglimit.inviscid, "run", no_run)
+    config = tmp_path / "nonfinite.cfg"
+    config.write_text(f"grid = 32\nsamples = 4\n{setting}\nout = {tmp_path / 'out'}\n")
+    assert main([command, str(config)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -28,8 +28,9 @@ from loglimit.flow import (
     velocity_gradient,
 )
 from loglimit.grid import GridSpec, VectorField, divergence
+from loglimit.inviscid import initial_condition
 from loglimit.norms import bmo_seminorm
-from reference import dealiased_spectrum
+from reference import dealiased_spectrum, full_array_step
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -116,6 +117,20 @@ class TestStep:
         expected = math.exp(-2 * nu * t) * w0
         rel = np.linalg.norm(state.vorticity.values - expected) / np.linalg.norm(expected)
         assert rel < 1e-10
+
+    @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
+    @pytest.mark.parametrize("nu", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_matches_full_array_stepper(self, n, nu, ic):
+        grid = GridSpec(n)
+        state = FlowState.from_velocity(initial_condition(grid, ic))
+        cfg = tg_config(grid, nu, 1.0)
+        dt = cfl_timestep(state, cfg)
+        full = state.omega_hat
+        for _ in range(20):
+            state = step(state, cfg, dt)
+            full = dealiased_spectrum(full_array_step(grid, full, nu, dt))
+            assert state.omega_hat.tobytes() == full.tobytes()
 
     def test_cfl_uses_max_speed(self, grid32):
         state = FlowState.from_velocity(taylor_green_velocity(grid32))

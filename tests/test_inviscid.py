@@ -46,6 +46,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(32, 0.5, nu_list=(2.0, 1e-2))
 
+    def test_nan_viscosity_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="nu_list"):
+            ExperimentConfig(32, 0.5, nu_list=(1e-1, math.nan, 1e-3))
+
     def test_unknown_ic_rejected(self):
         with pytest.raises(ValueError, match="unknown initial"):
             initial_condition(GridSpec(32), "nonsense")

@@ -132,10 +132,11 @@ class TestDualityAndChain:
 
 class TestZygmundEstimate:
     def test_zero_field(self, grid32):
-        trial = verify_zygmund_estimate(ScalarField.zeros(grid32), c0=1.0)
+        trial = verify_zygmund_estimate(ScalarField.zeros(grid32))
         assert trial.riesz_l1 == (0.0, 0.0)
         assert trial.llogl == 0.0
-        assert trial.bound == 1.0  # C0 + C0 * 0
+        assert trial.constant == 0.0
+        assert trial.bound is None  # no corpus constant for a single trial
 
     def test_flat_bump_llogl(self, grid64):
         ind = normalized_indicator(grid64, 1.0)
@@ -157,9 +158,17 @@ class TestZygmundEstimate:
 
     def test_truncated_gaussian_admitted(self, grid64):
         h = truncated_gaussian(grid64, np.pi / 16)
-        trial = verify_zygmund_estimate(h, c0=2.0)
+        trial = verify_zygmund_estimate(h)
         assert trial.support <= np.pi**2
-        assert trial.bound is not None
+        assert trial.bound is None
+
+    def test_scan_bounds_each_trial_by_the_family_constant(self):
+        scan = zygmund_family_scan(GridSpec(128))
+        c0 = scan["c0"]
+        assert c0 == max(t.constant for t in scan["trials"])
+        for t in scan["trials"]:
+            assert t.bound == c0 * (1.0 + t.llogl)  # C0 + C0 * llogl
+            assert max(t.riesz_l1) <= t.bound * (1 + 1e-12)  # equality, to rounding, at C0
 
     def test_family_grows_log_linearly(self):
         # ||R_k h_N||_L1 grows affinely in ln N for the unit-mass family
