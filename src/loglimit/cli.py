@@ -105,14 +105,10 @@ def _cmd_split(args) -> int:
         else np.geomspace(1.0 + 1e-6, max(2.0, 2.0 * float(np.abs(field.values).max())), 20)
     )
     rows = splitting.threshold_sweep(field, args.sigma, thresholds)
-    print("threshold,measured_support,cheb_bound,holder_lhs,holder_rhs")
-    ok = True
+    print(csv_line(splitting.SPLIT_CSV_HEADER))
     for row in rows:
-        ok = ok and bool(row["satisfied"])
-        print(
-            f"{row['threshold']:.6g},{row['measured_support']:.6g},{row['cheb_bound']:.6g},"
-            f"{row['holder_lhs']:.6g},{row['holder_rhs']:.6g}"
-        )
+        print(csv_line(row[key] for key in splitting.SPLIT_CSV_HEADER))
+    ok = all(row["satisfied"] for row in rows)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

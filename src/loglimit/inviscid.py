@@ -157,7 +157,7 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
         for i, (u_e, *u_nus) in enumerate(paired_velocities(euler, *(runs[nu] for nu in done))):
             for nu, u_nu in zip(done, u_nus):
                 gap_curves[nu][i] = gap_l2(u_nu, u_e)
-                forcing[nu][i] = measured_forcing(u_nu, u_e, nu, cfg.sigma)
+                forcing[nu][i] = measured_forcing(u_nu, u_e, nu)
     nus = np.array(done)
     sup = np.array([gap_curves[nu].max() for nu in done])
     M = float(np.max(euler.series.f0 + euler.series.g0**2))
@@ -237,7 +237,7 @@ def verify_rate(series: GapSeries) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float, sigma: float) -> float:
+def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float) -> float:
     """g at one sample: integral over {alpha > 1/nu} of alpha_r |grad uE|.
 
     alpha = |u_nu - u_euler|^2 is the squared velocity gap of a paired
@@ -245,7 +245,7 @@ def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float, sigma: 
     is paired with the reference-flow gradient magnitudes.  For resolved
     sweeps the remainder is empty and g vanishes identically.
     """
-    cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9), sigma=sigma)
+    cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9))
     d1, d2 = u_nu.u1.values - u_euler.u1.values, u_nu.u2.values - u_euler.u2.values
     alpha_vals = d1**2 + d2**2
     if alpha_vals.max() <= cfg.threshold:

@@ -154,8 +154,6 @@ class NormReport:
     bmo: float
     hardy: float
     llogl: float
-    sigma: float = 1.0
-    mean_free: bool = True
 
     def __post_init__(self) -> None:
         slack = 1.0 + 1e-9
@@ -175,8 +173,8 @@ class NormReport:
 
 def compute_norms(g: ScalarField, sigma: float = 1.0) -> NormReport:
     """Evaluate the full report; lp_sigma is the L_{1 + sigma/2} norm."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     absfield = ScalarField(g.grid, np.abs(g.values))
     return NormReport(
         l1=lp_norm(g, 1),
@@ -186,6 +184,4 @@ def compute_norms(g: ScalarField, sigma: float = 1.0) -> NormReport:
         bmo=bmo_seminorm(g),
         hardy=hardy_norm(g),
         llogl=zygmund_functional(absfield, 1.0),
-        sigma=sigma,
-        mean_free=abs(g.mean()) <= 1e-13 * max(1.0, float(np.abs(g.values).max())),
     )

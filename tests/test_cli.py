@@ -135,6 +135,19 @@ def test_non_finite_setting_is_error(command, setting, tmp_path, capsys, monkeyp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["norms", "{field}", "--sigma", "nan"],
+    ["norms", "{field}", "--sigma", "inf"],
+    ["split", "--field", "{field}", "--threshold", "2", "--sigma", "nan"],
+    ["split", "--field", "{field}", "--threshold", "2", "--sigma", "inf"],
+], ids=["norms-nan", "norms-inf", "split-nan", "split-inf"])
+def test_non_finite_sigma_option_is_error(argv, field_csv, capsys):
+    assert main([a.format(field=field_csv) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 class TestSweepAndRateFit:
     def test_sweep_then_rate_fit(self, tmp_path, capsys):
         outdir = tmp_path / "sweep"

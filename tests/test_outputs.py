@@ -15,10 +15,11 @@ import pytest
 
 from loglimit.cli import main
 from loglimit.flow import SERIES_CSV_HEADER, NormSeries
-from loglimit.grid import FIELD_CSV_HEADER, ScalarField, load_field_csv, save_field_csv
+from loglimit.grid import FIELD_CSV_HEADER, GridSpec, ScalarField, load_field_csv, save_field_csv
 from loglimit.inviscid import GAPS_CSV_HEADER, ExperimentConfig, run_sweep, verify_rate
-from loglimit.logineq import TRIALS_CSV_HEADER, scan_corpus
+from loglimit.logineq import TRIALS_CSV_HEADER, gaussian_bump, scan_corpus
 from loglimit.osgood import OsgoodProblem, integrate_majorant, log_gronwall_bound
+from loglimit.splitting import SPLIT_CSV_HEADER, threshold_sweep
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "loglimit"
 
@@ -138,6 +139,24 @@ def test_osgood_trajectory_csv(tmp_path, capsys):
     assert_bits(column(rows, 0), traj.times)
     assert_bits(column(rows, 1), [math.exp(ly) for ly in traj.log_y])
     assert_bits(column(rows, 2), [math.exp(log_gronwall_bound(problem, t)) for t in traj.times])
+
+
+def test_split_table(tmp_path, capsys):
+    grid = GridSpec(32)
+    field = 5.0 * gaussian_bump(grid, np.pi / 6)
+    path = tmp_path / "field.csv"
+    save_field_csv(field, path)
+    assert main(["split", "--field", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "PASS"
+    table = tmp_path / "split.csv"
+    table.write_text("\n".join(lines[:-1]) + "\n")
+    rows = read_rows(table, SPLIT_CSV_HEADER)
+    top = max(2.0, 2.0 * float(np.abs(field.values).max()))
+    expected = threshold_sweep(field, 1.0, np.geomspace(1.0 + 1e-6, top, 20))
+    assert len(rows) == len(expected) == 20
+    for j, key in enumerate(SPLIT_CSV_HEADER):
+        assert_bits(column(rows, j), [row[key] for row in expected])
 
 
 def test_grid_alone_formats_csv_cells():

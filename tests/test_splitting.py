@@ -31,6 +31,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             SplitConfig(threshold=2.0, sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            SplitConfig(threshold=2.0, sigma=sigma)
+
 
 class TestTruncateSplit:
     def test_below_threshold_remainder_vanishes(self, grid16):
@@ -94,21 +99,25 @@ class TestChebyshev:
 
 class TestHolder:
     def test_zero_remainder(self, grid16):
+        # |alpha| <= m everywhere, the bound m included: the remainder vanishes
         cfg = SplitConfig(threshold=2.0)
-        zero = ScalarField.zeros(grid16)
-        res = holder_remainder_bound(zero, cfg)
+        vals = np.random.default_rng(1).uniform(-2.0, 2.0, grid16.shape)
+        vals[0, 0], vals[0, 1] = 2.0, -2.0
+        res = holder_remainder_bound(ScalarField(grid16, vals), cfg)
         assert res.lhs == 0.0
         assert res.rhs == 0.0
+        assert res.support_measure == 0.0
         assert res.satisfied
 
     @pytest.mark.parametrize("sigma", [0.1, 0.5, 1.0, 2.0])
     def test_indicator_equality_case(self, grid32, sigma):
-        # c * indicator is the Hoelder equality case: lhs == rhs exactly
+        # (c + m) * indicator splits into the remainder c * indicator, the
+        # Hoelder equality case: lhs == rhs up to rounding
         cfg = SplitConfig(threshold=2.0, sigma=sigma)
         ind = normalized_indicator(grid32, 0.3)
-        c = 3.7
-        alpha_r = ScalarField(grid32, np.where(ind.values > 0, c, 0.0))
-        res = holder_remainder_bound(alpha_r, cfg)
+        alpha = ScalarField(grid32, np.where(ind.values > 0, 3.7 + 2.0, 0.0))
+        res = holder_remainder_bound(alpha, cfg)
+        assert res.support_measure == support_measure(ind)
         assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
         assert res.satisfied
 
@@ -117,28 +126,11 @@ class TestHolder:
         # the two Hoelder weights are conjugate: they sum to one
         assert sigma / (4 + 2 * sigma) + (4 + sigma) / (4 + 2 * sigma) == pytest.approx(1.0)
 
-    def test_full_support_rejected(self, grid16):
-        cfg = SplitConfig(threshold=2.0)
-        full = ScalarField(grid16, np.ones(grid16.shape) * 0.1)
-        with pytest.raises(ValueError, match="full support"):
-            holder_remainder_bound(full, cfg)
-
-    def test_mismatched_split_rejected(self, grid16):
-        cfg = SplitConfig(threshold=2.0)
-        vals = np.zeros(grid16.shape)
-        vals[0, 0] = 1.0
-        fake = ScalarField(grid16, vals)
-        alpha = ScalarField(grid16, np.random.default_rng(0).standard_normal(grid16.shape))
-        with pytest.raises(ValueError, match="remainder"):
-            holder_remainder_bound(fake, cfg, alpha=alpha)
-
     def test_solver_style_fields_satisfy_bound(self, grid64):
         rng = np.random.default_rng(7)
         alpha = ScalarField(grid64, (rng.standard_normal(grid64.shape) * 2) ** 2)
         for m in np.geomspace(1.05, 30.0, 20):
-            cfg = SplitConfig(threshold=float(m), sigma=1.0)
-            _, ar = truncate_split(alpha, cfg)
-            res = holder_remainder_bound(ar, cfg, alpha=alpha)
+            res = holder_remainder_bound(alpha, SplitConfig(threshold=float(m), sigma=1.0))
             assert res.lhs <= res.rhs * 1.01 + 1e-300
 
     def test_threshold_decay_power_tail(self):
@@ -165,9 +157,9 @@ class TestHolder:
         cfg = SplitConfig(threshold=2.0, sigma=1.0)
         alpha = 4.0 * gaussian_bump(grid32, np.pi / 4)
         _, ar = truncate_split(alpha, cfg)
-        res = holder_remainder_bound(ar, cfg, alpha=alpha)
+        res = holder_remainder_bound(alpha, cfg)
         expected = 2.0 ** (-1.0 / 5.0) * lp_norm(ar, 1.5) ** (1 - 2.0 / 15.0)
-        assert res.combined_bound == pytest.approx(expected, rel=1e-12)
+        assert res.combined_bound == expected
 
 
 class TestRoundingSlack:
@@ -184,10 +176,10 @@ class TestRoundingSlack:
 
     @staticmethod
     def _holder(grid):
-        # c * indicator: lhs == rhs up to rounding
+        # (c + m) * indicator: its remainder c * indicator has lhs == rhs up to rounding
         mask = normalized_indicator(grid, 0.3).values > 0
-        alpha_r = ScalarField(grid, np.where(mask, 3.7, 0.0))
-        return holder_remainder_bound(alpha_r, SplitConfig(threshold=2.0)).satisfied
+        alpha = ScalarField(grid, np.where(mask, 3.7 + 2.0, 0.0))
+        return holder_remainder_bound(alpha, SplitConfig(threshold=2.0)).satisfied
 
     @pytest.mark.parametrize("check, factor", [("_chebyshev", 1 - 1e-6), ("_holder", 1 + 1e-6)])
     def test_small_norm_error_flips_near_equality(self, grid32, monkeypatch, check, factor):
@@ -199,6 +191,14 @@ class TestRoundingSlack:
 
 
 class TestSweep:
+    def test_one_split_per_threshold(self, grid32, monkeypatch):
+        calls = []
+        split = splitting.truncate_split
+        monkeypatch.setattr(splitting, "truncate_split", lambda a, c: calls.append(c) or split(a, c))
+        thresholds = np.geomspace(1.1, 12.0, 7)
+        threshold_sweep(5.0 * gaussian_bump(grid32, np.pi / 5), 1.0, thresholds)
+        assert [c.threshold for c in calls] == thresholds.tolist()
+
     def test_rows_and_satisfaction(self, grid32):
         alpha = 5.0 * gaussian_bump(grid32, np.pi / 5)
         rows = threshold_sweep(alpha, 1.0, np.geomspace(1.1, 12.0, 20))
