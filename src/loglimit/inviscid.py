@@ -30,7 +30,7 @@ from .flow import (
 )
 from .grid import GridSpec, ScalarField, VectorField, save_field_csv, write_csv
 from .osgood import MajorizationReport, OsgoodProblem, check_majorization
-from .splitting import SplitConfig, truncate_split
+from .splitting import SplitConfig, truncation_remainder
 
 GAPS_CSV_HEADER = ("nu", "sup_gap", "M", "theory_exponent", "bound_value")
 
@@ -250,7 +250,7 @@ def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float) -> floa
     alpha_vals = d1**2 + d2**2
     if alpha_vals.max() <= cfg.threshold:
         return 0.0
-    _, alpha_r = truncate_split(ScalarField(u_nu.grid, alpha_vals), cfg)
+    alpha_r = truncation_remainder(ScalarField(u_nu.grid, alpha_vals), cfg)
     beta = sum(np.abs(c.values) for c in velocity_gradient(u_euler))
     return float(np.sum(np.abs(alpha_r.values) * beta) * u_nu.grid.cell_volume)
 

@@ -22,7 +22,7 @@ import numpy as np
 # (perfbench/tracing.py); this module's Riesz transforms go through riesz_l1
 from .grid import TWO_PI, GridSpec, ScalarField, riesz_transform, write_csv  # noqa: F401
 from .inviscid import fit_exponent
-from .norms import bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
+from .norms import _hardy_norm, bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
 
 TRIALS_CSV_HEADER = ("f_id", "g_id", "grid", "lhs", "bmo_f", "l1_g", "linf_g", "bracket", "ratio")
 
@@ -193,11 +193,16 @@ def duality_ratio(f: ScalarField, g: ScalarField, bmo_f: float | None = None,
 
 def riesz_l1_chain(g: ScalarField) -> dict:
     """Both sides of ||R_k g||_L1 <= c ||g||_L1 (1 + 2 ln(||g||_oo + 1) + |ln ||g||_L1|)."""
+    return _riesz_l1_chain(g, riesz_l1(g))
+
+
+def _riesz_l1_chain(g: ScalarField, riesz: tuple[float, float]) -> dict:
+    """riesz_l1_chain of g given riesz_l1(g)."""
     l1g = lp_norm(g, 1)
     linfg = lp_norm(g, np.inf)
     rhs = l1g * (1.0 + 2.0 * math.log1p(linfg) + (abs(math.log(l1g)) if l1g > 0 else 0.0))
     out = {"rhs_factor": rhs, "l1": l1g, "linf": linfg}
-    for axis, lhs in zip((1, 2), riesz_l1(g)):
+    for axis, lhs in zip((1, 2), riesz):
         out[f"lhs_{axis}"] = lhs
         out[f"c_{axis}"] = (lhs / rhs) if rhs > 0 else None
     return out
@@ -310,12 +315,17 @@ class CorpusScan:
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     """Deterministically enumerate all (f, g, size) trials over the corpus.
 
-    The BMO and Hardy norms are computed once per (field, size) and passed to
-    verify_main_inequality and duality_ratio; the trial table order is the
-    enumeration order regardless of any ambient parallelism.
+    The BMO norm and both Riesz L1 norms are computed once per (field, size);
+    the Hardy norms and the Riesz chain derive from the latter, and the norms
+    are passed to verify_main_inequality and duality_ratio.  The trial table
+    order is the enumeration order regardless of any ambient parallelism.
+    Sizes must be distinct: a repeated size would add no refinement step to
+    the slope fits.
     """
     if len(sizes) == 0:
         raise ValueError("scan requires at least one size")
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"scan sizes must be distinct, got {tuple(sizes)}")
     trials: list[IneqTrial] = []
     max_by_size: dict[int, float] = {}
     max_by_family: dict[str, float] = {}
@@ -325,7 +335,8 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
         grid = GridSpec(n)
         fields = [(fid, fam, build(grid)) for fid, fam, build in CORPUS_BUILDERS]
         bmo = {fid: bmo_seminorm(fld) for fid, _, fld in fields}
-        hardy = {fid: hardy_norm(fld) for fid, _, fld in fields}
+        riesz = {fid: riesz_l1(fld) for fid, _, fld in fields}
+        hardy = {fid: _hardy_norm(fld, riesz[fid]) for fid, _, fld in fields}
         best = 0.0
         best_dual = 0.0
         best_chain = 0.0
@@ -339,8 +350,8 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
                 dual = duality_ratio(f, g, bmo_f=bmo[fid], hardy_g=hardy[gid])
                 if dual is not None:
                     best_dual = max(best_dual, dual)
-        for _, _, fld in fields:
-            chain = riesz_l1_chain(fld)
+        for fid, _, fld in fields:
+            chain = _riesz_l1_chain(fld, riesz[fid])
             for axis in (1, 2):
                 c = chain[f"c_{axis}"]
                 if c is not None:

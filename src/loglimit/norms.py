@@ -35,6 +35,11 @@ def lp_norm(g: ScalarField, p: float) -> float:
 # Gathered s x s blocks hold at most this many cells at once.
 _GATHER_CELLS = 1 << 16
 _U = np.finfo(float).eps / 2  # unit roundoff
+# The chord bound splits each s x s square into 4^k sub-squares of this side
+# and costs about 4^k n^2 element passes; a level builds it only when its
+# live squares hold more than _CHORD_GATE times as many cells.
+_SUB_SIDE = 8
+_CHORD_GATE = 8
 
 
 def bmo_seminorm(g: ScalarField) -> float:
@@ -45,9 +50,13 @@ def bmo_seminorm(g: ScalarField) -> float:
     the square's own mean is maximized.  Single-cell squares oscillate by zero
     and are skipped.  A square's mean absolute deviation is at most its
     standard deviation (Cauchy-Schwarz), so a square whose rounding-widened
-    standard deviation cannot beat the running maximum is skipped.  Every other
+    standard deviation cannot beat the running maximum is skipped.  On a wide
+    level where many squares survive that test, the bound is tightened to the
+    minimum with _chord_bounds, built from 8 x 8 sub-squares.  Every other
     square's deviation is computed from its cells, so the maximum is the one a
-    scan of every square computes, up to the rounding of each square's sums.
+    scan of every square computes, up to the rounding of each square's sums;
+    the bounds only decide which squares are read, so it is the same float
+    whichever bound pruned them.
     """
     vals = g.values
     if vals.min() == vals.max():
@@ -60,8 +69,12 @@ def bmo_seminorm(g: ScalarField) -> float:
     e = int(np.frexp(np.abs(v).max())[1])
     # small squares first: they are cheap to read, and on rough fields one of
     # them holds the maximum, which then prunes nearly all larger squares
-    for s, bound in _std_bounds(np.ldexp(v, -e)).items():
+    w = np.ldexp(v, -e)
+    for s, bound in _std_bounds(w).items():
         live = np.flatnonzero(bound > np.ldexp(best, -e))
+        if s > _SUB_SIDE and live.size * s * s > _CHORD_GATE * (s // _SUB_SIDE) ** 2 * w.size:
+            bound = np.minimum(bound, _chord_bounds(w, s))
+            live = np.flatnonzero(bound > np.ldexp(best, -e))
         live = live[np.argsort(-bound[live])]
         padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
         chunk = max(1, _GATHER_CELLS // (s * s))
@@ -105,6 +118,97 @@ def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
+def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
+    """Flat upper bounds on the computed mean absolute deviation of every
+    wrapped s x s square of w (max|w| = W < 1), indexed like _std_bounds', for
+    s = 2^k t with sub-squares P of side t = _SUB_SIDE.
+
+    Each square Q with mean c splits into 4^k sub-squares P with mean m, lo =
+    min and hi = max.  On [lo, hi], |x - c| lies below its chord, so with
+    alpha = (hi - m) / (hi - lo) in [0, 1],
+        mean_P |w - c| <= F = alpha |lo - c| + (1 - alpha) |hi - c|
+                            = max(|m - c|, (2 alpha - 1) c + (1 - alpha) hi - alpha lo),
+    a convex piecewise-linear function of c with slopes -1, 2 alpha - 1, 1; it
+    is exact when P lies on one side of c.  By Cauchy-Schwarz also
+    mean_P |w - c| <= G = sqrt(var_P + (m - c)^2), and Q's deviation is the
+    average over its sub-squares of min(F, G).  Box sums, mins and maxes come
+    by doubling in O(n^2 log s), then 4^k passes over wrapped copies.
+
+    Rounding, with u the unit roundoff and g_j = j u / (1 - j u):
+    - Box means: the window sums are pairwise sums of depth 2 log2 t and
+      2 log2 s over at most t^2 W and s^2 W, and the power-of-two divisions
+      are exact, so |m' - m| <= g_6 W and |c' - c| <= e = g_{2 log2 s} W.  The
+      min and max are exact.  The computed q - m^2 is within 32 u of var_P, by
+      the argument in _std_bounds with k = 7.
+    - The chord: alpha' = (hi - m') / (hi - lo) rounded three times, then
+      clipped to [0, 1] (0 where hi = lo, where F = |m - c| needs no alpha);
+      clipping only moves alpha' towards the exact alpha, so
+      |alpha' - alpha| (hi - lo) <= (1 + g_3) g_6 W + 2 g_3 W <= 13 u W.  Where
+      lo <= c <= hi, F is the middle piece, which moves by that times
+      |2c - lo - hi| / (hi - lo) <= 1, by e for c' and by at most 10 u W in
+      rounding slope * c' + offset.  Elsewhere F = |m - c|, computed within
+      e + 8 u W.  So the computed F' >= F - e - 23 u W.
+    - Cauchy-Schwarz: |(m' - c')^2 - (m - c)^2| <= 4.01 W (e + 9 u W), and the
+      sum under the root (at most 5 W^2) rounds by at most 16 u W^2; adding
+      eta = (9 (log2 s + 1) + 90) u before the root covers these and the 32 u
+      of the variance, so the computed root G' >= G - 3 u W.
+    - The terms, each at most 2.01 W, are summed in 4^k - 1 additions, off by
+      at most 2.01 g_{4^k} W after the exact division by 4^k.  So the computed
+      average is at least the true deviation less e + 23 u W + 2.01 g_{4^k} W.
+    - A deviation computed from the cells, in any summation order, exceeds the
+      true one by at most g_{s^2} (2 W + W) (see _std_bounds).
+    With 4^k = s^2 / 64 and s >= 16, all of this is below 4 s^2 u W <= 4 s^2 u,
+    which the bound adds.  The absolute 1e-9 covers the rounding of that
+    addition and underflow, which moves each of the ~20 4^k operations behind
+    one bound by at most 2^-1074.
+    """
+    n, t = w.shape[0], _SUB_SIDE
+    s1, s2, lo, hi = w, w * w, w, w
+    r = 1
+    while r < t:
+        for axis in (0, 1):
+            s1 = s1 + np.roll(s1, -r, axis)
+            s2 = s2 + np.roll(s2, -r, axis)
+            lo = np.minimum(lo, np.roll(lo, -r, axis))
+            hi = np.maximum(hi, np.roll(hi, -r, axis))
+        r *= 2
+    m = s1 / (t * t)
+    c = s1
+    while r < s:
+        for axis in (0, 1):
+            c = c + np.roll(c, -r, axis)
+        r *= 2
+    c /= s * s
+    span = hi - lo
+    alpha = np.divide(hi - m, span, out=np.zeros_like(span), where=span > 0)
+    np.clip(alpha, 0.0, 1.0, out=alpha)
+    eta = (9 * s.bit_length() + 90) * _U
+    var = np.maximum(s2 / (t * t) - m * m, 0.0) + eta
+    # per sub-square corner: mean, the chord's middle piece as slope * c + offset, var
+    pad = ((0, s - t), (0, s - t))
+    stats = [
+        np.pad(x, pad, mode="wrap")
+        for x in (m, 2.0 * alpha - 1.0, (1.0 - alpha) * hi - alpha * lo, var)
+    ]
+    acc, d, f = np.zeros_like(w), np.empty_like(w), np.empty_like(w)
+    for a in range(0, s, t):
+        for b in range(0, s, t):
+            pm, slope, offset, pvar = (x[a : a + n, b : b + n] for x in stats)
+            np.subtract(pm, c, out=d)
+            np.abs(d, out=d)
+            np.multiply(slope, c, out=f)
+            f += offset
+            np.maximum(f, d, out=f)  # chord F
+            d *= d
+            d += pvar
+            np.sqrt(d, out=d)  # Cauchy-Schwarz G
+            np.minimum(f, d, out=f)
+            acc += f
+    acc /= (s // t) ** 2
+    acc += 1e-9 + 4 * s * s * _U
+    return acc.ravel()
+
+
 def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
     """Largest mean absolute deviation among the s x s squares at flat corners."""
     n = padded.shape[0] - s + 1
@@ -120,8 +224,13 @@ def hardy_norm(g: ScalarField) -> float:
     The torus Riesz transform annihilates means, so the mean is split off
     first and its mass |mean| * (2pi)^2 is charged to the L1 term.
     """
+    return _hardy_norm(g, riesz_l1(g))
+
+
+def _hardy_norm(g: ScalarField, riesz: tuple[float, float]) -> float:
+    """hardy_norm of g given riesz_l1(g)."""
     m = g.mean()
-    r1, r2 = riesz_l1(g)
+    r1, r2 = riesz
     return lp_norm(g - m, 1) + abs(m) * TWO_PI**2 + r1 + r2
 
 

@@ -7,8 +7,9 @@ Chebyshev bound in the L_{1 + sigma/2} norm, and interpolating the remainder
 between L_{1 + sigma/4} and L_{1 + sigma/2} over its support gives the
 Hoelder bound evaluated here.  Both checks take the field alpha itself:
 chebyshev_support_bound(alpha, cfg) counts {|alpha| > m} without splitting,
-and holder_remainder_bound(alpha, cfg) makes the one split it needs, so a
-threshold sweep splits each field once per threshold.  Both inequalities
+and holder_remainder_bound(alpha, cfg) forms only the remainder it needs
+(truncation_remainder), so a threshold sweep truncates each field once per
+threshold and takes its L_{1 + sigma/2} norm once.  Both inequalities
 are exact for the discrete quadrature (cell counting and Riemann sums share
 the same measure); the checks forgive an excess of ROUNDING_SLACK relative,
 which only guards floating-point rounding.
@@ -70,6 +71,12 @@ def truncate_split(alpha: ScalarField, cfg: SplitConfig) -> tuple[ScalarField, S
     return alpha_m, alpha_r
 
 
+def truncation_remainder(alpha: ScalarField, cfg: SplitConfig) -> ScalarField:
+    """The remainder alpha_r of truncate_split(alpha, cfg), without alpha_m."""
+    v = alpha.values
+    return ScalarField(alpha.grid, v - np.clip(v, -cfg.threshold, cfg.threshold))
+
+
 def support_measure(field: ScalarField) -> float:
     """Cell-counted measure of {field != 0}."""
     return float(np.count_nonzero(field.values) * field.grid.cell_volume)
@@ -77,9 +84,14 @@ def support_measure(field: ScalarField) -> float:
 
 def chebyshev_support_bound(alpha: ScalarField, cfg: SplitConfig) -> ChebyshevResult:
     """Measure of {|alpha| > m} against (||alpha||_{1+sigma/2} / m)^{1+sigma/2}."""
+    return _chebyshev_support_bound(alpha, cfg, lp_norm(alpha, 1.0 + cfg.sigma / 2.0))
+
+
+def _chebyshev_support_bound(alpha: ScalarField, cfg: SplitConfig, norm: float) -> ChebyshevResult:
+    """chebyshev_support_bound given norm = ||alpha||_{1+sigma/2}."""
     p = 1.0 + cfg.sigma / 2.0
     measured = float(np.count_nonzero(np.abs(alpha.values) > cfg.threshold) * alpha.grid.cell_volume)
-    bound = (lp_norm(alpha, p) / cfg.threshold) ** p
+    bound = (norm / cfg.threshold) ** p
     return ChebyshevResult(measured, bound, measured <= bound * (1.0 + ROUNDING_SLACK) + 1e-300)
 
 
@@ -98,7 +110,7 @@ def holder_remainder_bound(alpha: ScalarField, cfg: SplitConfig) -> HolderResult
     its norm is the root of the same integral rhs uses.
     """
     sigma = cfg.sigma
-    _, alpha_r = truncate_split(alpha, cfg)
+    alpha_r = truncation_remainder(alpha, cfg)
     p_low = 1.0 + sigma / 4.0
     p_high = 1.0 + sigma / 2.0
     supp = support_measure(alpha_r)
@@ -116,14 +128,15 @@ def threshold_sweep(
     alpha: ScalarField, sigma: float, thresholds: np.ndarray
 ) -> list[dict[str, float]]:
     """Chebyshev and Hoelder quantities across a threshold sweep."""
+    cfgs = [SplitConfig(threshold=float(m), sigma=sigma) for m in np.asarray(thresholds, dtype=float)]
+    norm = lp_norm(alpha, 1.0 + sigma / 2.0)
     rows = []
-    for m in np.asarray(thresholds, dtype=float):
-        cfg = SplitConfig(threshold=float(m), sigma=sigma)
-        cheb = chebyshev_support_bound(alpha, cfg)
+    for cfg in cfgs:
+        cheb = _chebyshev_support_bound(alpha, cfg, norm)
         hold = holder_remainder_bound(alpha, cfg)
         rows.append(
             {
-                "threshold": float(m),
+                "threshold": cfg.threshold,
                 "measured_support": cheb.measured_support,
                 "cheb_bound": cheb.bound,
                 "holder_lhs": hold.lhs,

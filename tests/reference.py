@@ -7,9 +7,11 @@ masking flow states did before they kept only the mode box, and
 `full_array_step` the solver step on full n x n spectra from before the
 solver stepped that box as a mode vector; it takes its Fourier symbols from
 loglimit.grid, so it checks the mode-vector layout, not the symbols.  The
-majorant integrator at the end is the np.interp-based one the package's
-coefficient lookup replaced; it is kept as the reference that lookup must
-match bit for bit.
+majorant integrator is the np.interp-based one the package's coefficient
+lookup replaced; it is kept as the reference that lookup must match bit for
+bit.  `std_pruned_bmo_seminorm` at the end is the BMO scan pruned by the
+standard-deviation bound alone, from before wide levels also took the
+sub-square chord bound; the package's scan must return its float exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from loglimit.grid import (_biot_savart_multiplier, _dealias_mask, _derivative_multiplier,
                            _laplacian)
@@ -259,3 +262,87 @@ def majorant_reference(p):
             return fine
         coarse = fine
     return coarse
+
+
+# The BMO scan as it was with the standard-deviation bound as its only
+# pruning, copied verbatim but for the name: the package's scan reads fewer
+# squares and must return the same float.
+_GATHER_CELLS = 1 << 16
+_U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def std_pruned_bmo_seminorm(g) -> float:
+    """Mean oscillation sup over all dyadic squares and periodic translates.
+
+    Squares have side 2pi * 2**-j for j = 0 .. log2(n); every grid-aligned
+    translate (with wrap) is considered and the mean absolute deviation from
+    the square's own mean is maximized.  Single-cell squares oscillate by zero
+    and are skipped.  A square's mean absolute deviation is at most its
+    standard deviation (Cauchy-Schwarz), so a square whose rounding-widened
+    standard deviation cannot beat the running maximum is skipped.  Every other
+    square's deviation is computed from its cells, so the maximum is the one a
+    scan of every square computes, up to the rounding of each square's sums.
+    """
+    vals = g.values
+    if vals.min() == vals.max():
+        return 0.0  # every square of a constant oscillates by exactly zero
+    # centered, so the rounding of the s^2-term sums scales with the oscillation
+    v = vals - vals.mean()
+    best = float(np.abs(v).mean())  # full-torus square, all translates equal
+    # bounds live on w = v * 2^-e, max|w| in [1/2, 1): w^2 neither overflows nor
+    # underflows to matter, and the power-of-two scaling adds no rounding
+    e = int(np.frexp(np.abs(v).max())[1])
+    # small squares first: they are cheap to read, and on rough fields one of
+    # them holds the maximum, which then prunes nearly all larger squares
+    for s, bound in _std_bounds(np.ldexp(v, -e)).items():
+        live = np.flatnonzero(bound > np.ldexp(best, -e))
+        live = live[np.argsort(-bound[live])]
+        padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
+        chunk = max(1, _GATHER_CELLS // (s * s))
+        for start in range(0, live.size, chunk):
+            if bound[live[start]] <= np.ldexp(best, -e):
+                break  # bounds are sorted: no later square can beat best
+            best = max(best, _gathered_max(padded, s, live[start : start + chunk]))
+    return best
+
+
+def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
+    """Per level s = 2 .. n/2, flat upper bounds on the computed mean absolute
+    deviation of every wrapped s x s square of w, indexed by corner i * n + j.
+
+    Window sums of w and w^2 are built by pairwise doubling, O(n^2) per level.
+    Rounding, with u the unit roundoff and g_k = k u / (1 - k u): a window sum
+    is a pairwise sum of depth 2 log2 s, so with k = 2 log2 s + 1 (one more for
+    squaring) the window means m of w and q of w^2 come out within
+    g_k mean|w| <= g_k sqrt(q) and g_k q.  Hence the computed q - m^2 is
+    within (3 g_k + 4 u) q (1 + g_k) <= 4 (k + 1) u q of the true variance,
+    which the bound adds.  A deviation computed from the cells, in any
+    summation order, exceeds the true one (at most the standard deviation) by
+    at most g_{s^2+1} (std + 2 sqrt(q)); the relative tol = 1e-9 + 3 s^2 u
+    covers that and the rounding of the sqrt.  Underflow in w, w^2 or m^2 moves
+    a variance by at most about 2^-1072, its root by 2^-536: the absolute 2^-500
+    covers it, far below any running best (at least mean|w| >= 1/(2 n^2)).
+    """
+    n = w.shape[0]
+    s1, s2 = w, w * w
+    out = {}
+    s, depth = 1, 0
+    while 2 * s <= n // 2:
+        for axis in (0, 1):
+            s1 = s1 + np.roll(s1, -s, axis)
+            s2 = s2 + np.roll(s2, -s, axis)
+        s, depth = 2 * s, depth + 2
+        m, q = s1 / (s * s), s2 / (s * s)
+        var = np.maximum(q - m * m, 0.0) + 4 * (depth + 2) * _U * q
+        tol = 1e-9 + 3 * s * s * _U
+        out[s] = ((np.sqrt(var) + tol * np.sqrt(q)) * (1 + tol) + 2.0**-500).ravel()
+    return out
+
+
+def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
+    """Largest mean absolute deviation among the s x s squares at flat corners."""
+    n = padded.shape[0] - s + 1
+    i, j = np.divmod(corners, n)
+    blocks = sliding_window_view(padded, (s, s))[i, j].reshape(corners.size, s * s)
+    blocks -= blocks.mean(axis=1, keepdims=True)
+    return float(np.abs(blocks, out=blocks).sum(axis=1).max()) / (s * s)

@@ -5,6 +5,7 @@ import pytest
 
 import loglimit.cli
 import loglimit.inviscid
+import loglimit.logineq
 from loglimit.cli import main
 from loglimit.grid import GridSpec, save_field_csv
 from loglimit.logineq import gaussian_bump
@@ -37,6 +38,14 @@ class TestVerifyIneq:
         assert "PASS" in text
         header = (tmp_path / "trials.csv").read_text().splitlines()[0]
         assert header == "f_id,g_id,grid,lhs,bmo_f,l1_g,linf_g,bracket,ratio"
+
+    def test_repeated_size_is_error(self, capsys, monkeypatch):
+        # a repeated size adds no refinement step to the slope fit
+        monkeypatch.setattr(loglimit.logineq, "bmo_seminorm", None)  # no scan may start
+        assert main(["verify-ineq", "--sizes", "16,16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "distinct" in captured.err
+        assert "FAIL" not in captured.out
 
 
 class TestOsgood:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import loglimit.logineq
+import loglimit.norms
 from loglimit.grid import GridSpec, ScalarField
 from loglimit.logineq import (
     CORPUS_BUILDERS,
+    duality_ratio,
     dyadic_indicator,
     gaussian_bump,
     log_bracket,
@@ -226,6 +228,26 @@ class TestCorpusScan:
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError, match="at least one size"):
             scan_corpus(sizes=())
+
+    def test_repeated_size_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            scan_corpus(sizes=(16, 32, 16))
+
+    def test_one_riesz_pass_per_field(self, monkeypatch):
+        calls = []
+        transform = loglimit.norms.riesz_transform
+        monkeypatch.setattr(
+            loglimit.norms, "riesz_transform", lambda g, axis: calls.append(axis) or transform(g, axis)
+        )
+        scan = scan_corpus(sizes=(16,))
+        assert len(calls) == 2 * len(CORPUS_BUILDERS)
+        monkeypatch.undo()
+        # the Hardy norms and the chain derived from that pass are the public functions' bits
+        fields = [f for _, _, f in make_corpus(GridSpec(16))]
+        chain = [riesz_l1_chain(f)[f"c_{axis}"] for f in fields for axis in (1, 2)]
+        assert scan.chain_max_by_size[16] == max(c for c in chain if c is not None)
+        dual = [duality_ratio(f, g) for f in fields for g in fields]
+        assert scan.duality_max_by_size[16] == max(d for d in dual if d is not None)
 
     def test_constants_only_corpus_all_degenerate(self, monkeypatch):
         builders = tuple(b for b in CORPUS_BUILDERS if b[1] == "constants")

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
+from loglimit import norms
 from loglimit.flow import random_band_velocity, velocity_gradient
 from loglimit.grid import TWO_PI, GridSpec, ScalarField, csv_line
-from loglimit.logineq import CORPUS_BUILDERS, gaussian_bump, normalized_indicator
+from loglimit.logineq import CORPUS_BUILDERS, gaussian_bump, make_corpus, normalized_indicator
 from loglimit.norms import (
     NORM_CSV_HEADER,
     NormReport,
+    _chord_bounds,
     _std_bounds,
     bmo_seminorm,
     compute_norms,
@@ -28,8 +30,27 @@ from reference import (
     brute_lp_norm,
     brute_zygmund,
     random_band_limited,
+    std_pruned_bmo_seminorm,
     translate_bmo_seminorm,
 )
+
+
+# fields whose squares' computed deviations no pruning bound may undercut
+BOUND_FIELDS = [
+    lambda idx: (idx[0] + idx[1]) % 2 * 1.0,
+    lambda idx: (np.maximum(*idx) < 16) * 1.0,
+    lambda idx: np.where(idx[0] < 16, 1.0, -1.0),
+    lambda idx: 1e200 * np.random.default_rng(2).standard_normal(idx[0].shape),
+    lambda idx: 1e-200 * np.random.default_rng(2).standard_normal(idx[0].shape),
+    lambda idx: 1e8 + 1e-7 * ((idx[0] + idx[1]) % 2),
+    # every sub-square two-valued: the chord bound is exact before rounding,
+    # so without its margin it undercuts thousands of computed deviations
+    lambda idx: np.where(np.random.default_rng(3).random(idx[0].shape) < 0.3, 0.618034, -0.271828),
+]
+BOUND_FIELD_IDS = [
+    "checkerboard", "indicator", "step", "normal-1e200", "normal-1e-200", "offset-checkerboard",
+    "two-valued",
+]
 
 
 def field_of(grid, fn):
@@ -142,18 +163,7 @@ class TestBmo:
         got = bmo_seminorm(ScalarField(grid, vals))
         assert got == pytest.approx(translate_bmo_seminorm(vals), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda idx: (idx[0] + idx[1]) % 2 * 1.0,
-            lambda idx: (np.maximum(*idx) < 16) * 1.0,
-            lambda idx: np.where(idx[0] < 16, 1.0, -1.0),
-            lambda idx: 1e200 * np.random.default_rng(2).standard_normal(idx[0].shape),
-            lambda idx: 1e-200 * np.random.default_rng(2).standard_normal(idx[0].shape),
-            lambda idx: 1e8 + 1e-7 * ((idx[0] + idx[1]) % 2),
-        ],
-        ids=["checkerboard", "indicator", "step", "normal-1e200", "normal-1e-200", "offset-checkerboard"],
-    )
+    @pytest.mark.parametrize("build", BOUND_FIELDS, ids=BOUND_FIELD_IDS)
     def test_std_bound_dominates_every_square(self, build):
         # the pruning is exact only if no square's computed deviation exceeds
         # its bound; two-valued squares split 50/50 meet it to rounding
@@ -165,6 +175,60 @@ class TestBmo:
             blocks = sliding_window_view(padded, (s, s)).reshape(32 * 32, s * s)
             mad = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).mean(axis=1)
             assert np.all(bound >= np.ldexp(mad, -e))
+
+    @pytest.mark.parametrize("n, s", [(32, 16), (64, 32), (128, 16), (128, 64)])
+    @pytest.mark.parametrize("build", BOUND_FIELDS, ids=BOUND_FIELD_IDS)
+    def test_chord_bound_dominates_every_square(self, build, n, s):
+        # depths k = 1, 2, 3 (4^k sub-squares of side 8), at the top level of
+        # a grid and below it; two-valued sub-squares split 50/50 meet both
+        # the chord and the Cauchy-Schwarz term with equality
+        vals = build(np.indices((n, n)))
+        v = vals - vals.mean()
+        e = int(np.frexp(np.abs(v).max())[1])
+        bound = _chord_bounds(np.ldexp(v, -e), s).reshape(n, n)
+        padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
+        for i, row in enumerate(sliding_window_view(padded, (s, s))[:n]):
+            blocks = row.reshape(n, s * s)
+            mad = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).mean(axis=1)
+            assert np.all(bound[i] >= np.ldexp(mad, -e))
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_corpus_bits_match_std_pruned_scan(self, n):
+        for fid, _, f in make_corpus(GridSpec(n)):
+            assert bmo_seminorm(f) == std_pruned_bmo_seminorm(f), fid
+
+    @pytest.mark.parametrize(
+        "n, build",
+        [(64, lambda grid, i=i: velocity_gradient(random_band_velocity(grid, seed=42))[i].values)
+         for i in range(4)]
+        + [
+            (64, lambda grid: random_band_limited(64, 8, seed=5)),
+            (128, lambda grid: random_band_limited(128, 2, seed=6)),
+            (128, lambda grid: random_band_limited(128, 3, seed=7)),
+            (64, lambda grid: np.random.default_rng(8).standard_normal(grid.shape)),
+            (64, lambda grid: 1e6 + np.random.default_rng(9).standard_normal(grid.shape)),
+        ],
+        ids=["d1u1", "d2u1", "d1u2", "d2u2", "64-band8", "128-band2", "128-band3",
+             "64-normal", "64-normal-plus-1e6"],
+    )
+    def test_bits_match_std_pruned_scan(self, n, build):
+        f = ScalarField(GridSpec(n), build(GridSpec(n)))
+        assert bmo_seminorm(f) == std_pruned_bmo_seminorm(f)
+
+    @pytest.mark.parametrize("fid, std_reads", [("gauss_wide", 5584), ("log_cap", 4912)])
+    def test_chord_bound_prunes_top_level(self, monkeypatch, fid, std_reads):
+        # squares read at s = 64 of n = 128 when the std bound alone prunes: std_reads
+        reads = []
+        gathered = norms._gathered_max
+
+        def counting(padded, s, corners):
+            reads.append(corners.size if s == 64 else 0)
+            return gathered(padded, s, corners)
+
+        monkeypatch.setattr(norms, "_gathered_max", counting)
+        field = {i: f for i, _, f in make_corpus(GridSpec(128))}[fid]
+        assert bmo_seminorm(field) == std_pruned_bmo_seminorm(field)
+        assert 0 < sum(reads) <= std_reads / 4
 
 
 class TestHardy:

@@ -38,6 +38,13 @@ class TestConfig:
 
 
 class TestTruncateSplit:
+    def test_remainder_matches_split(self):
+        alpha = ScalarField(GridSpec(32), 6 * random_band_limited(32, 6, seed=4))
+        for m in (1.01, 2.0, 5.5):
+            cfg = SplitConfig(threshold=m)
+            _, alpha_r = truncate_split(alpha, cfg)
+            assert np.array_equal(splitting.truncation_remainder(alpha, cfg).values, alpha_r.values)
+
     def test_below_threshold_remainder_vanishes(self, grid16):
         f = ScalarField(grid16, 0.5 * np.ones(grid16.shape))
         _, alpha_r = truncate_split(f, SplitConfig(threshold=2.0))
@@ -193,11 +200,33 @@ class TestRoundingSlack:
 class TestSweep:
     def test_one_split_per_threshold(self, grid32, monkeypatch):
         calls = []
-        split = splitting.truncate_split
-        monkeypatch.setattr(splitting, "truncate_split", lambda a, c: calls.append(c) or split(a, c))
+        remainder = splitting.truncation_remainder
+        monkeypatch.setattr(
+            splitting, "truncation_remainder", lambda a, c: calls.append(c) or remainder(a, c)
+        )
+        monkeypatch.setattr(splitting, "truncate_split", None)  # alpha_m is never built
         thresholds = np.geomspace(1.1, 12.0, 7)
         threshold_sweep(5.0 * gaussian_bump(grid32, np.pi / 5), 1.0, thresholds)
         assert [c.threshold for c in calls] == thresholds.tolist()
+
+    def test_one_norm_per_field(self, grid32, monkeypatch):
+        # the Chebyshev norm once, then one remainder norm per threshold
+        calls = []
+        exact = splitting.lp_norm
+        monkeypatch.setattr(splitting, "lp_norm", lambda f, p: calls.append(p) or exact(f, p))
+        threshold_sweep(5.0 * gaussian_bump(grid32, np.pi / 5), 1.0, np.geomspace(1.1, 12.0, 20))
+        assert len(calls) == 21
+
+    def test_rows_match_single_checks(self, grid32):
+        alpha = 5.0 * gaussian_bump(grid32, np.pi / 5)
+        thresholds = np.geomspace(1.1, 12.0, 20)
+        for sigma in (0.5, 1.0, 3.3):
+            for m, row in zip(thresholds, threshold_sweep(alpha, sigma, thresholds)):
+                cfg = SplitConfig(threshold=float(m), sigma=sigma)
+                cheb = chebyshev_support_bound(alpha, cfg)
+                hold = holder_remainder_bound(alpha, cfg)
+                assert (row["measured_support"], row["cheb_bound"]) == (cheb.measured_support, cheb.bound)
+                assert (row["holder_lhs"], row["holder_rhs"]) == (hold.lhs, hold.rhs)
 
     def test_rows_and_satisfaction(self, grid32):
         alpha = 5.0 * gaussian_bump(grid32, np.pi / 5)
