@@ -2,7 +2,8 @@
 
 Subcommands: norms, verify-ineq, osgood, split, simulate, sweep, rate-fit.
 The process exits with status 0 exactly when every inequality the invoked
-command asserts holds, and 1 otherwise.
+command asserts holds, 1 when one fails, and 2 on an input it rejects.
+`python -m loglimit` runs it too.
 
 `simulate` and `sweep` read a structured text config of `key = value` lines
 (# starts a comment).  Both accept exactly the keys grid, nu (comma list for
@@ -79,6 +80,8 @@ def _cmd_osgood(args) -> int:
     problem = osgood.OsgoodProblem.constant(
         M=args.f_const, nu=args.nu, horizon=args.T, g=args.g_const, g0=args.g0_const
     )
+    if problem.nu >= 1:
+        raise ValueError("the closed-form envelope requires nu < 1")
     traj = osgood.integrate_majorant(problem)
     log_bounds = np.array([osgood.log_gronwall_bound(problem, t) for t in traj.times])
     if args.out:

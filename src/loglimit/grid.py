@@ -340,10 +340,17 @@ def load_field_csv(path: str | Path) -> ScalarField:
     """Read a field written by save_field_csv; rows must follow row-major grid order."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != FIELD_CSV_HEADER:
-            raise ValueError(f"expected header {FIELD_CSV_HEADER}, got {header}")
-        rows = np.array([[float(c) for c in row] for row in reader]).reshape(-1, 3)
+            raise ValueError(f"expected header {FIELD_CSV_HEADER}, got {header or 'an empty file'}")
+        cells = []
+        for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num} has {len(row)} cells, expected 3")
+            cells.append([float(c) for c in row])
+    if not cells:
+        raise ValueError("no data rows after the header")
+    rows = np.array(cells)
     n = round(len(rows) ** 0.5)
     if n * n != len(rows):
         raise ValueError(f"row count {len(rows)} is not a perfect square")

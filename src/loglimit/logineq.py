@@ -114,6 +114,10 @@ CORPUS_BUILDERS = (
 )
 
 
+# ind_sixteenth is a dyadic square of level 4: grids need 2**4 points per axis
+MIN_CORPUS_GRID = 16
+
+
 def make_corpus(grid: GridSpec) -> list[tuple[str, str, ScalarField]]:
     """Deterministic (id, family, field) list of the fixed corpus."""
     return [(fid, family, build(grid)) for fid, family, build in CORPUS_BUILDERS]
@@ -147,6 +151,18 @@ class IneqTrial:
     ratio: float | None
     degenerate: bool
 
+    @classmethod
+    def of(cls, f_id: str, g_id: str, grid_points: int, lhs: float, bmo_f: float,
+           l1_g: float, linf_g: float) -> IneqTrial:
+        """Trial of lhs = |int f g| against bmo_f * l1_g * log_bracket(l1_g, linf_g); a zero
+        right-hand factor (e.g. g == 0 or constant f) is degenerate and has ratio None."""
+        bracket = log_bracket(l1_g, linf_g)
+        rhs_factor = bmo_f * l1_g * bracket
+        degenerate = rhs_factor == 0.0
+        ratio = None if degenerate else lhs / rhs_factor
+        return cls(f_id, g_id, grid_points, lhs, bmo_f, l1_g, linf_g, bracket, rhs_factor, ratio,
+                   degenerate)
+
 
 def pairing(f: ScalarField, g: ScalarField) -> float:
     """Quadrature of integral f * g."""
@@ -155,51 +171,31 @@ def pairing(f: ScalarField, g: ScalarField) -> float:
     return float(np.sum(f.values * g.values) * f.grid.cell_volume)
 
 
-def verify_main_inequality(
-    f: ScalarField,
-    g: ScalarField,
-    f_id: str = "f",
-    g_id: str = "g",
-    bmo_f: float | None = None,
-) -> IneqTrial:
-    """Empirical trial of |int f g| against ||f||_BMO ||g||_L1 [|ln..| + ln(1+..)].
-
-    Degenerate trials (zero right-hand factor, e.g. g == 0 or constant f)
-    carry ratio None.
-    """
-    lhs = abs(pairing(f, g))
-    bmo = bmo_seminorm(f) if bmo_f is None else bmo_f
-    l1g = lp_norm(g, 1)
-    linfg = lp_norm(g, np.inf)
-    bracket = log_bracket(l1g, linfg)
-    rhs_factor = bmo * l1g * bracket
-    degenerate = rhs_factor == 0.0
-    ratio = None if degenerate else lhs / rhs_factor
-    return IneqTrial(
-        f_id, g_id, f.grid.points_per_axis, lhs, bmo, l1g, linfg, bracket, rhs_factor, ratio, degenerate
-    )
+def verify_main_inequality(f: ScalarField, g: ScalarField, f_id: str = "f",
+                           g_id: str = "g") -> IneqTrial:
+    """Empirical trial of |int f g| against ||f||_BMO ||g||_L1 [|ln..| + ln(1+..)]."""
+    return IneqTrial.of(f_id, g_id, f.grid.points_per_axis, abs(pairing(f, g)), bmo_seminorm(f),
+                        lp_norm(g, 1), lp_norm(g, np.inf))
 
 
-def duality_ratio(f: ScalarField, g: ScalarField, bmo_f: float | None = None,
-                  hardy_g: float | None = None) -> float | None:
+def _duality_constant(lhs: float, bmo_f: float, hardy_g: float) -> float | None:
+    """lhs / (bmo_f * hardy_g), None if the denominator vanishes."""
+    denom = bmo_f * hardy_g
+    return None if denom == 0.0 else lhs / denom
+
+
+def duality_ratio(f: ScalarField, g: ScalarField) -> float | None:
     """Empirical constant of |int f g| <= C * ||f||_BMO * ||g||_H1 (None if degenerate)."""
-    bmo = bmo_seminorm(f) if bmo_f is None else bmo_f
-    hardy = hardy_norm(g) if hardy_g is None else hardy_g
-    denom = bmo * hardy
-    if denom == 0.0:
-        return None
-    return abs(pairing(f, g)) / denom
+    return _duality_constant(abs(pairing(f, g)), bmo_seminorm(f), hardy_norm(g))
 
 
 def riesz_l1_chain(g: ScalarField) -> dict:
     """Both sides of ||R_k g||_L1 <= c ||g||_L1 (1 + 2 ln(||g||_oo + 1) + |ln ||g||_L1|)."""
-    return _riesz_l1_chain(g, riesz_l1(g))
+    return _riesz_l1_chain(riesz_l1(g), lp_norm(g, 1), lp_norm(g, np.inf))
 
 
-def _riesz_l1_chain(g: ScalarField, riesz: tuple[float, float]) -> dict:
-    """riesz_l1_chain of g given riesz_l1(g)."""
-    l1g = lp_norm(g, 1)
-    linfg = lp_norm(g, np.inf)
+def _riesz_l1_chain(riesz: tuple[float, float], l1g: float, linfg: float) -> dict:
+    """riesz_l1_chain of g from riesz_l1(g), ||g||_L1 and ||g||_Linf."""
     rhs = l1g * (1.0 + 2.0 * math.log1p(linfg) + (abs(math.log(l1g)) if l1g > 0 else 0.0))
     out = {"rhs_factor": rhs, "l1": l1g, "linf": linfg}
     for axis, lhs in zip((1, 2), riesz):
@@ -312,53 +308,56 @@ class CorpusScan:
         ))
 
 
+def _max_defined(values) -> float:
+    """Largest value that is not None, 0.0 if there is none."""
+    return max([0.0] + [v for v in values if v is not None])
+
+
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     """Deterministically enumerate all (f, g, size) trials over the corpus.
 
-    The BMO norm and both Riesz L1 norms are computed once per (field, size);
-    the Hardy norms and the Riesz chain derive from the latter, and the norms
-    are passed to verify_main_inequality and duality_ratio.  The trial table
-    order is the enumeration order regardless of any ambient parallelism.
-    Sizes must be distinct: a repeated size would add no refinement step to
-    the slope fits.
+    Per size, each field's BMO norm, Riesz L1 pair, Hardy norm (from that
+    pair), L1 and Linf norms are computed once, and so is each pairing
+    |int f g|.  The trial rows, duality ratios and Riesz-chain constants are
+    the formulas verify_main_inequality, duality_ratio and riesz_l1_chain
+    apply to those numbers.  Sizes must be distinct (a repeated size adds no
+    refinement step to the slope fits) and at least MIN_CORPUS_GRID.
     """
     if len(sizes) == 0:
         raise ValueError("scan requires at least one size")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"scan sizes must be distinct, got {tuple(sizes)}")
+    if min(sizes) < MIN_CORPUS_GRID:
+        raise ValueError(f"scan sizes must be at least {MIN_CORPUS_GRID} (the corpus's "
+                         f"ind_sixteenth is a level-4 dyadic square), got {tuple(sizes)}")
+    grids = [GridSpec(n) for n in sizes]  # every size is checked before any scan
     trials: list[IneqTrial] = []
-    max_by_size: dict[int, float] = {}
     max_by_family: dict[str, float] = {}
-    duality_by_size: dict[int, float] = {}
-    chain_by_size: dict[int, float] = {}
-    for n in sizes:
-        grid = GridSpec(n)
-        fields = [(fid, fam, build(grid)) for fid, fam, build in CORPUS_BUILDERS]
-        bmo = {fid: bmo_seminorm(fld) for fid, _, fld in fields}
-        riesz = {fid: riesz_l1(fld) for fid, _, fld in fields}
-        hardy = {fid: _hardy_norm(fld, riesz[fid]) for fid, _, fld in fields}
-        best = 0.0
-        best_dual = 0.0
-        best_chain = 0.0
-        for fid, fam, f in fields:
-            for gid, _, g in fields:
-                trial = verify_main_inequality(f, g, fid, gid, bmo_f=bmo[fid])
-                trials.append(trial)
-                if trial.ratio is not None:
-                    best = max(best, trial.ratio)
-                    max_by_family[fam] = max(max_by_family.get(fam, 0.0), trial.ratio)
-                dual = duality_ratio(f, g, bmo_f=bmo[fid], hardy_g=hardy[gid])
-                if dual is not None:
-                    best_dual = max(best_dual, dual)
-        for fid, _, fld in fields:
-            chain = _riesz_l1_chain(fld, riesz[fid])
-            for axis in (1, 2):
-                c = chain[f"c_{axis}"]
-                if c is not None:
-                    best_chain = max(best_chain, c)
-        max_by_size[n] = best
-        duality_by_size[n] = best_dual
-        chain_by_size[n] = best_chain
+    max_by_size, duality_by_size, chain_by_size = {}, {}, {}
+    for n, grid in zip(sizes, grids):
+        fields = make_corpus(grid)
+        # the BMO scans all run before the Riesz FFTs: interleaved, they raised
+        # the process's peak RSS by ~0.07 MB (verify_ineq benchmark, n <= 128)
+        bmo = [bmo_seminorm(fld) for _, _, fld in fields]
+        g_norms, chain = [], []  # per field: (Hardy, L1, Linf) norms; chain constants
+        for _, _, fld in fields:
+            riesz = riesz_l1(fld)
+            l1, linf = lp_norm(fld, 1), lp_norm(fld, np.inf)
+            g_norms.append((_hardy_norm(fld, riesz), l1, linf))
+            rec = _riesz_l1_chain(riesz, l1, linf)
+            chain += [rec["c_1"], rec["c_2"]]
+        rows, dual = [], []
+        for (fid, fam, f), bmo_f in zip(fields, bmo):
+            for (gid, _, g), (hardy_g, l1_g, linf_g) in zip(fields, g_norms):
+                lhs = abs(pairing(f, g))
+                rows.append(IneqTrial.of(fid, gid, n, lhs, bmo_f, l1_g, linf_g))
+                dual.append(_duality_constant(lhs, bmo_f, hardy_g))
+                if rows[-1].ratio is not None:
+                    max_by_family[fam] = max(max_by_family.get(fam, 0.0), rows[-1].ratio)
+        trials += rows
+        max_by_size[n] = _max_defined(t.ratio for t in rows)
+        duality_by_size[n] = _max_defined(dual)
+        chain_by_size[n] = _max_defined(chain)
     return CorpusScan(
         sizes=tuple(sizes),
         trials=tuple(trials),

@@ -64,8 +64,10 @@ class OsgoodProblem:
             if not np.all(np.isfinite(arr)) or arr.min() < 0:
                 raise ValueError(f"{name} samples must be finite and nonnegative")
             object.__setattr__(self, name, arr)
-        if not (self.nu > 0):
-            raise ValueError("nu must be positive (the majorant starts at y(0) = nu)")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(
+                f"nu must be finite and positive (the majorant starts at y(0) = nu), got {self.nu}"
+            )
         # the forcing g + nu * g0**2 must stay finite wherever it is looked up;
         # the margin covers interpolants that round above the largest knot,
         # and float products (unlike Python's float **) overflow to inf quietly
@@ -90,6 +92,8 @@ class OsgoodProblem:
         g: float = 0.0,
         g0: float = 0.0,
     ) -> "OsgoodProblem":
+        if not 0 < horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {horizon}")
         t = np.linspace(0.0, horizon, 65)
         ones = np.ones_like(t)
         return cls(t, M * ones, g * ones, g0 * ones, nu)

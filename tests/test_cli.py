@@ -1,11 +1,17 @@
 """Command-line interface: subcommands, file formats, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import loglimit.cli
 import loglimit.inviscid
 import loglimit.logineq
+import loglimit.osgood
 from loglimit.cli import main
 from loglimit.grid import GridSpec, save_field_csv
 from loglimit.logineq import gaussian_bump
@@ -30,6 +36,22 @@ class TestNorms:
         assert main(["norms", "/nonexistent/field.csv"]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("x1,x2,value\n", "no data rows"),
+    ("x1,x2,value\n0,0\n", "line 2 has 2 cells, expected 3"),
+], ids=["empty", "header-only", "short-row"])
+@pytest.mark.parametrize("command", [["norms", "{field}"], ["split", "--field", "{field}"]],
+                         ids=["norms", "split"])
+def test_malformed_field_csv_is_error(command, text, message, tmp_path, capsys):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    assert main([a.format(field=path) for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
 class TestVerifyIneq:
     def test_small_sizes_pass(self, tmp_path, capsys):
         out = str(tmp_path / "trials.csv")
@@ -47,6 +69,14 @@ class TestVerifyIneq:
         assert captured.err.startswith("error: ") and "distinct" in captured.err
         assert "FAIL" not in captured.out
 
+    def test_size_below_corpus_minimum_is_error(self, capsys, monkeypatch):
+        # the corpus's level-4 dyadic indicator needs 16 points per axis
+        monkeypatch.setattr(loglimit.logineq, "bmo_seminorm", None)  # no scan may start
+        assert main(["verify-ineq", "--sizes", "64,8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "at least 16" in captured.err
+        assert captured.out == ""
+
 
 class TestOsgood:
     def test_trajectory_csv_and_domination(self, tmp_path, capsys):
@@ -59,6 +89,19 @@ class TestOsgood:
 
     def test_nu_above_one_is_error(self, capsys):
         assert main(["osgood", "--f-const", "1.0", "--nu", "1.5", "--T", "1"]) == 2
+
+    @pytest.mark.parametrize("nu, T, message", [
+        ("1e-3", "inf", "horizon must be finite"),
+        ("1e-3", "nan", "horizon must be finite"),
+        ("inf", "1", "nu must be finite"),
+        ("1", "1", "requires nu < 1"),
+    ], ids=["T-inf", "T-nan", "nu-inf", "nu-one"])
+    def test_bad_input_is_error_before_integrating(self, nu, T, message, capsys, monkeypatch):
+        monkeypatch.setattr(loglimit.osgood, "integrate_majorant", None)  # nothing may integrate
+        assert main(["osgood", "--f-const", "1.0", "--nu", nu, "--T", T]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
 
     def test_overflowing_forcing_is_error(self, capsys):
         argv = ["osgood", "--f-const", "1", "--nu", "1e-2", "--T", "1", "--g0-const", "1e200"]
@@ -181,3 +224,13 @@ class TestSweepAndRateFit:
         gaps.write_text("\n".join(rows) + "\n")
         assert main(["rate-fit", str(gaps)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+def test_python_m_loglimit_runs_the_cli():
+    src = str(Path(loglimit.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "loglimit", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: loglimit") and "verify-ineq" in proc.stdout

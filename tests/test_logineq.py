@@ -26,7 +26,7 @@ from loglimit.logineq import (
     verify_zygmund_estimate,
     zygmund_family_scan,
 )
-from loglimit.norms import bmo_seminorm, lp_norm
+from loglimit.norms import lp_norm
 
 
 class TestMainInequality:
@@ -48,11 +48,10 @@ class TestMainInequality:
     def test_step_against_shrinking_indicators(self, grid64):
         # the bracket grows like |ln eps| while the ratio stays bounded
         f = ScalarField.from_function(grid64, lambda a, b: np.where(a < np.pi, 1.0, -1.0))
-        bmo_f = bmo_seminorm(f)
         ratios, brackets = [], []
         for level in range(1, 6):
             g = dyadic_indicator(grid64, level)
-            trial = verify_main_inequality(f, g, bmo_f=bmo_f)
+            trial = verify_main_inequality(f, g)
             assert not trial.degenerate
             ratios.append(trial.ratio)
             brackets.append(trial.bracket)
@@ -67,12 +66,11 @@ class TestMainInequality:
         for n in (32, 64, 128):
             grid = GridSpec(n)
             f = truncated_log(grid)
-            bmo_f = bmo_seminorm(f)
             center_square = normalized_indicator(grid, 0.1)
             # recenter the bump onto the singularity by rolling values
             shift = n // 2
             g = ScalarField(grid, np.roll(center_square.values, (shift, shift), axis=(0, 1)))
-            trial = verify_main_inequality(f, g, bmo_f=bmo_f)
+            trial = verify_main_inequality(f, g)
             maxima.append(trial.ratio)
         assert maxima[2] <= maxima[1] * 1.05 + 1e-12
         assert maxima[1] <= maxima[0] * 1.05 + 1e-12
@@ -81,7 +79,6 @@ class TestMainInequality:
         # s g crosses ||.||_L1 = 1; the bracket never vanishes and the ratio
         # moves continuously
         f = ScalarField.from_function(grid32, lambda a, b: np.cos(a) * np.cos(b))
-        bmo_f = bmo_seminorm(f)
         g0 = gaussian_bump(grid32, np.pi / 8)
         l1 = lp_norm(g0, 1)
 
@@ -89,7 +86,7 @@ class TestMainInequality:
             scales = np.geomspace(0.1, 10.0, points) / l1
             ratios = []
             for s in scales:
-                trial = verify_main_inequality(f, g0 * s, bmo_f=bmo_f)
+                trial = verify_main_inequality(f, g0 * s)
                 assert not trial.degenerate
                 ratios.append(trial.ratio)
             ratios = np.array(ratios)
@@ -248,6 +245,37 @@ class TestCorpusScan:
         assert scan.chain_max_by_size[16] == max(c for c in chain if c is not None)
         dual = [duality_ratio(f, g) for f in fields for g in fields]
         assert scan.duality_max_by_size[16] == max(d for d in dual if d is not None)
+
+    def test_size_below_corpus_minimum_rejected(self):
+        with pytest.raises(ValueError, match="at least 16"):
+            scan_corpus(sizes=(64, 8))
+
+    def test_one_norm_pair_and_pairing_each(self, monkeypatch):
+        calls = {"pairing": 0, "lp_norm": 0}
+
+        def counted(name):
+            inner = getattr(loglimit.logineq, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(loglimit.logineq, name, counted(name))
+        scan_corpus(sizes=(16,))
+        n_fields = len(CORPUS_BUILDERS)
+        assert calls == {"pairing": n_fields**2, "lp_norm": 2 * n_fields}  # L1 and Linf per field
+
+    def test_trials_equal_the_public_trial(self):
+        sizes = (16, 32)
+        scan = scan_corpus(sizes=sizes)
+        expected = []
+        for n in sizes:
+            corpus = make_corpus(GridSpec(n))
+            expected += [verify_main_inequality(f, g, fid, gid)
+                         for fid, _, f in corpus for gid, _, g in corpus]
+        assert list(scan.trials) == expected
 
     def test_constants_only_corpus_all_degenerate(self, monkeypatch):
         builders = tuple(b for b in CORPUS_BUILDERS if b[1] == "constants")

@@ -73,6 +73,18 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             OsgoodProblem(t, np.ones(3), np.zeros(3), np.zeros(3), 0.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, math.nan])
+    def test_nu_must_be_finite(self, nu):
+        t = np.linspace(0, 1, 3)
+        with pytest.raises(ValueError, match="nu must be finite and positive"):
+            OsgoodProblem(t, np.ones(3), np.zeros(3), np.zeros(3), nu)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_constant_horizon_must_be_finite_and_positive(self, horizon):
+        # checked before the time grid is built: linspace to inf warns
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            OsgoodProblem.constant(1.0, 0.1, horizon)
+
     def test_overflowing_forcing_rejected(self):
         # g0^2 = 1e400 overflows a float; the lookup would raise OverflowError
         with pytest.raises(ValueError, match="overflows"):
