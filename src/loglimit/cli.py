@@ -7,9 +7,13 @@ command asserts holds, 1 when one fails, and 2 on an input it rejects.
 
 `simulate` and `sweep` read a structured text config of `key = value` lines
 (# starts a comment).  Both accept exactly the keys grid, nu (comma list for
-sweep), T, cfl, ic, seed (used by ic = random), stride, samples, sigma and
-out; any other key is an error (exit status 2), as is a sweep whose
-viscosities collide on one run directory name (nu_<nu:.1e>).
+sweep), T, cfl, ic, stride, samples, sigma and out; ic takes the ids of
+inviscid.initial_condition as written (taylor_green, two_mode, zero,
+random_<seed>).  An unknown key, a key set twice, a value that does not
+convert and a sweep whose viscosities collide on one run directory name
+(nu_<nu:.1e>) are errors (exit status 2).  So is a gaps.csv that `rate-fit`
+cannot take as a GapSeries (a malformed CSV, a nan sup gap, a repeated nu,
+rows that disagree on M or theory_exponent).
 """
 
 from __future__ import annotations
@@ -26,17 +30,21 @@ from .flow import SolverConfig, run
 from .grid import GridSpec, csv_line, load_field_csv, write_csv
 from .norms import NORM_CSV_HEADER, compute_norms
 
-_COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "seed": "42",
-                    "stride": "1", "sigma": "1.0"}
+_COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "stride": "1",
+                    "sigma": "1.0"}
 _SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "0.0", "T": "1.0", "samples": "1",
                       "out": "run_output"}
 _SWEEP_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "1e-1,1e-2,1e-3", "T": "0.5", "samples": "100",
                    "out": "sweep_output"}
+# the solver keys of both configs: config key -> (ExperimentConfig field, type)
+_SOLVER_KEYS = {"grid": ("grid_points", int), "T": ("horizon", float), "cfl": ("cfl", float),
+                "stride": ("output_stride", int), "samples": ("min_samples", int),
+                "sigma": ("sigma", float)}
 
 
 def _load_config(path: str, defaults: dict) -> dict:
-    """Config values over `defaults`, rejecting keys it lacks; ic = random becomes random_<seed>."""
-    out = dict(defaults)
+    """Config values over `defaults`, rejecting keys it lacks and keys set twice."""
+    given = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,10 +54,29 @@ def _load_config(path: str, defaults: dict) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}; expected one of {', '.join(defaults)}")
-        out[key] = val
-    if out["ic"] == "random":
-        out["ic"] = f"random_{out['seed']}"
-    return out
+        if key in given:
+            raise ValueError(f"config key {key!r} is set twice")
+        given[key] = val
+    return {**defaults, **given}
+
+
+def _value(conf: dict, key: str, convert):
+    try:
+        return convert(conf[key])
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} = {conf[key]!r}: {exc}") from None
+
+
+def _solver_settings(conf: dict) -> dict:
+    """The solver keys of a loaded config, converted, as ExperimentConfig fields."""
+    return {field: _value(conf, key, kind) for key, (field, kind) in _SOLVER_KEYS.items()}
+
+
+def _sweep_config(path: str) -> inviscid.ExperimentConfig:
+    conf = _load_config(path, _SWEEP_DEFAULTS)
+    nus = _value(conf, "nu", lambda text: tuple(float(v) for v in text.split(",")))
+    return inviscid.ExperimentConfig(nu_list=nus, initial_condition_id=conf["ic"],
+                                     output_dir=conf["out"], **_solver_settings(conf))
 
 
 def _cmd_norms(args) -> int:
@@ -118,16 +145,9 @@ def _cmd_split(args) -> int:
 
 def _cmd_simulate(args) -> int:
     conf = _load_config(args.config, _SIMULATE_DEFAULTS)
-    grid = GridSpec(int(conf["grid"]))
-    cfg = SolverConfig(
-        grid=grid,
-        nu=float(conf["nu"]),
-        horizon=float(conf["T"]),
-        cfl=float(conf["cfl"]),
-        output_stride=int(conf["stride"]),
-        min_samples=int(conf["samples"]),
-        sigma=float(conf["sigma"]),
-    )
+    settings = _solver_settings(conf)
+    grid = GridSpec(settings.pop("grid_points"))
+    cfg = SolverConfig(grid=grid, nu=_value(conf, "nu", float), **settings)
     result = run(inviscid.initial_condition(grid, conf["ic"]), cfg)
     inviscid.write_run(result, Path(conf["out"]))
     e = result.series.energy
@@ -139,19 +159,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    conf = _load_config(args.config, _SWEEP_DEFAULTS)
-    cfg = inviscid.ExperimentConfig(
-        grid_points=int(conf["grid"]),
-        horizon=float(conf["T"]),
-        nu_list=tuple(float(v) for v in conf["nu"].split(",")),
-        sigma=float(conf["sigma"]),
-        initial_condition_id=conf["ic"],
-        cfl=float(conf["cfl"]),
-        min_samples=int(conf["samples"]),
-        output_stride=int(conf["stride"]),
-        output_dir=conf["out"],
-    )
-    result = inviscid.run_sweep(cfg)
+    result = inviscid.run_sweep(_sweep_config(args.config))
     series = result.series
     print(f"M = {series.M:.6g}, theory exponent = {series.theory_exponent:.6g}")
     for nu, sup in zip(series.nu, series.sup_gap):
@@ -166,19 +174,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_rate_fit(args) -> int:
-    data = np.genfromtxt(args.gaps, delimiter=",", names=True)
-    nu = np.atleast_1d(data["nu"])
-    sup = np.atleast_1d(data["sup_gap"])
-    order = np.argsort(nu)[::-1]
-    nu, sup = nu[order], sup[order]
-    series = inviscid.GapSeries(
-        nu=nu,
-        sup_gap=sup,
-        M=float(np.atleast_1d(data["M"])[0]),
-        theory_exponent=float(np.atleast_1d(data["theory_exponent"])[0]),
-        fitted_exponent=inviscid.fit_exponent(nu, sup),
-    )
-    rate = inviscid.verify_rate(series)
+    rate = inviscid.verify_rate(inviscid.load_gap_series(args.gaps))
     print(f"rho = {rate.rho:.6f}, theory exponent = {rate.theory_exponent:.6g}, "
           f"C_fit = {rate.c_fit:.6g}")
     for nu_v, sup_v, bound in rate.violations:

@@ -16,9 +16,9 @@ row-major order (`_pack_dealiased`), and `_unpack_dealiased` scatters such a
 vector back into an n x n spectrum.
 
 It also owns the CSV format of every file the package writes (`csv_line`,
-`write_csv`): a header row, comma-separated cells, numbers at 17 significant
-digits (so floats round-trip bit for bit), an empty cell for None, and
-lines that end in a bare newline.
+`write_csv`) and reads (`read_csv`): a header row, comma-separated cells,
+numbers at 17 significant digits (so floats round-trip bit for bit), an
+empty cell for None, and lines that end in a bare newline.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
@@ -336,21 +336,35 @@ def save_field_csv(field: ScalarField, path: str | Path) -> None:
               zip(x1.ravel().tolist(), x2.ravel().tolist(), field.values.ravel().tolist()))
 
 
-def load_field_csv(path: str | Path) -> ScalarField:
-    """Read a field written by save_field_csv; rows must follow row-major grid order."""
+def read_csv(path: str | Path, header) -> np.ndarray:
+    """The data rows of a CSV with the given header row, one float per cell:
+    an array of shape (rows, len(header)).  A file without that header,
+    without a data row, or with a row of another width or a cell that is not
+    a number is an error naming the line."""
+    header = tuple(header)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != FIELD_CSV_HEADER:
-            raise ValueError(f"expected header {FIELD_CSV_HEADER}, got {header or 'an empty file'}")
-        cells = []
+        got = tuple(next(reader, ()))
+        if got != header:
+            raise ValueError(f"expected header {header}, got {got or 'an empty file'}")
+        rows = []
         for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"line {reader.line_num} has {len(row)} cells, expected 3")
-            cells.append([float(c) for c in row])
-    if not cells:
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num} has {len(row)} cells, expected {len(header)}")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise ValueError(f"line {reader.line_num} has a cell that is not a number: "
+                                 f"{row}") from None
+    if not rows:
         raise ValueError("no data rows after the header")
-    rows = np.array(cells)
+    return np.array(rows)
+
+
+def load_field_csv(path: str | Path) -> ScalarField:
+    """Read a field written by save_field_csv; rows must follow row-major grid order."""
+    rows = read_csv(path, FIELD_CSV_HEADER)
     n = round(len(rows) ** 0.5)
     if n * n != len(rows):
         raise ValueError(f"row count {len(rows)} is not a perfect square")

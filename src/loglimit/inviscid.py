@@ -28,7 +28,7 @@ from .flow import (
     two_mode_velocity,
     velocity_gradient,
 )
-from .grid import GridSpec, ScalarField, VectorField, save_field_csv, write_csv
+from .grid import GridSpec, ScalarField, VectorField, read_csv, save_field_csv, write_csv
 from .osgood import MajorizationReport, OsgoodProblem, check_majorization
 from .splitting import SplitConfig, truncation_remainder
 
@@ -40,8 +40,9 @@ def initial_condition(grid: GridSpec, ic_id: str) -> VectorField:
         return taylor_green_velocity(grid)
     if ic_id == "two_mode":
         return two_mode_velocity(grid)
-    if ic_id.startswith("random_"):
-        return random_band_velocity(grid, seed=int(ic_id.split("_", 1)[1]))
+    seed = ic_id.removeprefix("random_")
+    if ic_id.startswith("random_") and seed.isdecimal():
+        return random_band_velocity(grid, seed=int(seed))
     if ic_id == "zero":
         return taylor_green_velocity(grid, amplitude=0.0)
     raise ValueError(f"unknown initial condition {ic_id!r}")
@@ -90,13 +91,34 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class GapSeries:
-    """Measured sup-gaps across a viscosity sweep plus the rate ingredients."""
+    """Measured sup-gaps across a viscosity sweep plus the rate ingredients.
+
+    Checked where it is built, by run_sweep and load_gap_series alike: nu
+    lies in (0, 1) and strictly decreases, each nu has one finite sup gap
+    >= 0, M is finite and >= 0, and the theory exponent lies in [0, 1] (it
+    is 0.0 once exp(-2 M T) underflows).  An empty series, left by a sweep
+    whose first viscous run blew up, is valid."""
 
     nu: np.ndarray
     sup_gap: np.ndarray
     M: float
     theory_exponent: float
     fitted_exponent: float | None
+
+    def __post_init__(self) -> None:
+        # written so that nan fails each test, as it fails every comparison
+        nu = np.asarray(self.nu, dtype=float)
+        sup = np.asarray(self.sup_gap, dtype=float)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "sup_gap", sup)
+        if nu.ndim != 1 or not np.all((0 < nu) & (nu < 1)) or np.any(np.diff(nu) >= 0):
+            raise ValueError(f"gap series nu must lie in (0, 1) and strictly decrease, got {nu}")
+        if sup.shape != nu.shape or not np.all((0 <= sup) & (sup < math.inf)):
+            raise ValueError(f"gap series needs one finite sup gap >= 0 per nu, got {sup}")
+        if not 0 <= self.M < math.inf:
+            raise ValueError(f"gap series M must be finite and nonnegative, got {self.M}")
+        if not 0 <= self.theory_exponent <= 1:
+            raise ValueError(f"theory exponent must lie in [0, 1], got {self.theory_exponent}")
 
     @property
     def monotone(self) -> bool:
@@ -189,6 +211,18 @@ def persist_sweep(result: SweepResult, outdir: Path) -> None:
         write_run(res, outdir / run_label(nu))
 
 
+def load_gap_series(path: str | Path) -> GapSeries:
+    """The GapSeries of a gaps.csv that persist_sweep wrote, rows in any nu
+    order; every row must carry the same M and theory exponent."""
+    rows = read_csv(path, GAPS_CSV_HEADER)
+    nu, sup, M, theta, _ = rows[np.argsort(rows[:, 0])[::-1]].T
+    for name, column in (("M", M), ("theory_exponent", theta)):
+        if len(np.unique(column)) > 1:
+            raise ValueError(f"the rows of {path} disagree on {name}: {np.unique(column)}")
+    return GapSeries(nu=nu, sup_gap=sup, M=float(M[0]), theory_exponent=float(theta[0]),
+                     fitted_exponent=fit_exponent(nu, sup))
+
+
 def write_run(res: RunResult, outdir: Path) -> None:
     """series.csv and final_vorticity.csv of one run, in outdir (created if missing)."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +243,7 @@ class RateReport:
 def verify_rate(series: GapSeries) -> RateReport:
     """Check sup_gap(nu) <= C * nu^theory_exponent with C anchored at the
     largest nu, and report the fitted power rho next to the theory exponent."""
-    nu, sup = np.asarray(series.nu), np.asarray(series.sup_gap)
+    nu, sup = series.nu, series.sup_gap
     if len(nu) < 3:
         raise ValueError("rate fit needs at least 3 viscosity points")
     rho = series.fitted_exponent

@@ -13,7 +13,8 @@ import loglimit.inviscid
 import loglimit.logineq
 import loglimit.osgood
 from loglimit.cli import main
-from loglimit.grid import GridSpec, save_field_csv
+from loglimit.grid import FIELD_CSV_HEADER, GridSpec, save_field_csv
+from loglimit.inviscid import GAPS_CSV_HEADER
 from loglimit.logineq import gaussian_bump
 
 
@@ -38,14 +39,18 @@ class TestNorms:
 
 @pytest.mark.parametrize("text, message", [
     ("", "empty file"),
-    ("x1,x2,value\n", "no data rows"),
-    ("x1,x2,value\n0,0\n", "line 2 has 2 cells, expected 3"),
+    ("{header}\n", "no data rows"),
+    ("{header}\n0,0\n", "line 2 has 2 cells, expected {width}"),
 ], ids=["empty", "header-only", "short-row"])
-@pytest.mark.parametrize("command", [["norms", "{field}"], ["split", "--field", "{field}"]],
-                         ids=["norms", "split"])
-def test_malformed_field_csv_is_error(command, text, message, tmp_path, capsys):
-    path = tmp_path / "field.csv"
-    path.write_text(text)
+@pytest.mark.parametrize("command, header", [
+    (["norms", "{field}"], FIELD_CSV_HEADER),
+    (["split", "--field", "{field}"], FIELD_CSV_HEADER),
+    (["rate-fit", "{field}"], GAPS_CSV_HEADER),
+], ids=["norms", "split", "rate-fit"])
+def test_malformed_field_csv_is_error(command, header, text, message, tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    path.write_text(text.format(header=",".join(header)))
+    message = message.format(width=len(header))
     assert main([a.format(field=path) for a in command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
@@ -164,6 +169,41 @@ def test_unknown_config_key_is_error(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("seed = 7", "seed"),  # a random initial condition is spelled ic = random_<seed>
+    ("samples = 2\nsamples = 3", "samples"),
+    ("grid = 3.5", "grid"),
+    ("stride = one", "stride"),
+    ("sigma = 1,5", "sigma"),
+], ids=["seed", "repeated", "grid-not-int", "stride-not-int", "sigma-not-float"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_config_is_error(command, lines, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(loglimit.cli, "run", None)  # nothing may run
+    monkeypatch.setattr(loglimit.inviscid, "run", None)
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{lines}\nout = {tmp_path / 'out'}\n")
+    assert main([command, str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and f"{key!r}" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_sweep_config_builds_its_experiment(tmp_path, monkeypatch):
+    # the documented keys and values are the accepted ones; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n# sweep.cfg\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "sweep.cfg"
+    config.write_text(block)
+    monkeypatch.setattr(loglimit.inviscid, "run", None)
+    cfg = loglimit.cli._sweep_config(str(config))
+    conf = loglimit.cli._load_config(str(config), loglimit.cli._SWEEP_DEFAULTS)
+    assert set(conf) == {key.split("=")[0].strip() for key in block.splitlines() if "=" in key}
+    assert len(conf) == 9
+    assert cfg.nu_list == (1e-1, 1e-2, 1e-3, 1e-4) and cfg.grid_points == 64
+    loglimit.inviscid.initial_condition(GridSpec(8), cfg.initial_condition_id)
+
+
 @pytest.mark.parametrize("command, setting", [
     ("simulate", "nu = nan"),
     ("simulate", "nu = inf"),
@@ -224,6 +264,28 @@ class TestSweepAndRateFit:
         gaps.write_text("\n".join(rows) + "\n")
         assert main(["rate-fit", str(gaps)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0.1,0.1,1,0.5,nan", "0.01,nan,1,0.5,nan", "0.001,0.001,1,0.5,nan"], "sup gap"),
+        (["0.1,0.1,1,0.5,nan", "0.01,0.01,1,0.5,nan", "0.01,0.01,1,0.5,nan"], "strictly decrease"),
+        (["0.1,0.1,1,0.5,nan", "0.01,0.01,2,0.5,nan", "0.001,0.001,1,0.5,nan"], "disagree on M"),
+        (["0.1,0.1,1,0.5,nan", "0.01,0.01,1,0.4,nan", "0.001,0.001,1,0.5,nan"], "disagree on theory"),
+        (["0.1,0.1,1,0.5,nan", "0.01,x,1,0.5,nan", "0.001,0.001,1,0.5,nan"], "line 3"),
+    ], ids=["nan-gap", "repeated-nu", "M-disagrees", "theory-disagrees", "not-a-number"])
+    def test_rate_fit_bad_series_is_error(self, rows, message, tmp_path, capsys):
+        gaps = tmp_path / "gaps.csv"
+        gaps.write_text("\n".join(["nu,sup_gap,M,theory_exponent,bound_value", *rows]) + "\n")
+        assert main(["rate-fit", str(gaps)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_rate_fit_takes_rows_in_any_nu_order(self, tmp_path, capsys):
+        gaps = tmp_path / "gaps.csv"
+        rows = [f"{nu},{nu},1,0.5,nan" for nu in (1e-3, 1e-1, 1e-2)]
+        gaps.write_text("\n".join(["nu,sup_gap,M,theory_exponent,bound_value", *rows]) + "\n")
+        assert main(["rate-fit", str(gaps)]) == 0
+        assert capsys.readouterr().out.startswith("rho = 1.000000")
 
 
 def test_python_m_loglimit_runs_the_cli():

@@ -1,5 +1,8 @@
 """Grid fields, transforms, and spectral calculus."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,8 +18,10 @@ from loglimit.grid import (
     inverse_transform,
     leray_project,
     load_field_csv,
+    read_csv,
     riesz_transform,
     save_field_csv,
+    write_csv,
 )
 from reference import centered_difference, random_band_limited
 
@@ -246,6 +251,26 @@ class TestCsv:
         path.write_text("a,b,c\n0,0,1\n")
         with pytest.raises(ValueError, match="header"):
             load_field_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "got an empty file"),
+        ("a,b\n1,2\n", "expected header ('a', 'b', 'c')"),
+        ("a,b,c\n", "no data rows"),
+        ("a,b,c\n1,2,3\n1,2,3,4\n", "line 3 has 4 cells, expected 3"),
+        ("a,b,c\n1,2,3\n1,,3\n", "line 3 has a cell that is not a number"),
+        ("a,b,c\n1,2,x\n", "line 2 has a cell that is not a number"),
+    ], ids=["empty", "header", "header-only", "long-row", "empty-cell", "text-cell"])
+    def test_read_csv_rejects_malformed(self, text, message, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_csv(path, ("a", "b", "c"))
+
+    def test_read_csv_round_trips_write_csv(self, tmp_path):
+        rows = [(0.1, -2.5e-300, math.inf), (math.pi, math.nan, 0.0)]
+        path = tmp_path / "table.csv"
+        write_csv(path, ("a", "b", "c"), rows)
+        np.testing.assert_array_equal(read_csv(path, ("a", "b", "c")), np.array(rows))
 
     def test_transposed_rows_rejected(self, grid16, tmp_path):
         # column-major rows, each correctly labelled: reading only the value

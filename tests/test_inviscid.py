@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,11 @@ class TestConfig:
     def test_unknown_ic_rejected(self):
         with pytest.raises(ValueError, match="unknown initial"):
             initial_condition(GridSpec(32), "nonsense")
+
+    @pytest.mark.parametrize("ic_id", ["random", "random_", "random_x", "random_-1"])
+    def test_random_ic_needs_a_seed(self, ic_id):
+        with pytest.raises(ValueError, match="unknown initial"):
+            initial_condition(GridSpec(32), ic_id)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +147,44 @@ class TestRunSweep:
         assert len(gaps) == 4
         assert (tmp_path / "out" / "euler" / "series.csv").exists()
         assert (tmp_path / "out" / "nu_1.0e-01" / "final_vorticity.csv").exists()
+
+
+class TestGapSeries:
+    def _series(self, nu=(1e-1, 1e-2), sup=(0.1, 0.01), M=1.0, theory=0.5):
+        return GapSeries(nu=np.asarray(nu, dtype=float), sup_gap=np.asarray(sup, dtype=float),
+                         M=M, theory_exponent=theory, fitted_exponent=None)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(nu=(), sup=()),  # a sweep whose first viscous run blew up
+        dict(theory=0.0),  # exp(-2 M T) underflows once M T > ~372
+        dict(theory=1.0, M=0.0),
+        dict(sup=(0.0, 0.0)),
+    ], ids=["empty", "theory-underflow", "theory-one", "zero-gaps"])
+    def test_valid_edges(self, kwargs):
+        self._series(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(nu=(1e-2, 1e-1)), "strictly decrease"),
+        (dict(nu=(1e-2, 1e-2)), "strictly decrease"),
+        (dict(nu=(1.0, 1e-2)), "(0, 1)"),
+        (dict(nu=(1e-1, 0.0)), "(0, 1)"),
+        (dict(nu=(1e-1, math.nan)), "(0, 1)"),
+        (dict(sup=(0.1, math.nan)), "sup gap"),
+        (dict(sup=(0.1, math.inf)), "sup gap"),
+        (dict(sup=(0.1, -0.01)), "sup gap"),
+        (dict(sup=(0.1,)), "sup gap"),
+        (dict(M=math.nan), "M must be"),
+        (dict(M=math.inf), "M must be"),
+        (dict(M=-1.0), "M must be"),
+        (dict(theory=math.nan), "theory exponent"),
+        (dict(theory=1.5), "theory exponent"),
+        (dict(theory=-0.1), "theory exponent"),
+    ], ids=["increasing", "repeated", "nu-one", "nu-zero", "nu-nan", "gap-nan", "gap-inf",
+            "gap-negative", "gap-short", "M-nan", "M-inf", "M-negative", "theory-nan",
+            "theory-above-one", "theory-negative"])
+    def test_invalid_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self._series(**kwargs)
 
 
 class TestVerifyRate:
