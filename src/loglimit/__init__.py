@@ -30,7 +30,6 @@ from .osgood import (
     RateBound,
     Trajectory,
     check_majorization,
-    gronwall_bound,
     integrate_majorant,
     log_gronwall_bound,
     rate_exponent,

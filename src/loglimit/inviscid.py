@@ -12,7 +12,8 @@ log sup-gap against log viscosity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -97,13 +98,14 @@ class GapSeries:
     lies in (0, 1) and strictly decreases, each nu has one finite sup gap
     >= 0, M is finite and >= 0, and the theory exponent lies in [0, 1] (it
     is 0.0 once exp(-2 M T) underflows).  An empty series, left by a sweep
-    whose first viscous run blew up, is valid."""
+    whose first viscous run blew up, is valid.  The fitted exponent is
+    derived from the series' own points (fit_exponent)."""
 
     nu: np.ndarray
     sup_gap: np.ndarray
     M: float
     theory_exponent: float
-    fitted_exponent: float | None
+    fitted_exponent: float | None = field(init=False)
 
     def __post_init__(self) -> None:
         # written so that nan fails each test, as it fails every comparison
@@ -119,6 +121,7 @@ class GapSeries:
             raise ValueError(f"gap series M must be finite and nonnegative, got {self.M}")
         if not 0 <= self.theory_exponent <= 1:
             raise ValueError(f"theory exponent must lie in [0, 1], got {self.theory_exponent}")
+        object.__setattr__(self, "fitted_exponent", fit_exponent(nu, sup))
 
     @property
     def monotone(self) -> bool:
@@ -128,8 +131,9 @@ class GapSeries:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """`runs` holds every viscous run started, a blown-up last one included
-    (then `aborted` is set); the paired quantities cover completed runs."""
+    """`runs` holds the viscous runs up to the first that blew up, that one
+    included (then `aborted` is set); the paired quantities cover completed
+    runs."""
 
     config: ExperimentConfig
     euler: RunResult
@@ -150,26 +154,55 @@ def fit_exponent(x, y) -> float | None:
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
+def _map_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], in task order, on a pool of forked
+    processes: one per task, up to the CPUs this process may run on.  Runs
+    in-process below 2 such processes, or inside a daemonic process, which
+    may not start children.  fn and the tasks must pickle: fn is a task
+    function of this module (_sweep_member, _majorize), never a name that a
+    caller may replace, such as run.  Forked, not spawned: the workers start
+    with the parent's imports and its replaced names (a tracer's wrappers, a
+    test's fakes), and the package starts no thread that a fork could break."""
+    import multiprocessing  # here: ~9 ms of import that commands without a sweep need not pay
+
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return [fn(*task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.starmap(fn, tasks, chunksize=1)
+
+
+def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunResult:
+    """The sweep's run at nu (0.0 for the reference), from its own copy of
+    the initial condition: a ScalarField, which holds a lock, does not pickle."""
+    u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
+    return run(u0, cfg.solver_config(nu), compute_norms=compute_norms)
+
+
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
-    The sweep stops at the first viscous run that blows up.  One pass over
-    the completed runs' paired samples, each velocity derived once, then
-    records per nu the gap curve (gap_l2) and the forcing (measured_forcing).
+    The 1 + K runs are independent and run side by side (_map_tasks).  The
+    sweep keeps the viscous runs up to and including the first that blows
+    up, and then sets `aborted`; the runs after it may have been computed
+    too, and their results are discarded (an error any of them raises still
+    reaches the caller).  A blown reference run raises.  One pass over the
+    completed runs' paired samples, each velocity derived once, then records
+    per nu the gap curve (gap_l2) and the forcing (measured_forcing).
 
     The regularity series f0 is sampled on the reference run only (that is
     where M and the majorant coefficient come from); viscous runs skip the
     costly f0 scan, since only their g0 series enters any downstream check.
     """
-    u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
-    euler = run(u0, cfg.solver_config(0.0), compute_norms=compute_norms)
+    tasks = [(cfg, 0.0, compute_norms)] + [(cfg, nu, False) for nu in cfg.nu_list]
+    euler, *viscous = _map_tasks(_sweep_member, tasks)
     if euler.blow_up:
         raise RuntimeError("reference run blew up; sweep aborted")
     runs: dict = {}
     aborted = False
-    for nu in cfg.nu_list:
-        runs[nu] = run(u0, cfg.solver_config(nu), compute_norms=False)
-        if runs[nu].blow_up:
+    for nu, res in zip(cfg.nu_list, viscous):
+        runs[nu] = res
+        if res.blow_up:
             aborted = True
             break
     done = [nu for nu, res in runs.items() if not res.blow_up]
@@ -183,13 +216,7 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     nus = np.array(done)
     sup = np.array([gap_curves[nu].max() for nu in done])
     M = float(np.max(euler.series.f0 + euler.series.g0**2))
-    series = GapSeries(
-        nu=nus,
-        sup_gap=sup,
-        M=M,
-        theory_exponent=math.exp(-2.0 * M * cfg.horizon),
-        fitted_exponent=fit_exponent(nus, sup),
-    )
+    series = GapSeries(nu=nus, sup_gap=sup, M=M, theory_exponent=math.exp(-2.0 * M * cfg.horizon))
     result = SweepResult(cfg, euler, runs, gap_curves, forcing, series, aborted)
     if cfg.output_dir is not None:
         persist_sweep(result, Path(cfg.output_dir))
@@ -219,8 +246,7 @@ def load_gap_series(path: str | Path) -> GapSeries:
     for name, column in (("M", M), ("theory_exponent", theta)):
         if len(np.unique(column)) > 1:
             raise ValueError(f"the rows of {path} disagree on {name}: {np.unique(column)}")
-    return GapSeries(nu=nu, sup_gap=sup, M=float(M[0]), theory_exponent=float(theta[0]),
-                     fitted_exponent=fit_exponent(nu, sup))
+    return GapSeries(nu=nu, sup_gap=sup, M=float(M[0]), theory_exponent=float(theta[0]))
 
 
 def write_run(res: RunResult, outdir: Path) -> None:
@@ -305,13 +331,18 @@ def majorant_problem(result: SweepResult, nu: float, c_emp: float) -> OsgoodProb
 def sweep_majorization(
     result: SweepResult, c_emp: float, tol: float = 0.05
 ) -> dict[float, MajorizationReport]:
-    """check_majorization for every completed sweep member."""
-    return {
-        nu: check_majorization(
-            result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol=tol
-        )
+    """check_majorization for every completed sweep member, side by side
+    (_map_tasks)."""
+    tasks = [
+        (result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol)
         for nu, gaps in result.gap_curves.items()
-    }
+    ]
+    return dict(zip(result.gap_curves, _map_tasks(_majorize, tasks)))
+
+
+def _majorize(times, x_squared, problem: OsgoodProblem, tol: float) -> MajorizationReport:
+    """check_majorization as a task of _map_tasks."""
+    return check_majorization(times, x_squared, problem, tol=tol)
 
 
 # ---------------------------------------------------------------------------

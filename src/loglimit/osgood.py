@@ -249,12 +249,6 @@ def log_gronwall_bound(p: OsgoodProblem, t: float) -> float:
     return _integral_to(p.times, p.f, t) * math.log(2.0 / p.nu**2) + math.log(mass)
 
 
-def gronwall_bound(p: OsgoodProblem, t: float) -> float:
-    """Closed-form envelope value (inf if it overflows a float)."""
-    logval = log_gronwall_bound(p, t)
-    return math.exp(logval) if logval < 709.0 else math.inf
-
-
 @dataclass(frozen=True)
 class RateBound:
     """Explicit convergence-rate exponent exp(-2 M T) and its finite iterates."""

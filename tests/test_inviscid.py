@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -109,15 +111,17 @@ class TestRunSweep:
         assert result.series.fitted_exponent is None
 
     @pytest.mark.parametrize("blown", [0, 1])
-    def test_blow_up_aborts_sweep(self, blown, monkeypatch):
+    def test_blow_up_aborts_sweep(self, blown, monkeypatch, tmp_path):
         cfg = ExperimentConfig(
             grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
             initial_condition_id="taylor_green", min_samples=10,
         )
-        started = []
+        log = tmp_path / "started"  # a file, as the runs may start in child processes
+        log.touch()
 
         def blowing_run(u0, solver_cfg, compute_norms=True):
-            started.append(solver_cfg.nu)
+            with open(log, "a") as fh:
+                fh.write(f"{solver_cfg.nu!r}\n")
             res = run(u0, solver_cfg, compute_norms=compute_norms)
             if solver_cfg.nu == cfg.nu_list[blown]:
                 return dataclasses.replace(res, blow_up=True)
@@ -127,7 +131,11 @@ class TestRunSweep:
         result = run_sweep(cfg, compute_norms=False)
         completed = list(cfg.nu_list[:blown])
         assert result.aborted
-        assert started == [0.0] + list(cfg.nu_list[: blown + 1])
+        lines = log.read_text().split()
+        started = {float(line) for line in lines}
+        assert len(started) == len(lines)  # no run started twice
+        # the runs up to the blown one; the later ones may have run as well
+        assert {0.0, *cfg.nu_list[: blown + 1]} <= started <= {0.0, *cfg.nu_list}
         assert list(result.runs) == list(cfg.nu_list[: blown + 1])
         assert list(result.gap_curves) == completed
         assert list(result.forcing) == completed
@@ -152,7 +160,7 @@ class TestRunSweep:
 class TestGapSeries:
     def _series(self, nu=(1e-1, 1e-2), sup=(0.1, 0.01), M=1.0, theory=0.5):
         return GapSeries(nu=np.asarray(nu, dtype=float), sup_gap=np.asarray(sup, dtype=float),
-                         M=M, theory_exponent=theory, fitted_exponent=None)
+                         M=M, theory_exponent=theory)
 
     @pytest.mark.parametrize("kwargs", [
         dict(nu=(), sup=()),  # a sweep whose first viscous run blew up
@@ -162,6 +170,14 @@ class TestGapSeries:
     ], ids=["empty", "theory-underflow", "theory-one", "zero-gaps"])
     def test_valid_edges(self, kwargs):
         self._series(**kwargs)
+
+    def test_fitted_exponent_is_derived(self):
+        nu, sup = np.array([1e-1, 1e-2, 1e-3]), np.array([0.3, 0.05, 0.004])
+        assert self._series(nu, sup).fitted_exponent == fit_exponent(nu, sup)
+        assert self._series().fitted_exponent == pytest.approx(1.0, abs=1e-12)
+        assert self._series(sup=(0.0, 0.0)).fitted_exponent is None
+        with pytest.raises(TypeError, match="fitted_exponent"):
+            GapSeries(nu=nu, sup_gap=sup, M=1.0, theory_exponent=0.5, fitted_exponent=1.0)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(nu=(1e-2, 1e-1)), "strictly decrease"),
@@ -189,13 +205,8 @@ class TestGapSeries:
 
 class TestVerifyRate:
     def _series(self, nu, sup, theory):
-        return GapSeries(
-            nu=np.asarray(nu, dtype=float),
-            sup_gap=np.asarray(sup, dtype=float),
-            M=1.0,
-            theory_exponent=theory,
-            fitted_exponent=fit_exponent(np.asarray(nu, float), np.asarray(sup, float)),
-        )
+        return GapSeries(nu=np.asarray(nu, dtype=float), sup_gap=np.asarray(sup, dtype=float),
+                         M=1.0, theory_exponent=theory)
 
     def test_exact_linear_series(self):
         nu = [1e-1, 1e-2, 1e-3]
@@ -308,6 +319,8 @@ class TestForcing:
 
             return wrapper
 
+        # in-process, so that the counters see every call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(FlowState, "velocity", property(counting))
         monkeypatch.setattr(inviscid, "run", counted(inviscid.run))
         monkeypatch.setattr(inviscid, "initial_condition", counted(inviscid.initial_condition))
@@ -317,7 +330,107 @@ class TestForcing:
         assert derived[0] == after_sweep  # majorization reads no flow state
         K, N = len(cfg.nu_list), len(result.euler.states)
         assert after_sweep - before_pass[0] == (1 + K) * N
-        assert derived[0] == 516
+        # (1 + K) * N in the pass, N + 1 in each run (the CFL step too), and
+        # 1 in each run's own random_band_velocity initial condition
+        assert derived[0] == 520
+
+
+class TestSideBySide:
+    """run_sweep and sweep_majorization on a pool of processes and in-process."""
+
+    CFG = dict(grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
+               initial_condition_id="random_42", min_samples=10)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the CPUs this process may run on, as a count."""
+        return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+    def _sweep(self, outdir):
+        result = run_sweep(ExperimentConfig(**self.CFG, output_dir=str(outdir)))
+        return result, sweep_majorization(result, c_emp=1.0)
+
+    def test_pooled_equals_in_process(self, tmp_path, monkeypatch, cpus):
+        log = tmp_path / "pids"  # the process of every run
+        log.touch()
+
+        def logging_run(u0, solver_cfg, compute_norms=True):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run(u0, solver_cfg, compute_norms=compute_norms)
+
+        monkeypatch.setattr(inviscid, "run", logging_run)
+        cpus(2)
+        pooled, pooled_reports = self._sweep(tmp_path / "pooled")
+        assert str(os.getpid()) not in log.read_text().split()
+        cpus(1)
+        serial, serial_reports = self._sweep(tmp_path / "serial")
+        assert str(os.getpid()) in log.read_text().split()
+
+        nus = self.CFG["nu_list"]
+        assert pooled_reports == serial_reports
+        assert list(serial_reports) == list(nus)
+        pooled_runs = (pooled.euler, *pooled.runs.values())
+        for a, b in zip(pooled_runs, (serial.euler, *serial.runs.values())):
+            for field in ("times", "f0", "g0"):
+                assert np.array_equal(getattr(a.series, field), getattr(b.series, field))
+        for nu in nus:
+            assert np.array_equal(pooled.gap_curves[nu], serial.gap_curves[nu])
+            assert np.array_equal(pooled.forcing[nu], serial.forcing[nu])
+        assert np.array_equal(pooled.series.sup_gap, serial.series.sup_gap)
+        assert (pooled.series.M, pooled.series.fitted_exponent) == (
+            serial.series.M, serial.series.fitted_exponent)
+        files = sorted(p.relative_to(tmp_path / "serial")
+                       for p in (tmp_path / "serial").rglob("*") if p.is_file())
+        assert len(files) == 1 + 2 * (1 + len(nus))  # gaps.csv, two files a run
+        for rel in files:
+            pooled_bytes = (tmp_path / "pooled" / rel).read_bytes()
+            assert pooled_bytes == (tmp_path / "serial" / rel).read_bytes(), rel
+
+    def test_no_process_left(self, cpus):
+        cpus(2)
+        result = run_sweep(ExperimentConfig(**self.CFG))
+        assert multiprocessing.active_children() == []
+        sweep_majorization(result, c_emp=1.0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_member_error_reaches_caller(self, monkeypatch, cpus, k):
+        cpus(k)
+
+        def failing_run(u0, solver_cfg, compute_norms=True):
+            if solver_cfg.nu == 1e-2:
+                raise ArithmeticError(f"member at nu = {solver_cfg.nu} failed")
+            return run(u0, solver_cfg, compute_norms=compute_norms)
+
+        def failing_check(times, x_squared, problem, tol):
+            if problem.nu == 1e-3:
+                raise LookupError(f"majorant at nu = {problem.nu} failed")
+            return check_majorization(times, x_squared, problem, tol=tol)
+
+        cfg = ExperimentConfig(**self.CFG)
+        result = run_sweep(cfg, compute_norms=False)
+        monkeypatch.setattr(inviscid, "run", failing_run)
+        with pytest.raises(ArithmeticError, match=r"^member at nu = 0\.01 failed$") as err:
+            run_sweep(cfg, compute_norms=False)
+        assert err.type is ArithmeticError
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(inviscid, "check_majorization", failing_check)
+        with pytest.raises(LookupError, match=r"^majorant at nu = 0\.001 failed$") as err:
+            sweep_majorization(result, c_emp=1.0)
+        assert err.type is LookupError
+        assert multiprocessing.active_children() == []
+
+    def test_map_tasks_placement(self, monkeypatch, cpus):
+        cpus(1)
+        assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3
+        cpus(2)
+        assert os.getpid() not in inviscid._map_tasks(os.getpid, [()] * 3)
+        assert inviscid._map_tasks(pow, [(2, k) for k in range(9)]) == [2**k for k in range(9)]
+        assert inviscid._map_tasks(os.getpid, [()]) == [os.getpid()]  # one task
+        daemon = dataclasses.make_dataclass("Process", ["daemon"])(True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3  # no children
 
 
 class TestIterateIntervals:
