@@ -55,7 +55,6 @@ from .flow import (
 from .inviscid import (
     ExperimentConfig,
     GapSeries,
-    iterate_intervals,
     run_sweep,
     sweep_majorization,
     verify_rate,

@@ -1,6 +1,4 @@
-"""Viscosity sweeps: gap measurement, rate fitting, majorant comparison, and
-the per-interval iteration that converts an integrable coefficient into a
-finite chain of decay exponents.
+"""Viscosity sweeps: gap measurement, rate fitting and majorant comparison.
 
 A sweep pairs one zero-viscosity reference run with one run per viscosity on
 identical sample times.  The regularity level M = sup_t (f0 + g0^2) is
@@ -156,7 +154,8 @@ def fit_exponent(x, y) -> float | None:
 
 def _map_tasks(fn, tasks: list[tuple]) -> list:
     """[fn(*task) for task in tasks], in task order, on a pool of forked
-    processes: one per task, up to the CPUs this process may run on.  Runs
+    processes: one per task, up to the CPUs this process may run on.  When
+    tasks raise, the first in task order raises here, pooled or not.  Runs
     in-process below 2 such processes, or inside a daemonic process, which
     may not start children.  fn and the tasks must pickle: fn is a task
     function of this module (_sweep_member, _majorize), never a name that a
@@ -169,7 +168,13 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     if workers < 2 or multiprocessing.current_process().daemon:
         return [fn(*task) for task in tasks]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.starmap(fn, tasks, chunksize=1)
+        return list(pool.imap(_apply, [(fn, task) for task in tasks], chunksize=1))
+
+
+def _apply(fn_task: tuple):
+    """fn(*task), the one argument Pool.imap passes being (fn, task)."""
+    fn, task = fn_task
+    return fn(*task)
 
 
 def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunResult:
@@ -185,10 +190,12 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     The 1 + K runs are independent and run side by side (_map_tasks).  The
     sweep keeps the viscous runs up to and including the first that blows
     up, and then sets `aborted`; the runs after it may have been computed
-    too, and their results are discarded (an error any of them raises still
-    reaches the caller).  A blown reference run raises.  One pass over the
-    completed runs' paired samples, each velocity derived once, then records
-    per nu the gap curve (gap_l2) and the forcing (measured_forcing).
+    too, and their results are discarded.  If runs raise, the caller gets
+    the first error in task order: the reference run's, else that of the
+    largest nu whose run raised, whatever the number of processes.  A blown
+    reference run raises.  One pass over the completed runs' paired
+    samples, each velocity derived once, then records per nu the gap curve
+    (gap_l2) and the forcing (measured_forcing).
 
     The regularity series f0 is sampled on the reference run only (that is
     where M and the majorant coefficient come from); viscous runs skip the
@@ -343,104 +350,3 @@ def sweep_majorization(
 def _majorize(times, x_squared, problem: OsgoodProblem, tol: float) -> MajorizationReport:
     """check_majorization as a task of _map_tasks."""
     return check_majorization(times, x_squared, problem, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# per-interval iteration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IntervalCheck:
-    index: int
-    t_start: float
-    t_end: float
-    exponent: float
-    results: tuple  # (nu, gap_at_end, bound) triples
-    passed: bool
-
-
-@dataclass(frozen=True)
-class IntervalReport:
-    partition: tuple[float, ...]
-    exponents: tuple[float, ...]
-    checks: tuple[IntervalCheck, ...]
-    covered: bool
-    stalled: bool
-
-
-def iterate_intervals(
-    times: np.ndarray,
-    f_coefficient: np.ndarray,
-    sigma: float,
-    horizon: float,
-    gap_curves: dict | None = None,
-    min_length: float | None = None,
-) -> IntervalReport:
-    """Partition [0, horizon] so each piece satisfies 4 * int f < sigma/(4+sigma).
-
-    Interval k (counted from 1) carries the decay exponent
-    sigma / ((8 + 2 sigma) * 2**(k-1)): the starting level of each restarted
-    majorant is the bound just obtained, which halves the achievable exponent
-    at every hand-off.  When measured gap curves are supplied, the gap at
-    each partition point is checked against bound = C_k * nu**exponent_k with
-    C_k anchored at the largest viscosity.
-    """
-    times = np.asarray(times, dtype=float)
-    f_vals = np.asarray(f_coefficient, dtype=float)
-    if times.shape != f_vals.shape or times[0] != 0.0:
-        raise ValueError("coefficient samples must start at t = 0")
-    if not np.all(np.isfinite(f_vals)):
-        raise ValueError("coefficient integral is not finite")
-    budget = sigma / (4.0 + sigma) / 4.0
-    if min_length is None:
-        min_length = max(1e-12 * horizon, float(np.min(np.diff(times))) * 1e-6)
-    # cumulative integral of the linear interpolant on a refined mesh
-    fine_t = np.union1d(times, np.linspace(0.0, horizon, 4097))
-    fine_f = np.interp(fine_t, times, f_vals)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (fine_f[1:] + fine_f[:-1]) * np.diff(fine_t))])
-    partition = [0.0]
-    stalled = False
-    while partition[-1] < horizon * (1 - 1e-12):
-        start = partition[-1]
-        c0 = float(np.interp(start, fine_t, cum))
-        target = c0 + budget
-        if cum[-1] <= target:
-            t_next = horizon
-        else:
-            t_next = float(np.interp(target, cum, fine_t))
-        if t_next - start < min_length:
-            stalled = True
-            break
-        partition.append(min(t_next, horizon))
-        if len(partition) > 100000:
-            stalled = True
-            break
-    exponents = tuple(
-        sigma / ((8.0 + 2.0 * sigma) * 2.0**k) for k in range(len(partition) - 1)
-    )
-    checks = []
-    if gap_curves:
-        nus = sorted(gap_curves.keys(), reverse=True)
-        nu_anchor = nus[0]
-        for k in range(len(partition) - 1):
-            t_end = partition[k + 1]
-            expo = exponents[k]
-            gap_anchor = float(np.interp(t_end, times, gap_curves[nu_anchor]))
-            c_k = gap_anchor / nu_anchor**expo if gap_anchor > 0 else 0.0
-            rows = []
-            ok = True
-            for nu in nus:
-                gap_end = float(np.interp(t_end, times, gap_curves[nu]))
-                bound = c_k * nu**expo
-                rows.append((nu, gap_end, bound))
-                if gap_end > bound * (1 + 1e-9) + 1e-300:
-                    ok = False
-            checks.append(IntervalCheck(k + 1, partition[k], t_end, expo, tuple(rows), ok))
-    return IntervalReport(
-        partition=tuple(partition),
-        exponents=exponents,
-        checks=tuple(checks),
-        covered=not stalled and abs(partition[-1] - horizon) <= 1e-9 * max(1.0, horizon),
-        stalled=stalled,
-    )

@@ -319,8 +319,9 @@ def check_majorization(
 ) -> MajorizationReport:
     """Check measured samples x(t) against the majorant: x <= y * (1 + tol).
 
-    `x_squared` holds the measured squared-gap samples; comparisons run in
-    log space so astronomically large majorants are handled exactly.
+    `x_squared` holds the measured squared-gap samples, each finite and
+    nonnegative (else ValueError); comparisons run in log space so
+    astronomically large majorants are handled exactly.
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(x_squared, dtype=float)
@@ -328,8 +329,8 @@ def check_majorization(
         raise ValueError("times and samples must have matching shapes")
     if abs(times[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
         raise ValueError("sample horizon does not match the majorant horizon")
-    if x.min() < 0:
-        raise ValueError("squared-gap samples must be nonnegative")
+    if not np.all(np.isfinite(x)) or x.min() < 0:
+        raise ValueError("squared-gap samples must be finite and nonnegative")
     traj = integrate_majorant(problem)
     log_y = traj.log_y_at(times)
     with np.errstate(divide="ignore"):

@@ -1,10 +1,11 @@
-"""Viscosity sweeps, rate fitting, majorization coupling, interval iteration."""
+"""Viscosity sweeps, rate fitting, majorization coupling."""
 
 import dataclasses
 import math
 import multiprocessing
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from loglimit.inviscid import (
     GapSeries,
     fit_exponent,
     initial_condition,
-    iterate_intervals,
     majorant_problem,
     run_sweep,
     sweep_majorization,
@@ -335,6 +335,11 @@ class TestForcing:
         assert derived[0] == 520
 
 
+def _fail_after(k: int, delay: float):
+    time.sleep(delay)
+    raise ArithmeticError(f"task {k} failed")
+
+
 class TestSideBySide:
     """run_sweep and sweep_majorization on a pool of processes and in-process."""
 
@@ -421,6 +426,15 @@ class TestSideBySide:
         assert err.type is LookupError
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_error_in_task_order(self, cpus, k):
+        # every task raises, task 0 last in time: its error is still the one raised
+        cpus(k)
+        tasks = [(i, 0.05 if i == 0 else 0.0) for i in range(4)]
+        with pytest.raises(ArithmeticError, match=r"^task 0 failed$"):
+            inviscid._map_tasks(_fail_after, tasks)
+        assert multiprocessing.active_children() == []
+
     def test_map_tasks_placement(self, monkeypatch, cpus):
         cpus(1)
         assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3
@@ -431,59 +445,6 @@ class TestSideBySide:
         daemon = dataclasses.make_dataclass("Process", ["daemon"])(True)
         monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
         assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3  # no children
-
-
-class TestIterateIntervals:
-    def test_zero_coefficient_single_interval(self):
-        t = np.linspace(0, 0.5, 11)
-        report = iterate_intervals(t, np.zeros_like(t), sigma=1.0, horizon=0.5)
-        assert report.partition == (0.0, 0.5)
-        assert report.exponents == (1.0 / 10.0,)
-        assert report.covered
-
-    def test_constant_coefficient_closed_form(self):
-        # 4 M t1 = sigma/(4+sigma) with sigma = 1: t1 = 1/(20 M)
-        M, sigma, T = 2.0, 1.0, 0.5
-        t = np.linspace(0, T, 101)
-        report = iterate_intervals(t, M * np.ones_like(t), sigma=sigma, horizon=T)
-        t1 = 1.0 / (20.0 * M)
-        assert report.partition[1] == pytest.approx(t1, rel=1e-6)
-        assert len(report.partition) - 1 == math.ceil(T / t1)
-        assert report.covered
-        # exponents halve interval by interval
-        assert report.exponents[0] == pytest.approx(sigma / (8 + 2 * sigma))
-        assert report.exponents[1] == pytest.approx(sigma / (16 + 4 * sigma))
-
-    def test_taylor_green_interval_checks_pass(self):
-        cfg = ExperimentConfig(
-            grid_points=32, horizon=0.5, nu_list=(1e-1, 1e-2, 1e-3),
-            initial_condition_id="taylor_green", min_samples=50,
-        )
-        result = run_sweep(cfg, compute_norms=True)
-        report = iterate_intervals(
-            result.euler.sample_times,
-            2.0 * result.euler.series.f0,
-            sigma=1.0,
-            horizon=cfg.horizon,
-            gap_curves=result.gap_curves,
-        )
-        assert report.covered
-        assert len(report.checks) == len(report.partition) - 1
-        assert all(c.passed for c in report.checks)
-
-    def test_stall_reported(self):
-        t = np.linspace(0, 1.0, 11)
-        huge = 1e9 * np.ones_like(t)
-        report = iterate_intervals(t, huge, sigma=1.0, horizon=1.0, min_length=1e-3)
-        assert report.stalled
-        assert not report.covered
-
-    def test_infinite_coefficient_rejected(self):
-        t = np.linspace(0, 1.0, 11)
-        f = np.ones_like(t)
-        f[3] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            iterate_intervals(t, f, sigma=1.0, horizon=1.0)
 
 
 class TestCrossModule:

@@ -328,6 +328,12 @@ class TestMajorization:
         with pytest.raises(ValueError, match="horizon"):
             check_majorization(t, np.zeros_like(t), p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        p = OsgoodProblem.constant(1.0, 1e-2, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            check_majorization(p.times, np.full(len(p.times), bad), p)
+
     def test_tolerance_absorbs_five_percent(self):
         p = OsgoodProblem.constant(0.0, 1e-1, 1.0)
         t = np.linspace(0, 1, 5)
