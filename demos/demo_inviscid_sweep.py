@@ -31,7 +31,10 @@ print(f"rate bound with C anchored at nu = {s.nu.max():.0e}: "
       f"{'holds everywhere' if rate.passed else f'violated at {rate.violations}'}")
 
 print("\nmajorant comparison (measured coefficients, 5 percent tolerance;")
-print("max log excess = max_t log(x / (y (1 + tol))), at most 0 when majorized):")
+print("max log excess = max_t log(x / (y (1 + tol))), at most 0 when majorized;")
+print("the check integrates y only until no later sample can fail or raise it):")
 for nu, rep in sweep_majorization(result, c_emp=5.58).items():
     verdict = "majorized" if rep.passed else f"violated at t = {rep.first_violation_time}"
-    print(f"  nu = {nu:8.0e}: {verdict}, max log excess {rep.max_log_excess:.3f}")
+    print(f"  nu = {nu:8.0e}: {verdict}, max log excess {rep.max_log_excess:.3f}, "
+          f"checked until t = {rep.checked_until:.4g} "
+          f"({rep.informative_samples} samples with x > 0)")

@@ -158,8 +158,8 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     tasks raise, the first in task order raises here, pooled or not.  Runs
     in-process below 2 such processes, or inside a daemonic process, which
     may not start children.  fn and the tasks must pickle: fn is a task
-    function of this module (_sweep_member, _majorize), never a name that a
-    caller may replace, such as run.  Forked, not spawned: the workers start
+    function of this module (_sweep_member), never a name that a caller may
+    replace, such as run.  Forked, not spawned: the workers start
     with the parent's imports and its replaced names (a tracer's wrappers, a
     test's fakes), and the package starts no thread that a fork could break."""
     import multiprocessing  # here: ~9 ms of import that commands without a sweep need not pay
@@ -338,15 +338,12 @@ def majorant_problem(result: SweepResult, nu: float, c_emp: float) -> OsgoodProb
 def sweep_majorization(
     result: SweepResult, c_emp: float, tol: float = 0.05
 ) -> dict[float, MajorizationReport]:
-    """check_majorization for every completed sweep member, side by side
-    (_map_tasks)."""
-    tasks = [
-        (result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol)
+    """check_majorization for every completed sweep member, in this process:
+    each check integrates the majorant only as far as a sample can still
+    fail, which at the gate's settings is cheaper than starting a pool."""
+    return {
+        nu: check_majorization(
+            result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol=tol
+        )
         for nu, gaps in result.gap_curves.items()
-    ]
-    return dict(zip(result.gap_curves, _map_tasks(_majorize, tasks)))
-
-
-def _majorize(times, x_squared, problem: OsgoodProblem, tol: float) -> MajorizationReport:
-    """check_majorization as a task of _map_tasks."""
-    return check_majorization(times, x_squared, problem, tol=tol)
+    }

@@ -19,6 +19,13 @@ which keeps the scheme fourth order piecewise.
 The coefficients are looked up once per distinct RK4 stage time (k2 and k3
 share t + h/2, and a step's t + h is the next step's t) by a pure-Python copy
 of numpy's scalar interpolation formula, bit-identical to ``np.interp``.
+
+A majorization check compares measured squared gaps x_k = x(t_k)^2 with
+y(t_k).  Since f, g, g0 >= 0, dz/dt >= 0 and every RK4 stage slope is >= 0,
+so y never decreases: a later sample j > k can exceed y(t_j) (1 + tol) by at
+most ln(max_{j>k} x_j) - ln y(t_k) - ln(1 + tol).  Once that falls to the
+largest excess already seen, no later sample can fail or raise it, and the
+check stops integrating there.
 """
 
 from __future__ import annotations
@@ -83,6 +90,11 @@ class OsgoodProblem:
     def horizon(self) -> float:
         return float(self.times[-1])
 
+    def truncated(self, t: float) -> "OsgoodProblem":
+        """The problem on [0, t], 0 < t: the same interpolant there, one knot at t."""
+        f, g, g0 = (_cut_series(self.times, vals, t) for vals in (self.f, self.g, self.g0))
+        return OsgoodProblem(f[0], f[1], g[1], g0[1], self.nu, self.log_penalty)
+
     @classmethod
     def constant(
         cls,
@@ -99,14 +111,18 @@ class OsgoodProblem:
         return cls(t, M * ones, g * ones, g0 * ones, nu)
 
 
+def _cut_series(times: np.ndarray, vals: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Knots and values of the linear interpolant of (times, vals) on [0, t]:
+    the knots below t, then one at t holding the interpolated value."""
+    keep = times < t
+    return np.append(times[keep], t), np.append(vals[keep], np.interp(t, times, vals))
+
+
 def _integral_to(times: np.ndarray, vals: np.ndarray, t: float) -> float:
     """Exact integral of the linear interpolant of (times, vals) over [0, t]."""
     if t < 0 or t > times[-1] * (1 + 1e-12) + 1e-300:
         raise ValueError(f"time {t} outside the sampled horizon {times[-1]}")
-    t = min(t, float(times[-1]))
-    keep = times < t
-    knots = np.append(times[keep], t)
-    values = np.append(vals[keep], np.interp(t, times, vals))
+    knots, values = _cut_series(times, vals, min(t, float(times[-1])))
     if len(knots) == 1:
         return 0.0
     return float(np.trapezoid(values, knots))
@@ -309,6 +325,8 @@ class MajorizationReport:
     first_violation_time: float | None
     max_log_excess: float
     tolerance: float
+    checked_until: float  # time of the last sample the majorant was integrated to
+    informative_samples: int  # samples with x > 0 up to checked_until
 
 
 def check_majorization(
@@ -319,26 +337,60 @@ def check_majorization(
 ) -> MajorizationReport:
     """Check measured samples x(t) against the majorant: x <= y * (1 + tol).
 
-    `x_squared` holds the measured squared-gap samples, each finite and
-    nonnegative (else ValueError); comparisons run in log space so
-    astronomically large majorants are handled exactly.
+    `times` must be finite, 1-D, strictly increasing from >= 0 and end at
+    the problem's horizon; `x_squared` holds the measured squared-gap
+    samples, each finite and nonnegative (else ValueError).  Comparisons
+    run in log space so astronomically large majorants are handled exactly.
+
+    y never decreases (f, g, g0 >= 0 make every RK4 stage slope >= 0), so
+    after sample k no sample can exceed y (1 + tol) by more than
+    ln(max_{j>k} x_j) - ln y(t_k) - ln(1 + tol).  The majorant is integrated
+    on growing prefixes [0, t_k] of the problem (OsgoodProblem.truncated),
+    each converged by integrate_majorant; each prefix holds at least twice
+    the samples and twice the horizon of the one before.  The check stops
+    at the first prefix holding a sample k whose bound is at most the
+    largest excess over samples <= k.  Past it no sample can fail or raise
+    `max_log_excess`, so the report keeps its meaning over all samples.  If
+    that never happens the last prefix is the whole problem: at most
+    log2(len(times)) + 1 integrations whose horizons sum to under twice the
+    problem's, so, at the whole problem's converged step, at most about
+    twice the work of one full integration.  A prefix whose ln y(t_k) is
+    near 0 can converge at a finer step, as the tolerance is relative to
+    max(1, |ln y|).
     """
     times = np.asarray(times, dtype=float)
     x = np.asarray(x_squared, dtype=float)
     if times.shape != x.shape:
         raise ValueError("times and samples must have matching shapes")
+    if times.ndim != 1 or len(times) == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a nonempty, finite 1-D array")
+    if times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("sample times must start at >= 0 and strictly increase")
     if abs(times[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
         raise ValueError("sample horizon does not match the majorant horizon")
     if not np.all(np.isfinite(x)) or x.min() < 0:
         raise ValueError("squared-gap samples must be finite and nonnegative")
-    traj = integrate_majorant(problem)
-    log_y = traj.log_y_at(times)
     with np.errstate(divide="ignore"):
         log_x = np.where(x > 0, np.log(x), -np.inf)
-    excess = log_x - (log_y + math.log1p(tol))
+    later = np.append(np.maximum.accumulate(log_x[::-1])[-2::-1], -np.inf)  # ln max_{j>k} x_j
+    slack = math.log1p(tol)
+    m = 2 if times[0] == 0.0 else 1  # the first prefix ends past t = 0
+    while True:
+        m = min(m, len(times))
+        whole = m == len(times)
+        traj = integrate_majorant(problem if whole else problem.truncated(float(times[m - 1])))
+        log_y = traj.log_y_at(times[:m])
+        excess = log_x[:m] - (log_y + slack)
+        running = np.maximum.accumulate(np.where(np.isfinite(excess), excess, -np.inf))
+        if whole or np.any(later[:m] - (log_y + slack) <= running):
+            break
+        m = max(2 * m, int(np.searchsorted(times, 2.0 * times[m - 1])) + 1)
     bad = np.nonzero(excess > 0)[0]
-    finite_excess = excess[np.isfinite(excess)]
-    max_excess = float(finite_excess.max()) if len(finite_excess) else -math.inf
-    if len(bad) == 0:
-        return MajorizationReport(True, None, max_excess, tol)
-    return MajorizationReport(False, float(times[bad[0]]), max_excess, tol)
+    return MajorizationReport(
+        passed=len(bad) == 0,
+        first_violation_time=float(times[bad[0]]) if len(bad) else None,
+        max_log_excess=float(running[-1]),
+        tolerance=tol,
+        checked_until=float(times[m - 1]),
+        informative_samples=int(np.count_nonzero(x[:m] > 0)),
+    )

@@ -20,7 +20,7 @@ from loglimit.inviscid import (
     sweep_majorization,
     verify_rate,
 )
-from loglimit import inviscid
+from loglimit import inviscid, osgood
 from loglimit.flow import FlowState, run
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
@@ -409,7 +409,7 @@ class TestSideBySide:
             return run(u0, solver_cfg, compute_norms=compute_norms)
 
         def failing_check(times, x_squared, problem, tol):
-            if problem.nu == 1e-3:
+            if problem.nu in (1e-2, 1e-3):  # the checks run in-process, in task order
                 raise LookupError(f"majorant at nu = {problem.nu} failed")
             return check_majorization(times, x_squared, problem, tol=tol)
 
@@ -421,10 +421,31 @@ class TestSideBySide:
         assert err.type is ArithmeticError
         assert multiprocessing.active_children() == []
         monkeypatch.setattr(inviscid, "check_majorization", failing_check)
-        with pytest.raises(LookupError, match=r"^majorant at nu = 0\.001 failed$") as err:
+        with pytest.raises(LookupError, match=r"^majorant at nu = 0\.01 failed$") as err:
             sweep_majorization(result, c_emp=1.0)
         assert err.type is LookupError
         assert multiprocessing.active_children() == []
+
+    def test_majorant_work_is_cut(self, monkeypatch):
+        # a work count, not a timing: at the gate's empirical constant each
+        # check integrates the majorant only as far as a sample can still fail
+        c_emp = 5.58
+        result = run_sweep(ExperimentConfig(**self.CFG))
+        points = dict.fromkeys(self.CFG["nu_list"], 0)
+        integrate = osgood.integrate_majorant
+
+        def counting(problem):
+            traj = integrate(problem)
+            points[problem.nu] += len(traj.times)
+            return traj
+
+        monkeypatch.setattr(osgood, "integrate_majorant", counting)
+        reports = sweep_majorization(result, c_emp=c_emp)
+        monkeypatch.undo()
+        for nu, rep in reports.items():
+            full = integrate(majorant_problem(result, nu, c_emp))
+            assert rep.passed and rep.checked_until < self.CFG["horizon"]
+            assert 0 < points[nu] < 0.5 * len(full.times)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_first_error_in_task_order(self, cpus, k):

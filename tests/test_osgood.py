@@ -341,6 +341,139 @@ class TestMajorization:
         assert check_majorization(t, x, p, tol=0.05).passed
         assert not check_majorization(t, x, p, tol=0.01).passed
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(0, 1, 6).reshape(2, 3),  # not 1-D
+            np.array([0.0, 0.6, 0.4, 1.0]),  # not increasing
+            np.array([0.0, 0.5, 0.5, 1.0]),  # repeated time
+            np.array([-0.1, 0.5, 1.0]),  # starts before 0
+            np.array([0.0, math.nan, 1.0]),
+            np.array([0.0, 0.5, math.inf]),
+            np.array([]),
+        ],
+        ids=["2-d", "decreasing", "repeated", "negative", "nan", "inf", "empty"],
+    )
+    def test_bad_sample_times_rejected(self, times):
+        p = OsgoodProblem.constant(1.0, 1e-2, 1.0)
+        with pytest.raises(ValueError, match="sample times|horizon"):
+            check_majorization(times, np.zeros_like(times), p)
+
+
+def _full_horizon_check(times, x, problem, tol=0.05):
+    """(passed, first violation time, max log excess) from one integration of
+    the whole problem and every sample's excess: the check without a cut."""
+    log_y = integrate_majorant(problem).log_y_at(times)
+    with np.errstate(divide="ignore"):
+        log_x = np.where(x > 0, np.log(x), -np.inf)
+    excess = log_x - (log_y + math.log1p(tol))
+    bad = np.nonzero(excess > 0)[0]
+    finite = excess[np.isfinite(excess)]
+    max_excess = float(finite.max()) if len(finite) else -math.inf
+    return len(bad) == 0, float(times[bad[0]]) if len(bad) else None, max_excess
+
+
+def _varying_problem() -> OsgoodProblem:
+    """65 knots on [0, 1] with varying f, g and g0."""
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 1.0, 65)
+    return OsgoodProblem(
+        t, 1.0 + np.sin(9.0 * t) ** 2, rng.uniform(0.0, 0.05, 65), rng.uniform(0.5, 1.5, 65), 1e-2
+    )
+
+
+def _off_knot_times(problem: OsgoodProblem, count: int) -> np.ndarray:
+    """0, `count` sorted random times that are not knots of the problem, the horizon."""
+    inner = np.sort(np.random.default_rng(11).uniform(0.0, problem.horizon, count))
+    assert not np.isin(inner, problem.times).any()
+    return np.concatenate([[0.0], inner, [problem.horizon]])
+
+
+class TestCutCheck:
+    """check_majorization stops integrating where no later sample can change
+    its report; each case is compared with the full-horizon check."""
+
+    def _matches_full(self, times, x, problem):
+        report = check_majorization(times, x, problem)
+        passed, first, max_excess = _full_horizon_check(times, x, problem)
+        assert (report.passed, report.first_violation_time) == (passed, first)
+        if math.isinf(max_excess):
+            assert report.max_log_excess == max_excess
+        else:
+            assert report.max_log_excess == pytest.approx(max_excess, rel=1e-6, abs=0.0)
+        assert report.informative_samples == np.count_nonzero(x[times <= report.checked_until])
+        assert report.checked_until in times
+        return report
+
+    def test_off_knot_samples_cut_early(self):
+        p = _varying_problem()
+        t = _off_knot_times(p, 14)
+        report = self._matches_full(t, 5e-3 * np.sqrt(t), p)  # growth slower than y's
+        assert report.passed
+        assert report.checked_until < p.horizon
+        assert report.checked_until not in p.times  # the last prefix ended between knots
+
+    def test_off_knot_violation_cut_early(self):
+        p = _varying_problem()
+        t = _off_knot_times(p, 14)
+        x = 5e-3 * np.sqrt(t)
+        x[3] = 10.0  # far above y(t_3)
+        report = self._matches_full(t, x, p)
+        assert not report.passed
+        assert report.first_violation_time == t[3]
+        assert report.checked_until < p.horizon
+
+    def test_all_zero_samples(self):
+        p = _varying_problem()
+        t = _off_knot_times(p, 14)
+        report = self._matches_full(t, np.zeros_like(t), p)
+        assert report.passed and report.max_log_excess == -math.inf
+        assert (report.checked_until, report.informative_samples) == (t[1], 0)
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.array([0.0, 0.45, 0.5]), np.linspace(0.0, 0.5, 51)],
+        ids=["prefix-blows-up", "cut-before-blow-up"],
+    )
+    def test_majorant_blow_up(self, times):
+        p = OsgoodProblem.constant(1500, 1e-2, 0.5)  # ln y passes _Z_BLOWUP at t ~ 0.444
+        assert integrate_majorant(p).blow_up
+        x = np.full_like(times, 1e300)
+        x[0] = 5e-3
+        report = self._matches_full(times, x, p)
+        assert report.passed
+
+    def test_cut_never_fires(self):
+        # x tracks half the majorant, so a larger sample always follows
+        p = _varying_problem()
+        t = _off_knot_times(p, 14)
+        x = 0.5 * np.exp(integrate_majorant(p).log_y_at(t))
+        report = self._matches_full(t, x, p)
+        assert report.checked_until == p.horizon
+        assert report.max_log_excess == _full_horizon_check(t, x, p)[2]  # the same integration
+
+    def test_negative_control_spike_at_last_sample(self):
+        # must FAIL: the tail maximum sees a spike that an a-priori bound on x would not
+        p = _varying_problem()
+        t = _off_knot_times(p, 14)
+        x = 5e-3 * np.sqrt(t)
+        x[-1] = 2.0 * math.exp(integrate_majorant(p).log_y[-1]) * 1.05
+        report = self._matches_full(t, x, p)
+        assert not report.passed
+        assert report.first_violation_time == p.horizon
+        assert report.max_log_excess == pytest.approx(math.log(2.0), rel=1e-6)
+
+    def test_truncated_problem_keeps_interpolant(self):
+        p = _varying_problem()
+        t_cut = 0.3  # between knots 19 and 20
+        q = p.truncated(t_cut)
+        assert q.horizon == t_cut and len(q.times) == 21
+        assert q.log_penalty == p.log_penalty
+        probe = np.linspace(0.0, t_cut, 97)
+        for name in ("f", "g", "g0"):
+            assert_allclose(np.interp(probe, q.times, getattr(q, name)),
+                            np.interp(probe, p.times, getattr(p, name)), rtol=1e-14)
+
 
 class TestTrajectory:
     def test_log_y_at_extends_blowup_with_inf(self):
