@@ -14,6 +14,10 @@ convert and a sweep whose viscosities collide on one run directory name
 (nu_<nu:.1e>) are errors (exit status 2).  So is a gaps.csv that `rate-fit`
 cannot take as a GapSeries (a malformed CSV, a nan sup gap, a repeated nu,
 rows that disagree on M or theory_exponent).
+
+`simulate` and `sweep` print the realised CFL number (flow.RunResult.max_cfl;
+of a sweep, the largest over its runs) and, on stderr, a warning line when it
+exceeds the configured cfl; the warning does not change the exit status.
 """
 
 from __future__ import annotations
@@ -143,6 +147,15 @@ def _cmd_split(args) -> int:
     return 0 if ok else 1
 
 
+def _report_cfl(max_cfl: float, cfl: float) -> None:
+    """Print the realised CFL number of a run (of a sweep: its largest), and
+    a warning line on stderr when it exceeds the configured cfl beyond rounding."""
+    print(f"realised CFL: {max_cfl:.4g} (configured {cfl:g})")
+    if max_cfl > cfl * (1 + 1e-9):
+        print(f"warning: realised CFL {max_cfl:.4g} exceeds the configured cfl = {cfl:g}",
+              file=sys.stderr)
+
+
 def _cmd_simulate(args) -> int:
     conf = _load_config(args.config, _SIMULATE_DEFAULTS)
     settings = _solver_settings(conf)
@@ -153,6 +166,7 @@ def _cmd_simulate(args) -> int:
     e = result.series.energy
     print(f"steps: {round(cfg.horizon / result.dt)}, samples: {len(result.sample_times)}")
     print(f"energy: {e[0]:.9g} -> {e[-1]:.9g}")
+    _report_cfl(result.max_cfl, cfg.cfl)
     ok = not result.blow_up and (cfg.nu == 0.0 or bool(np.all(np.diff(e) <= 1e-12 + 1e-9 * e[:-1])))
     print("PASS" if ok else "FAIL (blow-up or energy increase under viscosity)")
     return 0 if ok else 1
@@ -164,6 +178,7 @@ def _cmd_sweep(args) -> int:
     print(f"M = {series.M:.6g}, theory exponent = {series.theory_exponent:.6g}")
     for nu, sup in zip(series.nu, series.sup_gap):
         print(f"nu = {nu:>9.3e}: sup gap = {sup:.9g}")
+    _report_cfl(max(r.max_cfl for r in (result.euler, *result.runs.values())), result.config.cfl)
     ok = not result.aborted and series.monotone
     if len(series.nu) >= 3:
         rate = inviscid.verify_rate(series)

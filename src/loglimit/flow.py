@@ -121,8 +121,7 @@ def _advection_rhs(grid: GridSpec, omega_box: np.ndarray) -> np.ndarray:
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
     """dt = cfl * h / ||u||_Linf (capped by the horizon for resting fields)."""
-    u = state.velocity
-    umax = max(float(np.abs(u.u1.values).max()), float(np.abs(u.u2.values).max()))
+    umax = _max_speed(state.velocity)
     if umax == 0.0:
         return cfg.horizon
     return cfg.cfl * state.grid.spacing / umax
@@ -215,10 +214,15 @@ def speed_field(u: VectorField) -> ScalarField:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's states and series.  max_cfl is the realised CFL number, the
+    largest dt * max(|u1|, |u2|) / h over the samples: the fixed dt is set
+    from the initial speed, so a flow that speeds up can exceed config.cfl."""
+
     config: SolverConfig
     states: tuple[FlowState, ...]
     series: NormSeries
     dt: float
+    max_cfl: float
     blow_up: bool = False
 
     @property
@@ -247,7 +251,7 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
     n_chunks = max(cfg.min_samples, math.ceil(cfg.horizon / (dt0 * chunk)))
     dt = cfg.horizon / (n_chunks * chunk)
     states, rows = [], []
-    blow_up = False
+    blow_up, max_cfl = False, 0.0
     for sample in range(n_chunks + 1):
         if sample:
             try:
@@ -259,17 +263,20 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
         states.append(state)
         u = state.velocity  # derived once: the series row and the blow-up check share it
         rows.append(_sample_row(state, u, cfg, compute_norms))
-        if _blown(u):
+        umax = _max_speed(u)
+        max_cfl = max(max_cfl, dt * umax / cfg.grid.spacing)
+        # a ScalarField holds only finite values, so the speed cap is the one test
+        if umax > BLOW_UP_SPEED:
             blow_up = True
             break
     times = np.array([s.time for s in states])
     series = NormSeries(times, *(np.array(col) for col in zip(*rows)))
-    return RunResult(cfg, tuple(states), series, dt, blow_up)
+    return RunResult(cfg, tuple(states), series, dt, max_cfl, blow_up)
 
 
-def _blown(u: VectorField) -> bool:
-    # a ScalarField holds only finite values, so the speed cap is the one test
-    return max(float(np.abs(c.values).max()) for c in (u.u1, u.u2)) > BLOW_UP_SPEED
+def _max_speed(u: VectorField) -> float:
+    """max(|u1|, |u2|) over the grid."""
+    return max(float(np.abs(c.values).max()) for c in (u.u1, u.u2))
 
 
 def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_norms: bool):

@@ -330,10 +330,15 @@ def write_csv(path: str | Path, header, rows) -> None:
 
 
 def save_field_csv(field: ScalarField, path: str | Path) -> None:
-    """Write `x1,x2,value` rows in row-major grid order."""
-    x1, x2 = field.grid.coordinates()
-    write_csv(path, FIELD_CSV_HEADER,
-              zip(x1.ravel().tolist(), x2.ravel().tolist(), field.values.ravel().tolist()))
+    """Write `x1,x2,value` rows in row-major grid order: the bytes that
+    write_csv(path, FIELD_CSV_HEADER, zip(x1, x2, values)) writes for the
+    raveled coordinates and values, with each of the n axis coordinates
+    formatted once per file rather than once per row."""
+    cx = csv_line(field.grid.coordinates()[0][:, 0].tolist()).split(",")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(csv_line(FIELD_CSV_HEADER) + "\n")
+        fh.writelines(f"{a},{b},{v:.17g}\n"
+                      for a, row in zip(cx, field.values.tolist()) for b, v in zip(cx, row))
 
 
 def read_csv(path: str | Path, header) -> np.ndarray:

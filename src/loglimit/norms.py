@@ -56,7 +56,8 @@ def bmo_seminorm(g: ScalarField) -> float:
     square's deviation is computed from its cells, so the maximum is the one a
     scan of every square computes, up to the rounding of each square's sums;
     the bounds only decide which squares are read, so it is the same float
-    whichever bound pruned them.
+    whichever bound pruned them.  All levels read their squares from one copy
+    of the field wrapped by n/2 - 1 cells, built when the first is read.
     """
     vals = g.values
     if vals.min() == vals.max():
@@ -70,19 +71,34 @@ def bmo_seminorm(g: ScalarField) -> float:
     # small squares first: they are cheap to read, and on rough fields one of
     # them holds the maximum, which then prunes nearly all larger squares
     w = np.ldexp(v, -e)
+    n = w.shape[0]
+    padded = None  # v wrapped by n/2 - 1 cells, built once a square must be read
     for s, bound in _std_bounds(w).items():
         live = np.flatnonzero(bound > np.ldexp(best, -e))
         if s > _SUB_SIDE and live.size * s * s > _CHORD_GATE * (s // _SUB_SIDE) ** 2 * w.size:
             bound = np.minimum(bound, _chord_bounds(w, s))
             live = np.flatnonzero(bound > np.ldexp(best, -e))
         live = live[np.argsort(-bound[live])]
-        padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
         chunk = max(1, _GATHER_CELLS // (s * s))
         for start in range(0, live.size, chunk):
             if bound[live[start]] <= np.ldexp(best, -e):
                 break  # bounds are sorted: no later square can beat best
-            best = max(best, _gathered_max(padded, s, live[start : start + chunk]))
+            if padded is None:
+                padded = np.pad(v, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
+            best = max(best, _gathered_max(padded, n, s, live[start : start + chunk]))
     return best
+
+
+def _doubled(op, a: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """op(a, np.roll(a, -r, axis)) for axis -1 or -2, in a fresh array: the
+    same operations in the same order, without the roll's copy of a."""
+    n, rest = a.shape[axis], (slice(None),) * (-1 - axis)
+    head, wrap = (..., slice(0, n - r)) + rest, (..., slice(n - r, None)) + rest
+    ahead, behind = (..., slice(r, None)) + rest, (..., slice(0, r)) + rest
+    out = np.empty_like(a)
+    op(a[head], a[ahead], out=out[head])
+    op(a[wrap], a[behind], out=out[wrap])
+    return out
 
 
 def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
@@ -103,18 +119,26 @@ def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
     covers it, far below any running best (at least mean|w| >= 1/(2 n^2)).
     """
     n = w.shape[0]
-    s1, s2 = w, w * w
+    sums = np.stack((w, w * w))  # window sums of w and w^2
     out = {}
     s, depth = 1, 0
     while 2 * s <= n // 2:
-        for axis in (0, 1):
-            s1 = s1 + np.roll(s1, -s, axis)
-            s2 = s2 + np.roll(s2, -s, axis)
+        for axis in (-2, -1):
+            sums = _doubled(np.add, sums, s, axis)
         s, depth = 2 * s, depth + 2
-        m, q = s1 / (s * s), s2 / (s * s)
-        var = np.maximum(q - m * m, 0.0) + 4 * (depth + 2) * _U * q
+        m, q = sums / (s * s)
+        var = m * m
+        np.subtract(q, var, out=var)
+        np.maximum(var, 0.0, out=var)
+        var += 4 * (depth + 2) * _U * q
         tol = 1e-9 + 3 * s * s * _U
-        out[s] = ((np.sqrt(var) + tol * np.sqrt(q)) * (1 + tol) + 2.0**-500).ravel()
+        np.sqrt(var, out=var)
+        np.sqrt(q, out=q)
+        q *= tol
+        var += q
+        var *= 1 + tol
+        var += 2.0**-500
+        out[s] = var.ravel()
     return out
 
 
@@ -163,20 +187,20 @@ def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
     one bound by at most 2^-1074.
     """
     n, t = w.shape[0], _SUB_SIDE
-    s1, s2, lo, hi = w, w * w, w, w
+    sums, lo, hi = np.stack((w, w * w)), w, w
     r = 1
     while r < t:
-        for axis in (0, 1):
-            s1 = s1 + np.roll(s1, -r, axis)
-            s2 = s2 + np.roll(s2, -r, axis)
-            lo = np.minimum(lo, np.roll(lo, -r, axis))
-            hi = np.maximum(hi, np.roll(hi, -r, axis))
+        for axis in (-2, -1):
+            sums = _doubled(np.add, sums, r, axis)
+            lo = _doubled(np.minimum, lo, r, axis)
+            hi = _doubled(np.maximum, hi, r, axis)
         r *= 2
+    s1, s2 = sums
     m = s1 / (t * t)
     c = s1
     while r < s:
-        for axis in (0, 1):
-            c = c + np.roll(c, -r, axis)
+        for axis in (-2, -1):
+            c = _doubled(np.add, c, r, axis)
         r *= 2
     c /= s * s
     span = hi - lo
@@ -209,9 +233,9 @@ def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
     return acc.ravel()
 
 
-def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
-    """Largest mean absolute deviation among the s x s squares at flat corners."""
-    n = padded.shape[0] - s + 1
+def _gathered_max(padded: np.ndarray, n: int, s: int, corners: np.ndarray) -> float:
+    """Largest mean absolute deviation among the s x s squares at flat corners
+    i * n + j, read from an n x n field wrapped by at least s - 1 cells."""
     i, j = np.divmod(corners, n)
     blocks = sliding_window_view(padded, (s, s))[i, j].reshape(corners.size, s * s)
     blocks -= blocks.mean(axis=1, keepdims=True)

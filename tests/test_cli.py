@@ -154,6 +154,24 @@ class TestSimulate:
         assert series[0] == "t,f0,g0,h0,energy,enstrophy"
         assert (outdir / "final_vorticity.csv").exists()
 
+    def test_realised_cfl_reported(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid = 32\nT = 0.2\nsamples = 10\nout = {tmp_path / 'sim'}\n")
+        assert main(["simulate", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert "realised CFL: " in captured.out and "(configured 0.5)" in captured.out
+        assert captured.err == ""
+
+    def test_cfl_above_configured_warns(self, tmp_path, capsys):
+        # random_4 at n = 16 speeds up past the dt fixed from its initial speed
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid = 16\nT = 1.0\nic = random_4\nout = {tmp_path / 'sim'}\n")
+        assert main(["simulate", str(config)]) == 0  # a warning, not a failure
+        captured = capsys.readouterr()
+        assert "realised CFL: 0.5533 (configured 0.5)" in captured.out
+        assert captured.err == "warning: realised CFL 0.5533 exceeds the configured cfl = 0.5\n"
+        assert "PASS" in captured.out
+
     def test_bad_config_line_is_error(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("grid 32\n")
@@ -249,11 +267,23 @@ class TestSweepAndRateFit:
             f"samples = 30\nout = {outdir}\n"
         )
         assert main(["sweep", str(config)]) == 0
-        assert "PASS" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "PASS" in captured.out and "realised CFL: " in captured.out
+        assert captured.err == ""
         gaps = outdir / "gaps.csv"
         assert gaps.exists()
         assert main(["rate-fit", str(gaps)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_sweep_warns_on_cfl_above_configured(self, tmp_path, capsys):
+        # the reference run of random_4 at n = 16 exceeds the configured cfl
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"grid = 16\nT = 1.0\nic = random_4\nsamples = 1\n"
+                          f"out = {tmp_path / 'sweep'}\n")
+        assert main(["sweep", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert "realised CFL: 0.5533 (configured 0.5)" in captured.out
+        assert captured.err == "warning: realised CFL 0.5533 exceeds the configured cfl = 0.5\n"
 
     def test_rate_fit_detects_violation(self, tmp_path, capsys):
         gaps = tmp_path / "gaps.csv"

@@ -199,6 +199,20 @@ class TestRun:
         assert res.blow_up
         assert len(res.states) == 1  # bailed before stepping
 
+    @pytest.mark.parametrize("n, ic, samples, exceeds", [
+        (16, "random_4", 1, True),  # speeds up past the initial CFL bound
+        (32, "random_42", 10, False),
+        (32, "taylor_green", 1, False),  # steady: the initial bound throughout
+    ])
+    def test_realised_cfl_recomputed_from_states(self, n, ic, samples, exceeds):
+        grid = GridSpec(n)
+        cfg = SolverConfig(grid=grid, nu=0.0, horizon=1.0, min_samples=samples)
+        res = run(initial_condition(grid, ic), cfg, compute_norms=False)
+        speeds = [max(float(np.abs(c.values).max()) for c in (u.u1, u.u2))
+                  for u in (s.velocity for s in res.states)]
+        assert res.max_cfl == max(res.dt * v / grid.spacing for v in speeds)
+        assert (res.max_cfl > cfg.cfl) == exceeds
+
     def test_velocity_derived_once_per_sample(self, grid32, monkeypatch):
         # the blow-up check and the series row of a sample share one velocity;
         # the one extra derivation is the initial CFL bound

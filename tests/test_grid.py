@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from loglimit.grid import (
+    FIELD_CSV_HEADER,
     TWO_PI,
     GridSpec,
     ScalarField,
@@ -245,6 +246,23 @@ class TestCsv:
         assert np.array_equal(g.values, vals)  # 17 significant digits round-trips
         header = path.read_text().splitlines()[0]
         assert header == "x1,x2,value"
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_field_bytes_match_row_by_row_writer(self, n, tmp_path):
+        # save_field_csv formats each axis coordinate once per file; its bytes
+        # must be those of write_csv formatting every row's three cells
+        grid = GridSpec(n)
+        vals = np.random.default_rng(n).standard_normal(grid.shape)
+        vals.flat[:6] = [-0.0, 5e-324, 1e300, -1e300, 0.1, 0.0]
+        vals.flat[-1] = -5e-324
+        path, old = tmp_path / "field.csv", tmp_path / "rows.csv"
+        save_field_csv(ScalarField(grid, vals), path)
+        x1, x2 = grid.coordinates()
+        write_csv(old, FIELD_CSV_HEADER, zip(x1.ravel().tolist(), x2.ravel().tolist(),
+                                             vals.ravel().tolist()))
+        assert path.read_bytes() == old.read_bytes()
+        back = load_field_csv(path).values
+        assert back.tobytes() == vals.tobytes()  # -0.0 and subnormals included
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -426,10 +426,9 @@ class TestSideBySide:
         assert err.type is LookupError
         assert multiprocessing.active_children() == []
 
-    def test_majorant_work_is_cut(self, monkeypatch):
-        # a work count, not a timing: at the gate's empirical constant each
-        # check integrates the majorant only as far as a sample can still fail
-        c_emp = 5.58
+    def _majorant_work(self, monkeypatch, c_emp):
+        """Per nu: the check's report, the trajectory points of all its
+        integrate_majorant calls, and those of one full-horizon integration."""
         result = run_sweep(ExperimentConfig(**self.CFG))
         points = dict.fromkeys(self.CFG["nu_list"], 0)
         integrate = osgood.integrate_majorant
@@ -442,10 +441,23 @@ class TestSideBySide:
         monkeypatch.setattr(osgood, "integrate_majorant", counting)
         reports = sweep_majorization(result, c_emp=c_emp)
         monkeypatch.undo()
-        for nu, rep in reports.items():
-            full = integrate(majorant_problem(result, nu, c_emp))
+        return {nu: (rep, points[nu], len(integrate(majorant_problem(result, nu, c_emp)).times))
+                for nu, rep in reports.items()}
+
+    def test_majorant_work_is_cut(self, monkeypatch):
+        # a work count, not a timing: at the gate's empirical constant each
+        # check integrates the majorant only as far as a sample can still fail
+        for rep, points, full in self._majorant_work(monkeypatch, 5.58).values():
             assert rep.passed and rep.checked_until < self.CFG["horizon"]
-            assert 0 < points[nu] < 0.5 * len(full.times)
+            assert 0 < points < 0.5 * full
+
+    def test_majorant_work_bounded_when_cut_fires_late(self, monkeypatch):
+        # at c_emp = 1.0 the cut fires only at t = 0.14 of 0.2, and the
+        # growing prefixes converge at a finer step than the full horizon;
+        # the check still costs at most twice one full-horizon integration
+        for rep, points, full in self._majorant_work(monkeypatch, 1.0).values():
+            assert rep.checked_until == pytest.approx(0.14)
+            assert 0 < points <= 2 * full
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_first_error_in_task_order(self, cpus, k):

@@ -84,6 +84,14 @@ class TestLp:
         assert_allclose(lp_norm(f, 2), spec, rtol=1e-12)
 
 
+def _square_mads(v: np.ndarray, s: int) -> np.ndarray:
+    """Mean absolute deviations of the wrapped s x s squares of v, by corner."""
+    n = v.shape[0]
+    padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
+    blocks = sliding_window_view(padded, (s, s))[:n, :n].reshape(n, n, s * s)
+    return np.abs(blocks - blocks.mean(axis=2, keepdims=True)).mean(axis=2)
+
+
 class TestBmo:
     def test_constant_is_zero(self, grid16):
         assert bmo_seminorm(ScalarField(grid16, 4.2 * np.ones(grid16.shape))) < 1e-13
@@ -171,10 +179,7 @@ class TestBmo:
         v = vals - vals.mean()
         e = int(np.frexp(np.abs(v).max())[1])
         for s, bound in _std_bounds(np.ldexp(v, -e)).items():
-            padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
-            blocks = sliding_window_view(padded, (s, s)).reshape(32 * 32, s * s)
-            mad = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).mean(axis=1)
-            assert np.all(bound >= np.ldexp(mad, -e))
+            assert np.all(bound >= np.ldexp(_square_mads(v, s).ravel(), -e))
 
     @pytest.mark.parametrize("n, s", [(32, 16), (64, 32), (128, 16), (128, 64)])
     @pytest.mark.parametrize("build", BOUND_FIELDS, ids=BOUND_FIELD_IDS)
@@ -221,14 +226,81 @@ class TestBmo:
         reads = []
         gathered = norms._gathered_max
 
-        def counting(padded, s, corners):
+        def counting(padded, n, s, corners):
             reads.append(corners.size if s == 64 else 0)
-            return gathered(padded, s, corners)
+            return gathered(padded, n, s, corners)
 
         monkeypatch.setattr(norms, "_gathered_max", counting)
         field = {i: f for i, _, f in make_corpus(GridSpec(128))}[fid]
         assert bmo_seminorm(field) == std_pruned_bmo_seminorm(field)
         assert 0 < sum(reads) <= std_reads / 4
+
+
+class TestWrappedCopy:
+    """bmo_seminorm reads every square from one copy of the field wrapped by
+    n/2 - 1 cells, built only once a square must be read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """(s, corners) of every _gathered_max call, in call order."""
+        calls = []
+        gathered = norms._gathered_max
+
+        def recording(padded, n, s, corners):
+            calls.append((s, corners.copy()))
+            return gathered(padded, n, s, corners)
+
+        monkeypatch.setattr(norms, "_gathered_max", recording)
+        return calls
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_top_level_maximum(self, n, reads):
+        # a shifted mode_coscos: only s = n/2 squares are read, among them
+        # corners in the last row and column, which the copy's full width holds
+        grid = GridSpec(n)
+        x1, x2 = grid.coordinates()
+        vals = np.roll(np.cos(x1) * np.cos(x2), (1, 1), axis=(0, 1))
+        got = bmo_seminorm(ScalarField(grid, vals))
+        assert got == pytest.approx(brute_bmo_seminorm(vals), rel=1e-12, abs=0.0)
+        assert {s for s, _ in reads} == {n // 2}
+        corners = np.concatenate([c for _, c in reads])
+        assert n * n - 1 in corners  # the square wrapping both edges by n/2 - 1 cells
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_maximum_wraps_both_edges(self, n, reads):
+        # mode_coscos plus a bump has one maximizing square, at s = n/2; the
+        # field is rolled so that its corner is the last cell, and the square
+        # wraps around both edges by n/2 - 1 cells
+        grid = GridSpec(n)
+        x1, x2 = grid.coordinates()
+        vals = np.cos(x1) * np.cos(x2) + 0.05 * gaussian_bump(grid, np.pi / 4).values
+        mads = _square_mads(vals - vals.mean(), n // 2)
+        i, j = np.unravel_index(np.argmax(mads), mads.shape)
+        vals = np.roll(vals, (n - 1 - i, n - 1 - j), axis=(0, 1))
+        v = vals - vals.mean()
+        top = _square_mads(v, n // 2)
+        below = max(_square_mads(v, 2**k).max() for k in range(1, n.bit_length() - 2))
+        assert np.flatnonzero(top == top.max()).tolist() == [n * n - 1]
+        assert top.max() > max(below, np.abs(v).mean())
+        got = bmo_seminorm(ScalarField(grid, vals))
+        assert got == pytest.approx(brute_bmo_seminorm(vals), rel=1e-12, abs=0.0)
+        assert any(n * n - 1 in c for s, c in reads if s == n // 2)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_no_square_read(self, n, reads, monkeypatch):
+        # +-1 on diagonal bands, half the torus each: no square of side <= n/2
+        # splits 50/50, so no bound beats the full torus and no copy is built
+        i, j = np.indices((n, n))
+        vals = np.where((i + j) % n < n // 2, 1.0, -1.0)
+        field = ScalarField(GridSpec(n), vals)
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a wrapped copy was built")
+
+        monkeypatch.setattr(np, "pad", no_copy)
+        got = bmo_seminorm(field)
+        assert got == float(np.abs(vals - vals.mean()).mean()) == 1.0
+        assert reads == []
 
 
 class TestHardy:
