@@ -20,6 +20,9 @@ It also owns the CSV format of every file the package writes (`csv_line`,
 numbers at 17 significant digits (so floats round-trip bit for bit), an
 empty cell for None, and lines that end in a bare newline.
 
+It also holds the package's one parallel map (`_map_tasks`), which runs
+independent tasks side by side: a sweep's flows, a corpus scan's BMO norms.
+
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
 is filled once under a lock.
@@ -28,6 +31,7 @@ is filled once under a lock.
 from __future__ import annotations
 
 import csv
+import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -379,3 +383,31 @@ def load_field_csv(path: str | Path) -> ScalarField:
             and np.allclose(rows[:, 1], x2.ravel(), rtol=0, atol=1e-9)):
         raise ValueError("x1,x2 coordinates do not follow the row-major grid order")
     return ScalarField(grid, rows[:, 2].reshape(grid.shape))
+
+
+def _map_tasks(fn, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks], in task order, on a pool of forked
+    processes: one per task, up to the CPUs this process may run on.  When
+    tasks raise, the first in task order raises here, pooled or not.  Runs
+    in-process below 2 such processes, or inside a daemonic process, which
+    may not start children.  fn and the tasks must pickle: fn is a private
+    task function of its module (inviscid._sweep_member,
+    logineq._corpus_bmo), never a name that a caller may replace, such as
+    run or bmo_seminorm, and a task builds its fields itself (a ScalarField
+    holds a lock, which does not pickle).  Forked, not spawned: the workers
+    start with the parent's imports and its replaced names (a tracer's
+    wrappers, a test's fakes), and the package starts no thread that a fork
+    could break."""
+    import multiprocessing  # here: ~9 ms of import that commands without a pool need not pay
+
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return [fn(*task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return list(pool.imap(_apply, [(fn, task) for task in tasks], chunksize=1))
+
+
+def _apply(fn_task: tuple):
+    """fn(*task), the one argument Pool.imap passes being (fn, task)."""
+    fn, task = fn_task
+    return fn(*task)

@@ -10,7 +10,6 @@ log sup-gap against log viscosity.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +26,15 @@ from .flow import (
     two_mode_velocity,
     velocity_gradient,
 )
-from .grid import GridSpec, ScalarField, VectorField, read_csv, save_field_csv, write_csv
+from .grid import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    _map_tasks,
+    read_csv,
+    save_field_csv,
+    write_csv,
+)
 from .osgood import MajorizationReport, OsgoodProblem, check_majorization
 from .splitting import SplitConfig, truncation_remainder
 
@@ -150,31 +157,6 @@ def fit_exponent(x, y) -> float | None:
     if keep.sum() < 2:
         return None
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
-
-
-def _map_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], in task order, on a pool of forked
-    processes: one per task, up to the CPUs this process may run on.  When
-    tasks raise, the first in task order raises here, pooled or not.  Runs
-    in-process below 2 such processes, or inside a daemonic process, which
-    may not start children.  fn and the tasks must pickle: fn is a task
-    function of this module (_sweep_member), never a name that a caller may
-    replace, such as run.  Forked, not spawned: the workers start
-    with the parent's imports and its replaced names (a tracer's wrappers, a
-    test's fakes), and the package starts no thread that a fork could break."""
-    import multiprocessing  # here: ~9 ms of import that commands without a sweep need not pay
-
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers < 2 or multiprocessing.current_process().daemon:
-        return [fn(*task) for task in tasks]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(_apply, [(fn, task) for task in tasks], chunksize=1))
-
-
-def _apply(fn_task: tuple):
-    """fn(*task), the one argument Pool.imap passes being (fn, task)."""
-    fn, task = fn_task
-    return fn(*task)
 
 
 def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunResult:

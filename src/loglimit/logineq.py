@@ -20,7 +20,7 @@ import numpy as np
 
 # riesz_transform stays bound here for the benchmark's call tracer
 # (perfbench/tracing.py); this module's Riesz transforms go through riesz_l1
-from .grid import TWO_PI, GridSpec, ScalarField, riesz_transform, write_csv  # noqa: F401
+from .grid import TWO_PI, GridSpec, ScalarField, _map_tasks, riesz_transform, write_csv  # noqa: F401
 from .inviscid import fit_exponent
 from .norms import _hardy_norm, bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
 
@@ -313,15 +313,23 @@ def _max_defined(values) -> float:
     return max([0.0] + [v for v in values if v is not None])
 
 
+def _corpus_bmo(n: int, i: int) -> float:
+    """BMO seminorm of corpus field i on the n grid, built here: a
+    ScalarField holds a lock and does not pickle into a pool task."""
+    return bmo_seminorm(CORPUS_BUILDERS[i][2](GridSpec(n)))
+
+
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     """Deterministically enumerate all (f, g, size) trials over the corpus.
 
     Per size, each field's BMO norm, Riesz L1 pair, Hardy norm (from that
     pair), L1 and Linf norms are computed once, and so is each pairing
-    |int f g|.  The trial rows, duality ratios and Riesz-chain constants are
-    the formulas verify_main_inequality, duality_ratio and riesz_l1_chain
-    apply to those numbers.  Sizes must be distinct (a repeated size adds no
-    refinement step to the slope fits) and at least MIN_CORPUS_GRID.
+    |int f g|.  The BMO scans of every size run side by side in one
+    _map_tasks call; the rest runs in this process.  The trial rows,
+    duality ratios and Riesz-chain constants are the formulas
+    verify_main_inequality, duality_ratio and riesz_l1_chain apply to those
+    numbers.  Sizes must be distinct (a repeated size adds no refinement
+    step to the slope fits) and at least MIN_CORPUS_GRID.
     """
     if len(sizes) == 0:
         raise ValueError("scan requires at least one size")
@@ -331,14 +339,16 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
         raise ValueError(f"scan sizes must be at least {MIN_CORPUS_GRID} (the corpus's "
                          f"ind_sixteenth is a level-4 dyadic square), got {tuple(sizes)}")
     grids = [GridSpec(n) for n in sizes]  # every size is checked before any scan
+    # every BMO scan ends before the first Riesz FFT: interleaved in one
+    # process, they raised its peak RSS by ~0.07 MB (verify_ineq benchmark)
+    count = len(CORPUS_BUILDERS)
+    bmo_all = _map_tasks(_corpus_bmo, [(n, i) for n in sizes for i in range(count)])
     trials: list[IneqTrial] = []
     max_by_family: dict[str, float] = {}
     max_by_size, duality_by_size, chain_by_size = {}, {}, {}
-    for n, grid in zip(sizes, grids):
+    for k, (n, grid) in enumerate(zip(sizes, grids)):
         fields = make_corpus(grid)
-        # the BMO scans all run before the Riesz FFTs: interleaved, they raised
-        # the process's peak RSS by ~0.07 MB (verify_ineq benchmark, n <= 128)
-        bmo = [bmo_seminorm(fld) for _, _, fld in fields]
+        bmo = bmo_all[k * count:(k + 1) * count]
         g_norms, chain = [], []  # per field: (Hardy, L1, Linf) norms; chain constants
         for _, _, fld in fields:
             riesz = riesz_l1(fld)

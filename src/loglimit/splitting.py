@@ -8,8 +8,9 @@ between L_{1 + sigma/4} and L_{1 + sigma/2} over its support gives the
 Hoelder bound evaluated here.  Both checks take the field alpha itself:
 chebyshev_support_bound(alpha, cfg) counts {|alpha| > m} without splitting,
 and holder_remainder_bound(alpha, cfg) forms only the remainder it needs
-(truncation_remainder), so a threshold sweep truncates each field once per
-threshold and takes its L_{1 + sigma/2} norm once.  Both inequalities
+(truncation_remainder), and none when m >= max |alpha|, so a threshold sweep
+truncates each field once per threshold below its maximum and takes its
+L_{1 + sigma/2} norm once.  Both inequalities
 are exact for the discrete quadrature (cell counting and Riemann sums share
 the same measure); the checks forgive an excess of ROUNDING_SLACK relative,
 which only guards floating-point rounding.
@@ -109,6 +110,9 @@ def holder_remainder_bound(alpha: ScalarField, cfg: SplitConfig) -> HolderResult
     obtained by inserting the Chebyshev support estimate is reported as well;
     its norm is the root of the same integral rhs uses.
     """
+    if np.abs(alpha.values).max() <= cfg.threshold:
+        # alpha_r is exactly zero, and the sums below would give these zeros
+        return HolderResult(0.0, 0.0, 0.0, 0.0, True)
     sigma = cfg.sigma
     alpha_r = truncation_remainder(alpha, cfg)
     p_low = 1.0 + sigma / 4.0

@@ -1,7 +1,11 @@
-"""Grid fields, transforms, and spectral calculus."""
+"""Grid fields, transforms, spectral calculus, CSVs, and the parallel map."""
 
+import dataclasses
 import math
+import multiprocessing
+import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from loglimit.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _map_tasks,
     curl,
     divergence,
     gradient,
@@ -302,3 +307,32 @@ class TestCsv:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="coordinates"):
             load_field_csv(path)
+
+
+def _fail_after(k: int, delay: float):
+    time.sleep(delay)
+    raise ArithmeticError(f"task {k} failed")
+
+
+class TestMapTasks:
+    """The one parallel map, on a pool of processes and in-process."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_error_in_task_order(self, cpus, k):
+        # every task raises, task 0 last in time: its error is still the one raised
+        cpus(k)
+        tasks = [(i, 0.05 if i == 0 else 0.0) for i in range(4)]
+        with pytest.raises(ArithmeticError, match=r"^task 0 failed$"):
+            _map_tasks(_fail_after, tasks)
+        assert multiprocessing.active_children() == []
+
+    def test_map_tasks_placement(self, monkeypatch, cpus):
+        cpus(1)
+        assert _map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3
+        cpus(2)
+        assert os.getpid() not in _map_tasks(os.getpid, [()] * 3)
+        assert _map_tasks(pow, [(2, k) for k in range(9)]) == [2**k for k in range(9)]
+        assert _map_tasks(os.getpid, [()]) == [os.getpid()]  # one task
+        daemon = dataclasses.make_dataclass("Process", ["daemon"])(True)
+        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
+        assert _map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3  # no children

@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import re
-import time
 
 import numpy as np
 import pytest
@@ -335,21 +334,11 @@ class TestForcing:
         assert derived[0] == 520
 
 
-def _fail_after(k: int, delay: float):
-    time.sleep(delay)
-    raise ArithmeticError(f"task {k} failed")
-
-
 class TestSideBySide:
     """run_sweep and sweep_majorization on a pool of processes and in-process."""
 
     CFG = dict(grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
                initial_condition_id="random_42", min_samples=10)
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Sets the CPUs this process may run on, as a count."""
-        return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
     def _sweep(self, outdir):
         result = run_sweep(ExperimentConfig(**self.CFG, output_dir=str(outdir)))
@@ -458,26 +447,6 @@ class TestSideBySide:
         for rep, points, full in self._majorant_work(monkeypatch, 1.0).values():
             assert rep.checked_until == pytest.approx(0.14)
             assert 0 < points <= 2 * full
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_first_error_in_task_order(self, cpus, k):
-        # every task raises, task 0 last in time: its error is still the one raised
-        cpus(k)
-        tasks = [(i, 0.05 if i == 0 else 0.0) for i in range(4)]
-        with pytest.raises(ArithmeticError, match=r"^task 0 failed$"):
-            inviscid._map_tasks(_fail_after, tasks)
-        assert multiprocessing.active_children() == []
-
-    def test_map_tasks_placement(self, monkeypatch, cpus):
-        cpus(1)
-        assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3
-        cpus(2)
-        assert os.getpid() not in inviscid._map_tasks(os.getpid, [()] * 3)
-        assert inviscid._map_tasks(pow, [(2, k) for k in range(9)]) == [2**k for k in range(9)]
-        assert inviscid._map_tasks(os.getpid, [()]) == [os.getpid()]  # one task
-        daemon = dataclasses.make_dataclass("Process", ["daemon"])(True)
-        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
-        assert inviscid._map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3  # no children
 
 
 class TestCrossModule:

@@ -1,6 +1,8 @@
 """Duality-inequality trials, the Riesz/Zygmund L1 bound, and corpus scans."""
 
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from loglimit.logineq import (
     verify_zygmund_estimate,
     zygmund_family_scan,
 )
-from loglimit.norms import lp_norm
+from loglimit.norms import bmo_seminorm, lp_norm
 
 
 class TestMainInequality:
@@ -314,6 +316,74 @@ class TestCorpusScan:
         lines = path.read_text().splitlines()
         assert lines[0] == "f_id,g_id,grid,lhs,bmo_f,l1_g,linf_g,bracket,ratio"
         assert len(lines) == 1 + len(scan.trials)
+
+
+def _scan_values(scan):
+    return (scan.trials, scan.max_ratio, scan.max_ratio_by_size, scan.max_ratio_by_family,
+            scan.ratio_slope, scan.duality_max_by_size, scan.duality_slope,
+            scan.chain_max_by_size, scan.chain_slope)
+
+
+class TestCorpusScanSideBySide:
+    """scan_corpus's BMO scans on a pool of processes and in-process."""
+
+    def _scan_both(self, cpus, sizes=(16, 32)):
+        cpus(1)
+        serial = scan_corpus(sizes=sizes)
+        cpus(2)
+        pooled = scan_corpus(sizes=sizes)
+        assert multiprocessing.active_children() == []
+        return serial, pooled
+
+    def test_pooled_equals_in_process(self, cpus):
+        serial, pooled = self._scan_both(cpus)
+        assert _scan_values(pooled) == _scan_values(serial)
+        assert len(pooled.trials) == 2 * len(CORPUS_BUILDERS) ** 2
+
+    def test_scans_run_in_workers(self, monkeypatch, cpus, tmp_path):
+        log = tmp_path / "pids"  # the process of every BMO scan
+        log.touch()
+        bmo = loglimit.logineq.bmo_seminorm
+
+        def logging_bmo(f):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return bmo(f)
+
+        monkeypatch.setattr(loglimit.logineq, "bmo_seminorm", logging_bmo)
+        cpus(2)
+        scan_corpus(sizes=(16,))
+        pids = log.read_text().split()
+        assert len(pids) == len(CORPUS_BUILDERS) and str(os.getpid()) not in pids
+        log.write_text("")
+        cpus(1)
+        scan_corpus(sizes=(16,))
+        assert log.read_text().split() == [str(os.getpid())] * len(CORPUS_BUILDERS)
+
+    def test_patched_corpus_reaches_the_workers(self, monkeypatch, cpus):
+        # forked workers build the fields of the corpus the caller patched in
+        builders = (CORPUS_BUILDERS[3], CORPUS_BUILDERS[1], CORPUS_BUILDERS[6])
+        monkeypatch.setattr(loglimit.logineq, "CORPUS_BUILDERS", builders)
+        serial, pooled = self._scan_both(cpus)
+        assert _scan_values(pooled) == _scan_values(serial)
+        assert [t.f_id for t in pooled.trials[::3]] == ["step_half", "mode_cos1", "log_cap"] * 2
+        expected = [bmo_seminorm(build(GridSpec(n))) for n in (16, 32) for _, _, build in builders]
+        assert [t.bmo_f for t in pooled.trials[::3]] == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_builder_error_reaches_caller(self, monkeypatch, cpus, k):
+        def failing(grid):
+            if grid.points_per_axis == 32:
+                raise ArithmeticError(f"no field at n = {grid.points_per_axis}")
+            return gaussian_bump(grid, 1.0)
+
+        builders = CORPUS_BUILDERS[:2] + (("fails_at_32", "test", failing),) + CORPUS_BUILDERS[2:]
+        monkeypatch.setattr(loglimit.logineq, "CORPUS_BUILDERS", builders)
+        cpus(k)
+        with pytest.raises(ArithmeticError, match=r"^no field at n = 32$") as err:
+            scan_corpus(sizes=(16, 32, 64))
+        assert err.type is ArithmeticError
+        assert multiprocessing.active_children() == []
 
 
 class TestCorpusMakers:

@@ -3,7 +3,7 @@
 `perfbench/tracing.PATCHES` names every function a traced benchmark run
 (`perfbench/run.py --trace 1`) wraps.  Renaming or removing one of them in
 the package fails here instead of breaking traced runs only.  So does a sweep
-whose pool tasks stop pickling under the tracer's wrappers.
+or a corpus scan whose pool tasks stop pickling under the tracer's wrappers.
 """
 
 import os
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from loglimit import inviscid
+from loglimit import inviscid, logineq
+from loglimit.grid import GridSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,3 +63,25 @@ def test_sweep_runs_under_the_tracer(monkeypatch):
     for nu in cfg.nu_list:
         assert np.array_equal(traced.gap_curves[nu], plain.gap_curves[nu])
         assert np.array_equal(traced.forcing[nu], plain.forcing[nu])
+
+
+def test_corpus_scan_runs_under_the_tracer(monkeypatch):
+    # a pool task that is a traced name (bmo_seminorm) does not pickle while
+    # the tracer is installed: it would fail every traced verify_ineq operation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    import tracing
+
+    def scans():
+        return logineq.scan_corpus(sizes=(16, 32)), logineq.zygmund_family_scan(GridSpec(64))
+
+    plain_scan, plain_family = scans()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced_scan, traced_family = tracer.call(tracing.ROOT, scans)
+    finally:
+        tracer.uninstall()
+    assert {s.name for s in tracer.spans} >= {"logineq.scan_corpus", "logineq.zygmund_family_scan"}
+    assert traced_scan == plain_scan
+    assert traced_family == plain_family

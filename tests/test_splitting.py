@@ -197,25 +197,105 @@ class TestRoundingSlack:
         assert not check(grid32)
 
 
+def _holder_reference(alpha, cfg):
+    """holder_remainder_bound's formulas on the remainder truncate_split builds."""
+    sigma = cfg.sigma
+    _, ar = truncate_split(alpha, cfg)
+    p_low, p_high = 1.0 + sigma / 4.0, 1.0 + sigma / 2.0
+    supp = support_measure(ar)
+    lhs = lp_norm(ar, p_low)
+    integral = float(np.sum(np.abs(ar.values) ** p_high) * ar.grid.cell_volume)
+    rhs = (supp ** (sigma / (4.0 + 2.0 * sigma))
+           * integral ** ((4.0 + sigma) / (4.0 + 2.0 * sigma))) ** (1.0 / p_low)
+    combined = cfg.threshold ** (-sigma / (4.0 + sigma)) * (integral ** (1.0 / p_high)) ** (
+        1.0 - 2.0 * sigma / ((sigma + 2.0) * (sigma + 4.0)))
+    return splitting.HolderResult(lhs, rhs, combined, supp,
+                                  lhs <= rhs * (1.0 + splitting.ROUNDING_SLACK) + 1e-300)
+
+
+class TestEmptyRemainder:
+    """A threshold at or above max |alpha| leaves a zero remainder, which is
+    not built; the result is the one the full computation gives."""
+
+    @staticmethod
+    def _counted_remainders(monkeypatch):
+        calls = []
+        remainder = splitting.truncation_remainder
+        monkeypatch.setattr(splitting, "truncation_remainder",
+                            lambda a, c: calls.append(c.threshold) or remainder(a, c))
+        return calls
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_threshold_equal_to_max(self, grid16, monkeypatch, sigma):
+        vals = np.random.default_rng(3).uniform(-2.5, 2.5, grid16.shape)
+        vals[4, 7] = 3.0
+        alpha, cfg = ScalarField(grid16, vals), SplitConfig(threshold=3.0, sigma=sigma)
+        calls = self._counted_remainders(monkeypatch)
+        assert holder_remainder_bound(alpha, cfg) == _holder_reference(alpha, cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_negative_extreme(self, grid16, monkeypatch, sigma):
+        # max(alpha) = 1.5 lies below m = 2, yet min(alpha) = -5 splits
+        vals = np.random.default_rng(5).uniform(-1.5, 1.5, grid16.shape)
+        vals[2, 9], vals[11, 3], vals[0, 0] = -5.0, -3.0, 1.5
+        alpha, cfg = ScalarField(grid16, vals), SplitConfig(threshold=2.0, sigma=sigma)
+        calls = self._counted_remainders(monkeypatch)
+        res = holder_remainder_bound(alpha, cfg)
+        assert res == _holder_reference(alpha, cfg)
+        assert res.support_measure == 2 * grid16.cell_volume
+        assert calls == [2.0]
+
+    def test_every_threshold_above_max(self, grid32, monkeypatch):
+        alpha = -3.0 * gaussian_bump(grid32, np.pi / 5)
+        top = float(np.abs(alpha.values).max())
+        thresholds = np.geomspace(top, 4 * top, 9)
+        calls = self._counted_remainders(monkeypatch)
+        for sigma in (0.5, 1.0, 2.0):
+            rows = threshold_sweep(alpha, sigma, thresholds)
+            for m, row in zip(thresholds, rows):
+                ref = _holder_reference(alpha, SplitConfig(threshold=float(m), sigma=sigma))
+                assert (row["holder_lhs"], row["holder_rhs"]) == (ref.lhs, ref.rhs) == (0.0, 0.0)
+                assert row["satisfied"] == 1.0
+        assert calls == []
+
+    def test_sweep_rows_equal_the_reference(self, grid32):
+        alpha = 5.0 * gaussian_bump(grid32, np.pi / 5) - 2.0
+        for sigma in (0.5, 1.0, 2.0):
+            for m in np.geomspace(1.1, 12.0, 20):
+                cfg = SplitConfig(threshold=float(m), sigma=sigma)
+                assert holder_remainder_bound(alpha, cfg) == _holder_reference(alpha, cfg)
+
+
 class TestSweep:
+    ALPHA_SCALE, THRESHOLDS = 5.0, np.geomspace(1.1, 12.0, 20)
+
+    def _alpha(self, grid):
+        return self.ALPHA_SCALE * gaussian_bump(grid, np.pi / 5)
+
     def test_one_split_per_threshold(self, grid32, monkeypatch):
+        # one remainder per threshold below max |alpha|, none at or above it
+        alpha = self._alpha(grid32)
+        below = [m for m in self.THRESHOLDS.tolist() if m < np.abs(alpha.values).max()]
+        assert 0 < len(below) < len(self.THRESHOLDS)
         calls = []
         remainder = splitting.truncation_remainder
         monkeypatch.setattr(
             splitting, "truncation_remainder", lambda a, c: calls.append(c) or remainder(a, c)
         )
         monkeypatch.setattr(splitting, "truncate_split", None)  # alpha_m is never built
-        thresholds = np.geomspace(1.1, 12.0, 7)
-        threshold_sweep(5.0 * gaussian_bump(grid32, np.pi / 5), 1.0, thresholds)
-        assert [c.threshold for c in calls] == thresholds.tolist()
+        threshold_sweep(alpha, 1.0, self.THRESHOLDS)
+        assert [c.threshold for c in calls] == below
 
     def test_one_norm_per_field(self, grid32, monkeypatch):
-        # the Chebyshev norm once, then one remainder norm per threshold
+        # the Chebyshev norm once, then one remainder norm per threshold below max |alpha|
+        alpha = self._alpha(grid32)
+        below = int(np.sum(self.THRESHOLDS < np.abs(alpha.values).max()))
         calls = []
         exact = splitting.lp_norm
         monkeypatch.setattr(splitting, "lp_norm", lambda f, p: calls.append(p) or exact(f, p))
-        threshold_sweep(5.0 * gaussian_bump(grid32, np.pi / 5), 1.0, np.geomspace(1.1, 12.0, 20))
-        assert len(calls) == 21
+        threshold_sweep(alpha, 1.0, self.THRESHOLDS)
+        assert calls == [1.5] + [1.25] * below
 
     def test_rows_match_single_checks(self, grid32):
         alpha = 5.0 * gaussian_bump(grid32, np.pi / 5)
