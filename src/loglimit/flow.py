@@ -18,14 +18,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .grid import (GridSpec, ScalarField, VectorField, _biot_savart_multiplier,
+from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _biot_savart_multiplier,
                    _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
                    _unpack_dealiased, curl, derivative, inverse_transform, leray_project,
                    write_csv)
-from .norms import bmo_seminorm, lp_norm
+from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
 BLOW_UP_SPEED = 1e8  # a sample with max |u| above this marks the run as blown up
@@ -127,12 +128,25 @@ def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
     return cfg.cfl * state.grid.spacing / umax
 
 
+@lru_cache(maxsize=32)
+def _integrating_factors(n: int, nu: float, dt: float) -> tuple:
+    """(exp(-nu |k|^2 dt / 2), its square) on the mode vector, read-only;
+    (1.0, 1.0) without viscosity.  A run's steps share one dt, so a run
+    computes them once."""
+    if nu <= 0:
+        return 1.0, 1.0
+    ksq = _pack_dealiased(_laplacian(n)[0])
+    e_half = np.exp(-nu * ksq * (dt / 2.0))
+    e_full = e_half * e_half
+    for a in (e_half, e_full):
+        a.setflags(write=False)
+    return e_half, e_full
+
+
 def _step_raw(grid: GridSpec, omega_box: np.ndarray, nu: float, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega,
     on a mode vector in grid._pack_dealiased order."""
-    ksq = _pack_dealiased(_laplacian(grid.points_per_axis)[0])
-    e_half = np.exp(-nu * ksq * (dt / 2.0)) if nu > 0 else 1.0
-    e_full = e_half * e_half if nu > 0 else 1.0
+    e_half, e_full = _integrating_factors(grid.points_per_axis, nu, dt)
     k1 = _advection_rhs(grid, omega_box)
     k2 = _advection_rhs(grid, e_half * (omega_box + (dt / 2.0) * k1))
     k3 = _advection_rhs(grid, e_half * omega_box + (dt / 2.0) * k2)
@@ -291,16 +305,21 @@ def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_nor
     )
 
 
-def paired_velocities(*runs: RunResult) -> Iterator[tuple[VectorField, ...]]:
-    """Iterator over the velocities of any number of runs, one tuple per
-    sample in the order of `runs`, each velocity derived once.  Raises
-    ValueError at the call, not when the iterator is read, unless every run
-    was sampled at the first run's times."""
+def require_shared_sample_times(*runs: RunResult) -> None:
+    """Raises ValueError unless every run was sampled at the first run's times."""
     t_ref = runs[0].sample_times
     for other in runs[1:]:
         t = other.sample_times
         if len(t) != len(t_ref) or not np.allclose(t, t_ref, rtol=0, atol=1e-12):
             raise ValueError("paired runs must share sample times")
+
+
+def paired_velocities(*runs: RunResult) -> Iterator[tuple[VectorField, ...]]:
+    """Iterator over the velocities of any number of runs, one tuple per
+    sample in the order of `runs`, each velocity derived once.  Raises
+    ValueError at the call, not when the iterator is read, unless every run
+    was sampled at the first run's times."""
+    require_shared_sample_times(*runs)
     return (tuple(s.velocity for s in states) for states in zip(*(r.states for r in runs)))
 
 
@@ -312,6 +331,67 @@ def gap_l2(a: VectorField, b: VectorField) -> float:
     d1 = a.u1.values - b.u1.values
     d2 = a.u2.values - b.u2.values
     return math.sqrt(float(np.sum(d1 * d1 + d2 * d2)) * cv)
+
+
+@lru_cache(maxsize=32)
+def _biot_savart_moduli(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|B1|, |B2| of the Biot-Savart multipliers on the mode vector, as one
+    read-only (2, modes) array, and the read-only weights |B1|^2 + |B2|^2."""
+    moduli = np.abs(np.stack([_pack_dealiased(_biot_savart_multiplier(n, axis)) for axis in (1, 2)]))
+    weights = moduli[0] ** 2 + moduli[1] ** 2
+    for a in (moduli, weights):
+        a.setflags(write=False)
+    return moduli, weights
+
+
+def state_gap_l2(a: FlowState, b: FlowState) -> float:
+    """L2 norm of the velocity difference of two states, from their mode
+    vectors by Parseval: (2 pi)^2 sum_k (|B1_k|^2 + |B2_k|^2) |a_k - b_k|^2.
+
+    The difference is a trigonometric polynomial inside the 2/3 box, so in
+    exact arithmetic this is gap_l2 of the two velocities.  It subtracts the
+    coefficients, not two nearly equal inverse FFTs, so a small gap keeps its
+    relative accuracy, and no velocity is derived."""
+    if a.grid != b.grid:
+        raise ValueError("flow states live on different grids")
+    d = a._box - b._box
+    weights = _biot_savart_moduli(a.grid.points_per_axis)[1]
+    return TWO_PI * math.sqrt(float(np.sum(weights * (d.real * d.real + d.imag * d.imag))))
+
+
+_FFT_SLACK = 1e-9  # relative to a state's l1 mass of velocity coefficients; see sup_gap_sq_bound
+
+
+def sup_gap_sq_bound(a: FlowState, b: FlowState) -> float:
+    """An upper bound on max_x (u1a - u1b)^2 + (u2a - u2b)^2, the velocities
+    as a.velocity and b.velocity compute them on the grid, rounding included,
+    from the two mode vectors alone: no velocity is derived.
+
+    Exactly, with the packed multipliers B_i as computed, u_ia - u_ib is the
+    real part of the trigonometric polynomial sum_k B_ik (a_k - b_k) e^{ik.x},
+    so |u_ia - u_ib| <= W_i = sum_k |B_ik| |a_k - b_k| at every x (Wiener).
+    Rounding, with u the unit roundoff: a computed component is
+    real(ifft2(n^2 B_i w)); B_i is imaginary, so the product is rounded once,
+    and the scalings by n^2 and 1/n^2 are exact (powers of two).  A length-N
+    FFT returns each output within c log2(N) u sum_k |x_k| of the exact sum,
+    c a small constant (a few roundings and one twiddle factor per butterfly
+    stage, every intermediate value at most the l1 mass below it), so each
+    computed component is within (c log2(n^2) + 1) u sum_k |B_ik| |w_k| of the
+    exact one.  The bound widens |a_k - b_k| by eps (|a_k| + |b_k|), with
+    eps = 1e-9 > 9e6 u, which covers c log2(n^2) + 1 up to 9e6, far beyond
+    any grid.  The computed difference, squares and sum add 4 roundings, and
+    the bound's own sums of M positive terms, in any order, lie within
+    M u / (1 - M u) of the exact ones (M modes); with the roundings of their
+    terms, the factor 1 + 4 (M + 8) u covers all of these.  Underflow moves a
+    value by at most about 2^-1000 here: the absolute 2^-500 covers it.
+    """
+    if a.grid != b.grid:
+        raise ValueError("flow states live on different grids")
+    moduli = _biot_savart_moduli(a.grid.points_per_axis)[0]
+    mass = np.abs(a._box - b._box)
+    mass += _FFT_SLACK * (np.abs(a._box) + np.abs(b._box))
+    w1, w2 = moduli @ mass
+    return float((w1 * w1 + w2 * w2) * (1.0 + 4 * (len(mass) + 8) * _U) + 2.0**-500)
 
 
 # ---------------------------------------------------------------------------

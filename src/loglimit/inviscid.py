@@ -16,12 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .flow import (
+    FlowState,
     RunResult,
     SolverConfig,
-    gap_l2,
-    paired_velocities,
+    gap_l2,  # noqa: F401  (resolves the inviscid.gap_l2 entry of perfbench/tracing.PATCHES)
     random_band_velocity,
+    require_shared_sample_times,
     run,
+    state_gap_l2,
+    sup_gap_sq_bound,
     taylor_green_velocity,
     two_mode_velocity,
     velocity_gradient,
@@ -175,9 +178,11 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     too, and their results are discarded.  If runs raise, the caller gets
     the first error in task order: the reference run's, else that of the
     largest nu whose run raised, whatever the number of processes.  A blown
-    reference run raises.  One pass over the completed runs' paired
-    samples, each velocity derived once, then records per nu the gap curve
-    (gap_l2) and the forcing (measured_forcing).
+    reference run raises, and so do runs sampled at other times than the
+    reference.  One pass over the completed runs' paired samples then
+    records per nu the gap curve (state_gap_l2) and the forcing
+    (measured_forcing), both from the paired states' mode vectors; a
+    velocity is derived only where the forcing's bound fails.
 
     The regularity series f0 is sampled on the reference run only (that is
     where M and the majorant coefficient come from); viscous runs skip the
@@ -195,13 +200,12 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
             aborted = True
             break
     done = [nu for nu, res in runs.items() if not res.blow_up]
-    gap_curves = {nu: np.zeros(len(euler.states)) for nu in done}
-    forcing = {nu: np.zeros(len(euler.states)) for nu in done}
-    if done:
-        for i, (u_e, *u_nus) in enumerate(paired_velocities(euler, *(runs[nu] for nu in done))):
-            for nu, u_nu in zip(done, u_nus):
-                gap_curves[nu][i] = gap_l2(u_nu, u_e)
-                forcing[nu][i] = measured_forcing(u_nu, u_e, nu)
+    require_shared_sample_times(euler, *(runs[nu] for nu in done))
+    gap_curves, forcing = {}, {}
+    for nu in done:
+        pairs = list(zip(runs[nu].states, euler.states))
+        gap_curves[nu] = np.array([state_gap_l2(s, e) for s, e in pairs])
+        forcing[nu] = np.array([measured_forcing(s, e, nu) for s, e in pairs])
     nus = np.array(done)
     sup = np.array([gap_curves[nu].max() for nu in done])
     M = float(np.max(euler.series.f0 + euler.series.g0**2))
@@ -286,15 +290,20 @@ def verify_rate(series: GapSeries) -> RateReport:
 # ---------------------------------------------------------------------------
 
 
-def measured_forcing(u_nu: VectorField, u_euler: VectorField, nu: float) -> float:
+def measured_forcing(state_nu: FlowState, state_euler: FlowState, nu: float) -> float:
     """g at one sample: integral over {alpha > 1/nu} of alpha_r |grad uE|.
 
     alpha = |u_nu - u_euler|^2 is the squared velocity gap of a paired
     sample; the remainder alpha_r of its truncation split at threshold 1/nu
     is paired with the reference-flow gradient magnitudes.  For resolved
-    sweeps the remainder is empty and g vanishes identically.
+    sweeps the remainder is empty and g vanishes identically: when
+    sup_gap_sq_bound, which bounds the computed max alpha from the mode
+    vectors, is at most the threshold, g is 0.0 and no velocity is derived.
     """
     cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9))
+    if sup_gap_sq_bound(state_nu, state_euler) <= cfg.threshold:
+        return 0.0
+    u_nu, u_euler = state_nu.velocity, state_euler.velocity
     d1, d2 = u_nu.u1.values - u_euler.u1.values, u_nu.u2.values - u_euler.u2.values
     alpha_vals = d1**2 + d2**2
     if alpha_vals.max() <= cfg.threshold:

@@ -6,12 +6,14 @@ the package paths they check.  `dealiased_spectrum` is the full-array 2/3-rule
 masking flow states did before they kept only the mode box, and
 `full_array_step` the solver step on full n x n spectra from before the
 solver stepped that box as a mode vector; it takes its Fourier symbols from
-loglimit.grid, so it checks the mode-vector layout, not the symbols.  The
-majorant integrator is the np.interp-based one the package's coefficient
-lookup replaced; it is kept as the reference that lookup must match bit for
-bit.  `std_pruned_bmo_seminorm` at the end is the BMO scan pruned by the
-standard-deviation bound alone, from before wide levels also took the
-sub-square chord bound; the package's scan must return its float exactly.
+loglimit.grid, so it checks the mode-vector layout, not the symbols.
+`longdouble_state_gap` is the Parseval velocity gap of two flow states in
+extended precision.  The majorant integrator is the np.interp-based one the
+package's coefficient lookup replaced; it is kept as the reference that
+lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
+BMO scan pruned by the standard-deviation bound alone, from before wide
+levels also took the sub-square chord bound; the package's scan must return
+its float exactly.
 """
 
 from __future__ import annotations
@@ -181,6 +183,21 @@ def full_array_step(grid, omega_hat: np.ndarray, nu: float, dt: float) -> np.nda
     k3 = _full_array_advection_rhs(grid, e_half * omega_hat + (dt / 2.0) * k2)
     k4 = _full_array_advection_rhs(grid, e_full * omega_hat + dt * e_half * k3)
     return e_full * omega_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+
+
+def longdouble_state_gap(hat_a: np.ndarray, hat_b: np.ndarray) -> float:
+    """L2 norm of the velocity difference of two flow states, from their n x n
+    vorticity spectra (zero outside the 2/3 box, so the sum runs over their
+    mode vectors), by Parseval in np.longdouble:
+    2 pi sqrt(sum_k |a_k - b_k|^2 / |k|^2), the zero mode left out."""
+    n = hat_a.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.longdouble)
+    ksq = k[:, None] ** 2 + k[None, :] ** 2
+    ksq[0, 0] = np.inf
+    dr = hat_a.real.astype(np.longdouble) - hat_b.real.astype(np.longdouble)
+    di = hat_a.imag.astype(np.longdouble) - hat_b.imag.astype(np.longdouble)
+    two_pi = 2 * np.arccos(np.longdouble(-1.0))
+    return float(two_pi * np.sqrt(np.sum((dr * dr + di * di) / ksq)))
 
 
 # The majorant integrator as it was with np.interp coefficients, kept as the

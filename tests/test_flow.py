@@ -21,7 +21,9 @@ from loglimit.flow import (
     paired_velocities,
     random_band_velocity,
     run,
+    state_gap_l2,
     step,
+    sup_gap_sq_bound,
     taylor_green_velocity,
     taylor_green_vorticity,
     two_mode_velocity,
@@ -131,6 +133,23 @@ class TestStep:
             state = step(state, cfg, dt)
             full = dealiased_spectrum(full_array_step(grid, full, nu, dt))
             assert state.omega_hat.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_runs_match_full_array_stepper_at_sweep_settings(self, grid64, seed):
+        # the sweep_f0 settings: n = 64, T = 0.5, 50 steps a run; the
+        # integrating factors are computed once a run and read-only
+        u0 = initial_condition(grid64, f"random_{seed}")
+        for nu in (0.0, 1e-1, 1e-2, 1e-3, 1e-4):
+            loglimit.flow._integrating_factors.cache_clear()
+            res = run(u0, tg_config(grid64, nu, 0.5, samples=50), compute_norms=False)
+            assert loglimit.flow._integrating_factors.cache_info().misses == 1
+            if nu > 0:
+                assert not any(e.flags.writeable for e in
+                               loglimit.flow._integrating_factors(64, nu, res.dt))
+            full = res.states[0].omega_hat
+            for state in res.states[1:]:
+                full = dealiased_spectrum(full_array_step(grid64, full, nu, res.dt))
+                assert state.omega_hat.tobytes() == full.tobytes()
 
     def test_cfl_uses_max_speed(self, grid32):
         state = FlowState.from_velocity(taylor_green_velocity(grid32))
@@ -283,6 +302,8 @@ class TestGap:
         for se, sn in zip(res_e.states, res_n.states):
             expected = math.pi * math.sqrt(2.0) * (1 - math.exp(-2 * nu * sn.time))
             assert gap_l2(sn.velocity, se.velocity) == pytest.approx(expected, abs=1e-9)
+            assert state_gap_l2(sn, se) == pytest.approx(expected, abs=1e-9)
+            assert state_gap_l2(se, sn) == state_gap_l2(sn, se)
 
     def test_orthogonal_modes_pythagoras(self, grid32):
         a = VectorField.from_values(
@@ -300,6 +321,54 @@ class TestGap:
         b = taylor_green_velocity(GridSpec(64))
         with pytest.raises(ValueError):
             gap_l2(a, b)
+        for gap in (state_gap_l2, sup_gap_sq_bound):
+            with pytest.raises(ValueError, match="different grids"):
+                gap(FlowState.from_velocity(a), FlowState.from_velocity(b))
+
+
+class TestSupGapSqBound:
+    """sup_gap_sq_bound lets measured_forcing skip the physical alpha only if
+    the computed alpha.max() is at most the threshold."""
+
+    @staticmethod
+    def _aligned_difference(n, rng):
+        """A vorticity spectrum on the k1 = 0 line whose velocity difference
+        is (sum_k c_k cos(k2 (x2 - x0)), 0), c_k = c_{-k} > 0: its max is the
+        Wiener sum, attained at the grid point x0, so the bound is tight."""
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        x0 = rng.integers(n) * 2 * np.pi / n
+        hat = np.zeros((n, n), dtype=complex)
+        for k2 in range(1, n // 3):
+            c = rng.random()
+            for j in (k2, -k2):
+                b1 = 1j * k[j] / k[j] ** 2  # the Biot-Savart multiplier of u1 at (0, k2)
+                hat[0, j] = c * np.exp(-1j * k[j] * x0) / b1
+        return hat
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nu", [1e-1, 0.9])
+    def test_shortcut_fires_only_where_alpha_is_below_threshold(self, grid32, seed, nu):
+        rng = np.random.default_rng(seed)
+        threshold = max(1.0 / nu, 1.0 + 1e-9)
+        diff = self._aligned_difference(32, rng)
+        # a reference state 1e4 times heavier, so that the rounding of each
+        # derived velocity, not of the difference, dominates alpha's error
+        ref = FlowState.from_velocity(random_band_velocity(grid32, seed=seed)).omega_hat
+        ref = ref * (1e4 * np.abs(diff).sum() / np.abs(ref).sum())
+        b = FlowState(grid32, 0.0, ref)
+        unit = FlowState(grid32, 0.0, ref + diff)
+        wiener = math.sqrt(sup_gap_sq_bound(unit, b))
+        # scales whose bound straddles the threshold, coarsely and in the last bits
+        ratios = np.concatenate([np.geomspace(0.25, 4.0, 41), 1.0 + 1e-13 * np.arange(-200, 201)])
+        fired = 0
+        for r in ratios:
+            a = FlowState(grid32, 0.0, ref + math.sqrt(r * threshold) / wiener * diff)
+            if sup_gap_sq_bound(a, b) <= threshold:
+                fired += 1
+                ua, ub = a.velocity, b.velocity
+                d1, d2 = ua.u1.values - ub.u1.values, ua.u2.values - ub.u2.values
+                assert (d1**2 + d2**2).max() <= threshold, r
+        assert 0 < fired < len(ratios)
 
 
 class TestPairedVelocities:

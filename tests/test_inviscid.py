@@ -20,9 +20,10 @@ from loglimit.inviscid import (
     verify_rate,
 )
 from loglimit import inviscid, osgood
-from loglimit.flow import FlowState, run
+from loglimit.flow import FlowState, gap_l2, run, state_gap_l2, sup_gap_sq_bound
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
+from reference import longdouble_state_gap
 
 
 def closed_form_tg_slope(nu_list, T):
@@ -108,6 +109,25 @@ class TestRunSweep:
         result = run_sweep(cfg, compute_norms=False)
         assert np.all(result.series.sup_gap == 0.0)
         assert result.series.fitted_exponent is None
+
+    def test_runs_must_share_sample_times(self, monkeypatch, cpus):
+        cfg = ExperimentConfig(
+            grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
+            initial_condition_id="taylor_green", min_samples=10,
+        )
+        member = inviscid._sweep_member
+
+        def shifted_member(cfg, nu, compute_norms):
+            res = member(cfg, nu, compute_norms)
+            if nu == 1e-2:
+                times = res.series.times + 1e-9
+                return dataclasses.replace(res, series=dataclasses.replace(res.series, times=times))
+            return res
+
+        cpus(1)  # in-process: a function local to the test does not pickle
+        monkeypatch.setattr(inviscid, "_sweep_member", shifted_member)
+        with pytest.raises(ValueError, match="sample times"):
+            run_sweep(cfg, compute_norms=False)
 
     @pytest.mark.parametrize("blown", [0, 1])
     def test_blow_up_aborts_sweep(self, blown, monkeypatch, tmp_path):
@@ -294,12 +314,9 @@ class TestForcing:
         assert np.count_nonzero(result.forcing[0.9]) == 4
         assert np.array_equal(majorant_problem(result, 0.9, c_emp=1.0).g, result.forcing[0.9])
 
-    def test_paired_pass_derives_each_velocity_once(self, monkeypatch):
-        # sweep_f0 configuration: 1 reference + K = 4 viscous runs of N samples
-        cfg = ExperimentConfig(
-            grid_points=64, horizon=0.5, nu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-            initial_condition_id="random_42", min_samples=50,
-        )
+    @staticmethod
+    def _count_derivations(monkeypatch, cfg):
+        """The sweep, with the velocities derived in all and in its paired pass."""
         derive = FlowState.velocity.fget
         derived = [0]
 
@@ -327,11 +344,63 @@ class TestForcing:
         after_sweep = derived[0]
         sweep_majorization(result, c_emp=1.0)
         assert derived[0] == after_sweep  # majorization reads no flow state
-        K, N = len(cfg.nu_list), len(result.euler.states)
-        assert after_sweep - before_pass[0] == (1 + K) * N
-        # (1 + K) * N in the pass, N + 1 in each run (the CFL step too), and
-        # 1 in each run's own random_band_velocity initial condition
-        assert derived[0] == 520
+        return result, after_sweep, after_sweep - before_pass[0]
+
+    def test_paired_pass_derives_no_velocity_at_sweep_settings(self, monkeypatch):
+        # sweep_f0 configuration: 1 reference + K = 4 viscous runs of N samples
+        cfg = ExperimentConfig(
+            grid_points=64, horizon=0.5, nu_list=(1e-1, 1e-2, 1e-3, 1e-4),
+            initial_condition_id="random_42", min_samples=50,
+        )
+        result, derived, in_pass = self._count_derivations(monkeypatch, cfg)
+        # the forcing bound holds at every sample, so the pass derives none;
+        # N + 1 in each run (the CFL step too), and 1 in each run's own
+        # random_band_velocity initial condition
+        assert in_pass == 0
+        N = len(result.euler.states)
+        assert derived == (1 + len(cfg.nu_list)) * (N + 2) == 265
+
+    def test_paired_pass_derives_two_velocities_where_the_bound_fails(self, monkeypatch):
+        cfg = ExperimentConfig(
+            grid_points=32, horizon=0.5, nu_list=(0.9, 0.5),
+            initial_condition_id="random_42", min_samples=10,
+        )
+        result, _, in_pass = self._count_derivations(monkeypatch, cfg)
+        failing = {nu: sum(sup_gap_sq_bound(s, e) > 1.0 / nu
+                           for s, e in zip(result.runs[nu].states, result.euler.states))
+                   for nu in cfg.nu_list}
+        assert np.count_nonzero(result.forcing[0.9]) == 4
+        assert failing[0.9] >= 4
+        assert in_pass == 2 * sum(failing.values())
+
+
+@pytest.fixture(scope="module")
+def f0_sweep():
+    """A sweep at the sweep_f0 settings, without the f0 scans."""
+    cfg = ExperimentConfig(
+        grid_points=64, horizon=0.5, nu_list=(1e-1, 1e-2, 1e-3, 1e-4),
+        initial_condition_id="random_42", min_samples=50,
+    )
+    return run_sweep(cfg, compute_norms=False)
+
+
+class TestStateGap:
+    def test_gap_curves_match_longdouble_oracle(self, f0_sweep):
+        # every sample, among them nu = 1e-4 at t = 0.01, where the gap is
+        # about 4.4e-5 and the majorization verdicts are decided
+        assert f0_sweep.euler.states[1].time <= 0.01
+        assert 0 < f0_sweep.gap_curves[1e-4][1] < 1e-4
+        for nu, curve in f0_sweep.gap_curves.items():
+            for i, (sn, se) in enumerate(zip(f0_sweep.runs[nu].states, f0_sweep.euler.states)):
+                want = longdouble_state_gap(sn.omega_hat, se.omega_hat)
+                assert curve[i] == state_gap_l2(sn, se)
+                assert abs(curve[i] - want) <= 1e-15 * want, (nu, i)
+
+    def test_gap_curves_match_velocity_gap(self, f0_sweep):
+        for nu, curve in f0_sweep.gap_curves.items():
+            for i, (sn, se) in enumerate(zip(f0_sweep.runs[nu].states, f0_sweep.euler.states)):
+                if curve[i] > 1e-3:
+                    assert curve[i] == pytest.approx(gap_l2(sn.velocity, se.velocity), rel=1e-12)
 
 
 class TestSideBySide:
