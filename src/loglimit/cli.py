@@ -101,7 +101,7 @@ def _cmd_verify_ineq(args) -> int:
         print(f"size {n:4d}: max ratio {scan.max_ratio_by_size[n]:.6f}")
     slope = scan.ratio_slope
     print(f"overall max ratio {scan.max_ratio:.6f}, refinement log-slope "
-          f"{slope if slope is not None else float('nan'):.4f}")
+          + (f"{slope:.4f}" if slope is not None else "n/a (one size)"))
     ok = math.isfinite(scan.max_ratio) and (slope is None or slope <= 0.05)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -21,7 +21,8 @@ numbers at 17 significant digits (so floats round-trip bit for bit), an
 empty cell for None, and lines that end in a bare newline.
 
 It also holds the package's one parallel map (`_map_tasks`), which runs
-independent tasks side by side: a sweep's flows, a corpus scan's BMO norms.
+independent tasks side by side, in this process and in forked children: a
+sweep's flows, a corpus scan's BMO norms, the Zygmund family's trials.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import csv
 import os
+import pickle
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -385,29 +388,163 @@ def load_field_csv(path: str | Path) -> ScalarField:
     return ScalarField(grid, rows[:, 2].reshape(grid.shape))
 
 
+# True while this process runs tasks of a _map_tasks call (for good in a
+# forked child of one): a map called inside a mapped task runs in-process
+_in_map = False
+
+
 def _map_tasks(fn, tasks: list[tuple]) -> list:
-    """[fn(*task) for task in tasks], in task order, on a pool of forked
-    processes: one per task, up to the CPUs this process may run on.  When
-    tasks raise, the first in task order raises here, pooled or not.  Runs
-    in-process below 2 such processes, or inside a daemonic process, which
-    may not start children.  fn and the tasks must pickle: fn is a private
-    task function of its module (inviscid._sweep_member,
-    logineq._corpus_bmo), never a name that a caller may replace, such as
-    run or bmo_seminorm, and a task builds its fields itself (a ScalarField
-    holds a lock, which does not pickle).  Forked, not spawned: the workers
-    start with the parent's imports and its replaced names (a tracer's
-    wrappers, a test's fakes), and the package starts no thread that a fork
-    could break."""
-    import multiprocessing  # here: ~9 ms of import that commands without a pool need not pay
+    """[fn(*task) for task in tasks], in task order, run by this process and
+    up to min(len(tasks), CPUs) - 1 forked children, CPUs being those this
+    process may run on.  The caller takes task 0 and forks; then it and the
+    children draw the other task indices, in order, from one pipe
+    (_TaskQueue), so a caller that wants its longest tasks done first lists
+    them first.  Each child pickles its results back once, after its last
+    task, and exits; those results must pickle, but fn and the tasks need
+    not, since they reach the children through the fork, with the caller's
+    imports and replaced names (a tracer's wrappers, a test's fakes).
 
-    workers = min(len(tasks), len(os.sched_getaffinity(0)))
-    if workers < 2 or multiprocessing.current_process().daemon:
+    A process stops drawing at its first task that raises.  When tasks
+    raise, the first in task order raises here, wherever it ran; a task
+    whose child exited without sending its results counts as one that
+    raised.  Every child is reaped, and every pipe closed, before this
+    returns or raises.  Runs in-process below 2 CPUs or tasks, and inside a
+    mapped task.  The package starts no thread that a fork could break."""
+    global _in_map
+    procs = min(len(tasks), len(os.sched_getaffinity(0)))
+    if procs < 2 or _in_map:
         return [fn(*task) for task in tasks]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(_apply, [(fn, task) for task in tasks], chunksize=1))
+    queue = _TaskQueue(len(tasks))
+    children = {}  # pid -> read end of the pipe its results come back on
+    done: dict[int, tuple] = {}  # task index -> (raised, result or error)
+    lost = []  # exit statuses of children that sent no results
+    sys.stdout.flush()  # a child flushes its copies of these buffers when it exits
+    sys.stderr.flush()
+    _in_map = True
+    try:
+        for _ in range(procs - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                _run_child(fn, tasks, queue, write_end)
+            os.close(write_end)
+            children[pid] = open(read_end, "rb")
+        _run_tasks(fn, tasks, queue.caller_indices(), done)
+        queue.close()
+        for pid, results in list(children.items()):
+            payload = results.read()
+            results.close()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if status == 0:
+                done.update(pickle.loads(payload))
+            else:
+                lost.append(status)
+    finally:
+        _in_map = False
+        queue.close()
+        for pid, results in children.items():  # left only when the caller is interrupted
+            results.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    for i in range(len(tasks)):
+        if i not in done:
+            raise RuntimeError(f"task {i} sent no result: forked children of the map "
+                               f"exited with status {lost}")
+        raised, value = done[i]
+        if raised:
+            raise value
+    return [done[i][1] for i in range(len(tasks))]
 
 
-def _apply(fn_task: tuple):
-    """fn(*task), the one argument Pool.imap passes being (fn, task)."""
-    fn, task = fn_task
-    return fn(*task)
+def _run_tasks(fn, tasks: list[tuple], indices, done: dict) -> None:
+    """done[i] = (raised, result or error) of fn(*tasks[i]) for each index
+    drawn, up to the first task that raises."""
+    for i in indices:
+        try:
+            done[i] = (False, fn(*tasks[i]))
+        except Exception as err:  # the caller of the map raises it, in task order
+            done[i] = (True, err)
+            return
+
+
+def _run_child(fn, tasks: list[tuple], queue: _TaskQueue, write_end: int):
+    """A forked child of _map_tasks: runs the tasks it draws, writes their
+    outcomes to write_end in one pickle, and exits, never returning into
+    the caller's stack.  When it cannot send them (a result that does not
+    pickle, say), it prints the traceback and exits with status 1."""
+    global _in_map
+    status = 1
+    try:
+        _in_map = True
+        queue.close_writer()
+        done: dict[int, tuple] = {}
+        _run_tasks(fn, tasks, queue.drawn(), done)
+        payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as out:
+            out.write(payload)
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(status)
+
+
+class _TaskQueue:
+    """Task indices 1 .. count - 1, in order, on one pipe that the caller of
+    _map_tasks and its forked children read 4 bytes at a time.  The caller
+    writes them without blocking, as far as the pipe has room (64 KiB, or
+    16 384 indices, by default), in writes of at most 512 bytes, which any
+    POSIX pipe keeps whole; while the pipe is full, the caller takes the
+    next unwritten index itself.  The write end closes once every index is
+    written, so a reader meets the end of the pipe when none is left."""
+
+    def __init__(self, count: int):
+        self.read_end, self.write_end = os.pipe()
+        os.set_blocking(self.write_end, False)
+        self.unsent = memoryview(np.arange(1, count, dtype="<u4").tobytes())
+        self.feed()
+
+    def feed(self) -> None:
+        """Writes what the pipe has room for; closes the write end when done."""
+        while self.unsent:
+            try:
+                self.unsent = self.unsent[os.write(self.write_end, self.unsent[:512]):]
+            except BlockingIOError:
+                return
+        self.close_writer()
+
+    def caller_indices(self):
+        """Task 0, then the indices the caller of the map draws."""
+        yield 0
+        self.feed()
+        while self.unsent:  # the pipe is full: take the next unwritten index
+            i, self.unsent = int.from_bytes(self.unsent[:4], "little"), self.unsent[4:]
+            yield i
+            self.feed()
+        yield from self.drawn()
+
+    def drawn(self):
+        """The indices read from the pipe, up to its end."""
+        while got := os.read(self.read_end, 4):
+            yield int.from_bytes(got, "little")
+
+    def close_writer(self) -> None:
+        """Closes the write end; indices not yet written are dropped."""
+        if self.write_end >= 0:
+            os.close(self.write_end)
+            self.write_end = -1
+        self.unsent = self.unsent[:0]
+
+    def close(self) -> None:
+        self.close_writer()
+        if self.read_end >= 0:
+            os.close(self.read_end)
+            self.read_end = -1

@@ -164,7 +164,7 @@ def fit_exponent(x, y) -> float | None:
 
 def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunResult:
     """The sweep's run at nu (0.0 for the reference), from its own copy of
-    the initial condition: a ScalarField, which holds a lock, does not pickle."""
+    the initial condition."""
     u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
     return run(u0, cfg.solver_config(nu), compute_norms=compute_norms)
 
@@ -172,10 +172,11 @@ def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunR
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
-    The 1 + K runs are independent and run side by side (_map_tasks).  The
-    sweep keeps the viscous runs up to and including the first that blows
-    up, and then sets `aborted`; the runs after it may have been computed
-    too, and their results are discarded.  If runs raise, the caller gets
+    The 1 + K runs are independent and run side by side (_map_tasks), the
+    reference run in this process.  The sweep keeps the viscous runs up to
+    and including the first that blows up, and then sets `aborted`; the
+    runs after it may have been computed too, and their results are
+    discarded.  If runs raise, the caller gets
     the first error in task order: the reference run's, else that of the
     largest nu whose run raised, whatever the number of processes.  A blown
     reference run raises, and so do runs sampled at other times than the
@@ -331,7 +332,8 @@ def sweep_majorization(
 ) -> dict[float, MajorizationReport]:
     """check_majorization for every completed sweep member, in this process:
     each check integrates the majorant only as far as a sample can still
-    fail, which at the gate's settings is cheaper than starting a pool."""
+    fail, which at the gate's settings cost less than starting a process
+    pool did."""
     return {
         nu: check_majorization(
             result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol=tol

@@ -259,6 +259,12 @@ def verify_zygmund_estimate(h: ScalarField, h_id: str = "h") -> ZygmundTrial:
     return ZygmundTrial(h_id, h.grid.points_per_axis, supp, llogl, lhs, constant)
 
 
+def _indicator_trial(grid: GridSpec, N: int) -> ZygmundTrial:
+    """verify_zygmund_estimate of h = N * 1_{area 1/N}, built here: the
+    family's n = 256 fields are not all held at once."""
+    return verify_zygmund_estimate(normalized_indicator(grid, 1.0 / N), h_id=f"nind_{N}")
+
+
 def zygmund_family_scan(grid: GridSpec) -> dict:
     """Scan the unit-mass indicator family h = N * 1_{area 1/N}, N = 2 .. 64.
 
@@ -267,10 +273,8 @@ def zygmund_family_scan(grid: GridSpec) -> dict:
     matching slope of the Zygmund functional itself (identically 1 up to
     cell quantization of the realized mass).
     """
-    trials = []
-    for N in (2, 4, 8, 16, 32, 64):
-        h = normalized_indicator(grid, 1.0 / N)
-        trials.append(verify_zygmund_estimate(h, h_id=f"nind_{N}"))
+    # side by side (_map_tasks), the largest N first; trials in increasing N
+    trials = _map_tasks(_indicator_trial, [(grid, N) for N in (64, 32, 16, 8, 4, 2)])[::-1]
     c0 = max(t.constant for t in trials)
     trials = [replace(t, bound=c0 * (1.0 + t.llogl)) for t in trials]
     log_n = np.array([math.log(1.0 / t.support) for t in trials])  # realized ln N
@@ -313,19 +317,14 @@ def _max_defined(values) -> float:
     return max([0.0] + [v for v in values if v is not None])
 
 
-def _corpus_bmo(n: int, i: int) -> float:
-    """BMO seminorm of corpus field i on the n grid, built here: a
-    ScalarField holds a lock and does not pickle into a pool task."""
-    return bmo_seminorm(CORPUS_BUILDERS[i][2](GridSpec(n)))
-
-
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     """Deterministically enumerate all (f, g, size) trials over the corpus.
 
     Per size, each field's BMO norm, Riesz L1 pair, Hardy norm (from that
     pair), L1 and Linf norms are computed once, and so is each pairing
-    |int f g|.  The BMO scans of every size run side by side in one
-    _map_tasks call; the rest runs in this process.  The trial rows,
+    |int f g|.  Each size's corpus is built once, here; the BMO scans of
+    every size then run side by side in one _map_tasks call, largest size
+    first, and the rest runs in this process.  The trial rows,
     duality ratios and Riesz-chain constants are the formulas
     verify_main_inequality, duality_ratio and riesz_l1_chain apply to those
     numbers.  Sizes must be distinct (a repeated size adds no refinement
@@ -338,17 +337,18 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     if min(sizes) < MIN_CORPUS_GRID:
         raise ValueError(f"scan sizes must be at least {MIN_CORPUS_GRID} (the corpus's "
                          f"ind_sixteenth is a level-4 dyadic square), got {tuple(sizes)}")
-    grids = [GridSpec(n) for n in sizes]  # every size is checked before any scan
+    grids = [GridSpec(n) for n in sizes]  # every size is checked before any field is built
+    corpora = {grid.points_per_axis: make_corpus(grid) for grid in grids}
     # every BMO scan ends before the first Riesz FFT: interleaved in one
     # process, they raised its peak RSS by ~0.07 MB (verify_ineq benchmark)
-    count = len(CORPUS_BUILDERS)
-    bmo_all = _map_tasks(_corpus_bmo, [(n, i) for n in sizes for i in range(count)])
+    largest_first = sorted(sizes, reverse=True)
+    scans = iter(_map_tasks(bmo_seminorm, [(f,) for n in largest_first for _, _, f in corpora[n]]))
+    bmo_by_size = {n: [next(scans) for _ in corpora[n]] for n in largest_first}
     trials: list[IneqTrial] = []
     max_by_family: dict[str, float] = {}
     max_by_size, duality_by_size, chain_by_size = {}, {}, {}
-    for k, (n, grid) in enumerate(zip(sizes, grids)):
-        fields = make_corpus(grid)
-        bmo = bmo_all[k * count:(k + 1) * count]
+    for n in sizes:
+        fields, bmo = corpora[n], bmo_by_size[n]
         g_norms, chain = [], []  # per field: (Hardy, L1, Linf) norms; chain constants
         for _, _, fld in fields:
             riesz = riesz_l1(fld)

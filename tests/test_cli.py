@@ -66,6 +66,12 @@ class TestVerifyIneq:
         header = (tmp_path / "trials.csv").read_text().splitlines()[0]
         assert header == "f_id,g_id,grid,lhs,bmo_f,l1_g,linf_g,bracket,ratio"
 
+    def test_one_size_has_no_slope(self, capsys):
+        assert main(["verify-ineq", "--sizes", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].endswith(", refinement log-slope n/a (one size)")
+        assert lines[-1] == "PASS"
+
     def test_repeated_size_is_error(self, capsys, monkeypatch):
         # a repeated size adds no refinement step to the slope fit
         monkeypatch.setattr(loglimit.logineq, "bmo_seminorm", None)  # no scan may start

@@ -1,10 +1,9 @@
 """Grid fields, transforms, spectral calculus, CSVs, and the parallel map."""
 
-import dataclasses
 import math
-import multiprocessing
 import os
 import re
+import threading
 import time
 
 import numpy as np
@@ -29,6 +28,7 @@ from loglimit.grid import (
     save_field_csv,
     write_csv,
 )
+from conftest import assert_no_child_left
 from reference import centered_difference, random_band_limited
 
 
@@ -314,8 +314,32 @@ def _fail_after(k: int, delay: float):
     raise ArithmeticError(f"task {k} failed")
 
 
+def _pid_after(delay: float) -> int:
+    time.sleep(delay)
+    return os.getpid()
+
+
+def _nested_pids() -> tuple[int, list]:
+    return os.getpid(), _map_tasks(_pid_after, [(0.02,)] * 3)
+
+
+def _exit_in_child(caller: int, delay: float) -> None:
+    time.sleep(delay)
+    if os.getpid() != caller:
+        os._exit(3)
+
+
+def _lock_in_child(caller: int, delay: float):
+    time.sleep(delay)
+    return None if os.getpid() == caller else threading.Lock()
+
+
+def _open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 class TestMapTasks:
-    """The one parallel map, on a pool of processes and in-process."""
+    """The one parallel map, in this process and in forked children."""
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_first_error_in_task_order(self, cpus, k):
@@ -324,15 +348,59 @@ class TestMapTasks:
         tasks = [(i, 0.05 if i == 0 else 0.0) for i in range(4)]
         with pytest.raises(ArithmeticError, match=r"^task 0 failed$"):
             _map_tasks(_fail_after, tasks)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_map_tasks_placement(self, monkeypatch, cpus):
+    def test_map_tasks_placement(self, cpus):
+        caller = os.getpid()
         cpus(1)
-        assert _map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3
+        assert _map_tasks(_pid_after, [(0.02,)] * 4) == [caller] * 4
         cpus(2)
-        assert os.getpid() not in _map_tasks(os.getpid, [()] * 3)
+        pids = _map_tasks(_pid_after, [(0.02,)] * 6)
+        assert pids[0] == caller and len(set(pids)) == 2  # task 0 in the caller
         assert _map_tasks(pow, [(2, k) for k in range(9)]) == [2**k for k in range(9)]
-        assert _map_tasks(os.getpid, [()]) == [os.getpid()]  # one task
-        daemon = dataclasses.make_dataclass("Process", ["daemon"])(True)
-        monkeypatch.setattr(multiprocessing, "current_process", lambda: daemon)
-        assert _map_tasks(os.getpid, [()] * 3) == [os.getpid()] * 3  # no children
+        assert _map_tasks(os.getpid, [()]) == [caller]  # one task
+        # a map inside a mapped task runs in-process, wherever that task runs
+        nested = _map_tasks(_nested_pids, [()] * 4)
+        assert nested[0] == (caller, [caller] * 3)
+        assert all(inner == [pid] * 3 for pid, inner in nested)
+        assert _map_tasks(lambda k: -k, [(k,) for k in range(3)]) == [0, -1, -2]  # fn need not pickle
+        assert_no_child_left()
+
+    def test_long_task_list(self, cpus):
+        # more indices than the pipe holds (16 384): the caller must not
+        # block writing them before it forks
+        cpus(2)
+        count = 40_000
+        assert _map_tasks(abs, [(-k,) for k in range(count)]) == list(range(count))
+        assert_no_child_left()
+
+    def test_child_exit_raises(self, cpus):
+        # task 1 ends its child with status 3 while the caller sleeps in task 0
+        cpus(2)
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match=r"^task 1 sent no result: .* status \[3\]$"):
+            _map_tasks(_exit_in_child, [(os.getpid(), 0.3), (os.getpid(), 0.0)])
+        assert_no_child_left()
+        assert _open_fds() == fds
+
+    def test_result_that_does_not_pickle_raises(self, cpus, capfd):
+        # the child that ran task 1 prints why it sent nothing back
+        cpus(2)
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match=r"^task 1 sent no result: .* status \[1\]$"):
+            _map_tasks(_lock_in_child, [(os.getpid(), 0.3), (os.getpid(), 0.0)])
+        assert "TypeError: cannot pickle '_thread.lock' object" in capfd.readouterr().err
+        assert_no_child_left()
+        assert _open_fds() == fds
+
+    def test_caller_error_waits_for_child(self, cpus):
+        # task 0 raises in the caller while the child sleeps in task 1; the
+        # map reaps the child and raises task 0's error
+        cpus(2)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError, match=r"^task 0 failed$"):
+            _map_tasks(_fail_after, [(0, 0.05), (1, 0.3), (2, 0.0)])
+        assert time.monotonic() - start >= 0.3
+        assert_no_child_left()
+        assert _open_fds() == fds

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
 
@@ -23,6 +22,7 @@ from loglimit import inviscid, osgood
 from loglimit.flow import FlowState, gap_l2, run, state_gap_l2, sup_gap_sq_bound
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
+from conftest import assert_no_child_left
 from reference import longdouble_state_gap
 
 
@@ -124,7 +124,7 @@ class TestRunSweep:
                 return dataclasses.replace(res, series=dataclasses.replace(res.series, times=times))
             return res
 
-        cpus(1)  # in-process: a function local to the test does not pickle
+        cpus(1)  # in-process
         monkeypatch.setattr(inviscid, "_sweep_member", shifted_member)
         with pytest.raises(ValueError, match="sample times"):
             run_sweep(cfg, compute_norms=False)
@@ -404,7 +404,7 @@ class TestStateGap:
 
 
 class TestSideBySide:
-    """run_sweep and sweep_majorization on a pool of processes and in-process."""
+    """run_sweep and sweep_majorization with forked children and in-process."""
 
     CFG = dict(grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
                initial_condition_id="random_42", min_samples=10)
@@ -414,21 +414,28 @@ class TestSideBySide:
         return result, sweep_majorization(result, c_emp=1.0)
 
     def test_pooled_equals_in_process(self, tmp_path, monkeypatch, cpus):
-        log = tmp_path / "pids"  # the process of every run
+        log = tmp_path / "pids"  # the process and viscosity of every run
         log.touch()
 
         def logging_run(u0, solver_cfg, compute_norms=True):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+                fh.write(f"{os.getpid()} {solver_cfg.nu}\n")
             return run(u0, solver_cfg, compute_norms=compute_norms)
 
+        def runs_by_pid():
+            runs = [line.split() for line in log.read_text().splitlines()]
+            log.write_text("")
+            return {pid: {float(nu) for p, nu in runs if p == pid} for pid, _ in runs}
+
+        caller = str(os.getpid())
         monkeypatch.setattr(inviscid, "run", logging_run)
         cpus(2)
         pooled, pooled_reports = self._sweep(tmp_path / "pooled")
-        assert str(os.getpid()) not in log.read_text().split()
+        placed = runs_by_pid()
+        assert len(placed) == 2 and 0.0 in placed[caller]  # the reference run in the caller
         cpus(1)
         serial, serial_reports = self._sweep(tmp_path / "serial")
-        assert str(os.getpid()) in log.read_text().split()
+        assert runs_by_pid() == {caller: {0.0, *self.CFG["nu_list"]}}
 
         nus = self.CFG["nu_list"]
         assert pooled_reports == serial_reports
@@ -453,9 +460,9 @@ class TestSideBySide:
     def test_no_process_left(self, cpus):
         cpus(2)
         result = run_sweep(ExperimentConfig(**self.CFG))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         sweep_majorization(result, c_emp=1.0)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_member_error_reaches_caller(self, monkeypatch, cpus, k):
@@ -477,12 +484,12 @@ class TestSideBySide:
         with pytest.raises(ArithmeticError, match=r"^member at nu = 0\.01 failed$") as err:
             run_sweep(cfg, compute_norms=False)
         assert err.type is ArithmeticError
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         monkeypatch.setattr(inviscid, "check_majorization", failing_check)
         with pytest.raises(LookupError, match=r"^majorant at nu = 0\.01 failed$") as err:
             sweep_majorization(result, c_emp=1.0)
         assert err.type is LookupError
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def _majorant_work(self, monkeypatch, c_emp):
         """Per nu: the check's report, the trajectory points of all its

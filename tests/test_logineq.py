@@ -1,8 +1,10 @@
 """Duality-inequality trials, the Riesz/Zygmund L1 bound, and corpus scans."""
 
 import math
-import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from loglimit.logineq import (
     zygmund_family_scan,
 )
 from loglimit.norms import bmo_seminorm, lp_norm
+from conftest import assert_no_child_left
 
 
 class TestMainInequality:
@@ -325,14 +328,14 @@ def _scan_values(scan):
 
 
 class TestCorpusScanSideBySide:
-    """scan_corpus's BMO scans on a pool of processes and in-process."""
+    """scan_corpus's BMO scans in forked children and in-process."""
 
     def _scan_both(self, cpus, sizes=(16, 32)):
         cpus(1)
         serial = scan_corpus(sizes=sizes)
         cpus(2)
         pooled = scan_corpus(sizes=sizes)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         return serial, pooled
 
     def test_pooled_equals_in_process(self, cpus):
@@ -341,27 +344,58 @@ class TestCorpusScanSideBySide:
         assert len(pooled.trials) == 2 * len(CORPUS_BUILDERS) ** 2
 
     def test_scans_run_in_workers(self, monkeypatch, cpus, tmp_path):
-        log = tmp_path / "pids"  # the process of every BMO scan
+        log = tmp_path / "pids"  # the process and grid size of every BMO scan
         log.touch()
         bmo = loglimit.logineq.bmo_seminorm
 
         def logging_bmo(f):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
+                fh.write(f"{os.getpid()} {f.grid.points_per_axis}\n")
             return bmo(f)
 
+        caller = str(os.getpid())
         monkeypatch.setattr(loglimit.logineq, "bmo_seminorm", logging_bmo)
         cpus(2)
-        scan_corpus(sizes=(16,))
-        pids = log.read_text().split()
-        assert len(pids) == len(CORPUS_BUILDERS) and str(os.getpid()) not in pids
+        scan_corpus(sizes=(16, 32))
+        scans = [line.split() for line in log.read_text().splitlines()]
+        assert len(scans) == 2 * len(CORPUS_BUILDERS) and len({pid for pid, _ in scans}) <= 2
+        assert scans[[pid for pid, _ in scans].index(caller)][1] == "32"  # the largest size first
         log.write_text("")
         cpus(1)
         scan_corpus(sizes=(16,))
-        assert log.read_text().split() == [str(os.getpid())] * len(CORPUS_BUILDERS)
+        assert log.read_text().split() == [caller, "16"] * len(CORPUS_BUILDERS)
+
+    def test_zygmund_scan_side_by_side(self, cpus):
+        cpus(1)
+        serial = zygmund_family_scan(GridSpec(64))
+        cpus(2)
+        assert zygmund_family_scan(GridSpec(64)) == serial
+        assert [t.h_id for t in serial["trials"]] == [f"nind_{2**k}" for k in range(1, 7)]
+        assert_no_child_left()
+
+    def test_no_multiprocessing_import(self):
+        # the parallel map forks without multiprocessing and its ~6.5 ms import
+        code = textwrap.dedent("""
+            import os, sys
+            os.sched_getaffinity = lambda pid: {0, 1}
+            from loglimit.grid import GridSpec
+            from loglimit.inviscid import ExperimentConfig, run_sweep
+            from loglimit.logineq import scan_corpus, zygmund_family_scan
+            scan_corpus((16, 32))
+            zygmund_family_scan(GridSpec(64))
+            run_sweep(ExperimentConfig(grid_points=16, horizon=0.05, nu_list=(1e-1, 1e-2),
+                                       initial_condition_id="taylor_green", min_samples=4))
+            print("multiprocessing" in sys.modules)
+        """)
+        src = os.path.join(os.path.dirname(loglimit.__file__), os.pardir)
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_patched_corpus_reaches_the_workers(self, monkeypatch, cpus):
-        # forked workers build the fields of the corpus the caller patched in
+        # the scans, in the caller and its children, see the corpus the caller patched in
         builders = (CORPUS_BUILDERS[3], CORPUS_BUILDERS[1], CORPUS_BUILDERS[6])
         monkeypatch.setattr(loglimit.logineq, "CORPUS_BUILDERS", builders)
         serial, pooled = self._scan_both(cpus)
@@ -383,7 +417,7 @@ class TestCorpusScanSideBySide:
         with pytest.raises(ArithmeticError, match=r"^no field at n = 32$") as err:
             scan_corpus(sizes=(16, 32, 64))
         assert err.type is ArithmeticError
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 class TestCorpusMakers:
