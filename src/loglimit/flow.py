@@ -10,7 +10,10 @@ the Euler equations.
 A run records, at every sample time, the norm series needed by the majorant
 machinery: f0 (mean-oscillation seminorm of the velocity gradient, summed
 over the four components), g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}},
-kinetic energy, and enstrophy.
+kinetic energy, and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2)
+are Parseval sums over the state's mode vector, with no FFT; h0 is read off
+the sample's velocity, which the blow-up test and the CFL record share; f0
+scans three gradient components, each one inverse FFT of the mode vector.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def _advection_rhs(grid: GridSpec, omega_box: np.ndarray) -> np.ndarray:
 
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
-    """dt = cfl * h / ||u||_Linf (capped by the horizon for resting fields)."""
+    """dt = cfl * h / max(|u1|, |u2|) (capped by the horizon for resting fields)."""
     umax = _max_speed(state.velocity)
     if umax == 0.0:
         return cfg.horizon
@@ -190,40 +193,28 @@ def velocity_gradient(u: VectorField) -> tuple[ScalarField, ScalarField, ScalarF
     )
 
 
-def gradient_bmo(grad: tuple[ScalarField, ...]) -> float:
-    """Mean-oscillation seminorm of a velocity gradient (the four components
-    of velocity_gradient), summed over the components.
-
-    For divergence-free fields d1 u1 = -d2 u2 exactly, and the seminorm is
-    sign-blind, so one of the four scans is reused when that identity holds
-    to rounding.
-    """
-    d1u1, d2u1, d1u2, d2u2 = grad
-    b11 = bmo_seminorm(d1u1)
-    total = b11 + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
-    scale = float(np.abs(d1u1.values).max())
-    if float(np.abs(d1u1.values + d2u2.values).max()) <= 1e-12 * max(scale, 1e-300):
-        return total + b11
-    return total + bmo_seminorm(d2u2)
+def gradient_bmo(state: FlowState) -> float:
+    """Mean-oscillation seminorm of a state's velocity gradient, summed over
+    its four components.  d1 u1, d2 u1 and d1 u2 take one multiplier and one
+    inverse FFT of the vorticity spectrum each; the velocity is divergence-free,
+    so d2 u2 = -d1 u1 exactly, and the sign-blind seminorm of d1 u1 counts twice."""
+    n = state.grid.points_per_axis
+    w = state.omega_hat
+    d1u1, d2u1, d1u2 = (
+        inverse_transform(state.grid, _derivative_multiplier(n, i) * _biot_savart_multiplier(n, j) * w)
+        for i, j in ((1, 1), (2, 1), (1, 2))
+    )
+    return 2.0 * bmo_seminorm(d1u1) + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
 
 
-def gradient_l2(grad: tuple[ScalarField, ...]) -> float:
-    """L2 norm of a velocity gradient (the four components of velocity_gradient)."""
-    cv = grad[0].grid.cell_volume
-    return math.sqrt(sum(float(np.sum(c.values**2)) * cv for c in grad))
-
-
-def kinetic_energy(u: VectorField) -> float:
-    cv = u.grid.cell_volume
-    return 0.5 * float(np.sum(u.u1.values**2 + u.u2.values**2)) * cv
-
-
-def enstrophy_of(omega: ScalarField) -> float:
-    return 0.5 * float(np.sum(omega.values**2)) * omega.grid.cell_volume
-
-
-def speed_field(u: VectorField) -> ScalarField:
-    return ScalarField(u.grid, np.sqrt(u.u1.values**2 + u.u2.values**2))
+def _energy_enstrophy(state: FlowState) -> tuple[float, float]:
+    """(1/2 ||u||_L2^2, 1/2 ||omega||_L2^2) of a state, by Parseval over its
+    mode vector: (2 pi)^2 / 2 sum_k (|B1_k|^2 + |B2_k|^2) |w_k|^2 and
+    (2 pi)^2 / 2 sum_k |w_k|^2."""
+    sq = state._box.real**2 + state._box.imag**2
+    weights = _biot_savart_moduli(state.grid.points_per_axis)[1]
+    half_area = 0.5 * TWO_PI * TWO_PI
+    return half_area * float(np.sum(weights * sq)), half_area * float(np.sum(sq))
 
 
 @dataclass(frozen=True)
@@ -294,14 +285,16 @@ def _max_speed(u: VectorField) -> float:
 
 
 def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_norms: bool):
-    """(f0, g0, h0, energy, enstrophy) of one sample; u is the state's velocity."""
-    grad = velocity_gradient(u)
+    """(f0, g0, h0, energy, enstrophy) of one sample; u is the state's velocity.
+    Only h0 reads u; g0 = ||omega||_L2, as for any mean-free, divergence-free
+    field on the torus."""
+    energy, enstrophy = _energy_enstrophy(state)
     return (
-        gradient_bmo(grad) if compute_norms else 0.0,
-        gradient_l2(grad),
-        lp_norm(speed_field(u), 2.0 + cfg.sigma),
-        kinetic_energy(u),
-        enstrophy_of(state.vorticity),
+        gradient_bmo(state) if compute_norms else 0.0,
+        math.sqrt(2.0 * enstrophy),
+        lp_norm(ScalarField(u.grid, np.sqrt(u.u1.values**2 + u.u2.values**2)), 2.0 + cfg.sigma),
+        energy,
+        enstrophy,
     )
 
 
@@ -433,7 +426,7 @@ def random_band_velocity(grid: GridSpec, seed: int = 42) -> VectorField:
     state = FlowState(grid, 0.0, np.where(_mode_box(grid.points_per_axis, 4), noise, 0.0))
     u = state.velocity
     target = float(np.pi * np.sqrt(2.0))
-    norm = math.sqrt(2.0 * kinetic_energy(u))
+    norm = math.sqrt(2.0 * _energy_enstrophy(state)[0])
     scale = target / norm if norm > 0 else 1.0
     return VectorField.from_values(grid, u.u1.values * scale, u.u2.values * scale)
 

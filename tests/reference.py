@@ -8,9 +8,10 @@ masking flow states did before they kept only the mode box, and
 solver stepped that box as a mode vector; it takes its Fourier symbols from
 loglimit.grid, so it checks the mode-vector layout, not the symbols.
 `longdouble_state_gap` is the Parseval velocity gap of two flow states in
-extended precision.  The majorant integrator is the np.interp-based one the
-package's coefficient lookup replaced; it is kept as the reference that
-lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
+extended precision, and `physical_sample_norms` a state's energy, enstrophy
+and velocity-gradient L2 norm from grid sums of the fields.  The majorant
+integrator is the np.interp-based one the package's coefficient lookup
+replaced; it is kept as the reference that lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
 BMO scan pruned by the standard-deviation bound alone, from before wide
 levels also took the sub-square chord bound; the package's scan must return
 its float exactly.
@@ -198,6 +199,31 @@ def longdouble_state_gap(hat_a: np.ndarray, hat_b: np.ndarray) -> float:
     di = hat_a.imag.astype(np.longdouble) - hat_b.imag.astype(np.longdouble)
     two_pi = 2 * np.arccos(np.longdouble(-1.0))
     return float(two_pi * np.sqrt(np.sum((dr * dr + di * di) / ksq)))
+
+
+def physical_sample_norms(omega_hat: np.ndarray) -> tuple[float, float, float]:
+    """(energy, enstrophy, ||grad u||_L2) of a flow state from its n x n
+    vorticity spectrum of normalized coefficients, as exactly summed grid
+    sums of the fields themselves: the vorticity, the Biot-Savart velocity
+    u = (d2 psi, -d1 psi) with -Laplace psi = omega, and the velocity's four
+    gradient components, each one inverse FFT of its own symbol."""
+    n = omega_hat.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    ksq = k1**2 + k2**2
+    ksq[0, 0] = 1.0
+    psi_hat = omega_hat / ksq
+    psi_hat[0, 0] = 0.0
+    u_hats = (1j * k2 * psi_hat, -1j * k1 * psi_hat)
+
+    def square_sum(coeff):
+        values = np.real(np.fft.ifft2(coeff * (n * n)))
+        return math.fsum((values * values).ravel()) * (TWO_PI / n) ** 2
+
+    energy = 0.5 * sum(square_sum(c) for c in u_hats)
+    enstrophy = 0.5 * square_sum(omega_hat)
+    grad_sq = sum(square_sum(1j * kd * c) for c in u_hats for kd in (k1, k2))
+    return energy, enstrophy, math.sqrt(grad_sq)
 
 
 # The majorant integrator as it was with np.interp coefficients, kept as the

@@ -13,11 +13,8 @@ from loglimit.flow import (
     SolverConfig,
     cfl_timestep,
     energy_identity_terms,
-    enstrophy_of,
     gap_l2,
     gradient_bmo,
-    gradient_l2,
-    kinetic_energy,
     paired_velocities,
     random_band_velocity,
     run,
@@ -32,7 +29,7 @@ from loglimit.flow import (
 from loglimit.grid import GridSpec, VectorField, divergence
 from loglimit.inviscid import initial_condition
 from loglimit.norms import bmo_seminorm
-from reference import dealiased_spectrum, full_array_step
+from reference import dealiased_spectrum, full_array_step, physical_sample_norms
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -249,19 +246,53 @@ class TestRun:
         assert len(res.states) == 11
         assert len(calls) <= len(res.states) + 1
 
-    def test_velocity_gradient_derived_once_per_sample(self, grid32, monkeypatch):
-        # f0 and g0 of a sample read the same four gradient components
-        derive = loglimit.flow.velocity_gradient
+    @pytest.mark.parametrize("compute_norms, inverse", [(False, 0), (True, 3)])
+    def test_sample_row_ffts(self, grid32, monkeypatch, compute_norms, inverse):
+        # energy, enstrophy and g0 come from the mode vector; only f0 takes
+        # FFTs, one inverse transform per scanned gradient component
+        state = FlowState.from_velocity(random_band_velocity(grid32, seed=3))
+        u = state.velocity
+        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2)
         calls = []
 
-        def counting(u):
-            calls.append(u)
-            return derive(u)
+        def counted(name):
+            fft = getattr(np.fft, name)
 
-        monkeypatch.setattr(loglimit.flow, "velocity_gradient", counting)
-        cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2, min_samples=10)
-        res = run(taylor_green_velocity(grid32), cfg, compute_norms=True)
-        assert len(calls) == len(res.states) == 11
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return fft(*args, **kwargs)
+
+            return counting
+
+        for name in ("fft2", "ifft2"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        loglimit.flow._sample_row(state, u, cfg, compute_norms)
+        assert calls == ["ifft2"] * inverse
+
+    def test_run_derives_no_gradient_or_vorticity(self, grid32, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("run derived a velocity gradient or a vorticity field")
+
+        monkeypatch.setattr(loglimit.flow, "velocity_gradient", forbidden)
+        monkeypatch.setattr(FlowState, "vorticity", property(forbidden))
+        cfg = SolverConfig(grid=grid32, nu=1e-2, horizon=0.2, min_samples=10)
+        res = run(random_band_velocity(grid32, seed=3), cfg, compute_norms=True)
+        assert len(res.states) == 11 and np.all(res.series.f0 > 0)
+
+    @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_series_match_physical_sums(self, n, ic):
+        # every sample's energy, enstrophy and g0 against grid sums of the
+        # velocity, the vorticity and the four gradient components
+        grid = GridSpec(n)
+        cfg = SolverConfig(grid=grid, nu=1e-3, horizon=0.1, min_samples=4)
+        res = run(initial_condition(grid, ic), cfg, compute_norms=False)
+        assert len(res.states) >= 5
+        for i, state in enumerate(res.states):
+            energy, enstrophy, grad_l2 = physical_sample_norms(state.omega_hat)
+            assert res.series.energy[i] == pytest.approx(energy, rel=1e-14)
+            assert res.series.enstrophy[i] == pytest.approx(enstrophy, rel=1e-14)
+            assert res.series.g0[i] == pytest.approx(grad_l2, rel=1e-14)
 
     def test_spectral_accuracy_under_refinement(self):
         # same initial data and the same dt on 32, 64, and a 128 reference;
@@ -441,18 +472,23 @@ class TestEnergyIdentity:
 
 
 class TestInitialConditions:
+    @staticmethod
+    def initial_series(u):
+        cfg = SolverConfig(grid=u.grid, nu=0.0, horizon=0.01)
+        return run(u, cfg, compute_norms=False).series
+
     def test_taylor_green_norms(self, grid64):
-        u = taylor_green_velocity(grid64)
-        assert kinetic_energy(u) == pytest.approx(math.pi**2, rel=1e-12)
-        assert gradient_l2(velocity_gradient(u)) == pytest.approx(2 * math.pi, rel=1e-12)
-        w = FlowState.from_velocity(u).vorticity
-        assert enstrophy_of(w) == pytest.approx(2 * math.pi**2, rel=1e-12)
+        series = self.initial_series(taylor_green_velocity(grid64))
+        assert series.energy[0] == pytest.approx(math.pi**2, rel=1e-12)
+        assert series.g0[0] == pytest.approx(2 * math.pi, rel=1e-12)
+        assert series.enstrophy[0] == pytest.approx(2 * math.pi**2, rel=1e-12)
 
     def test_random_band_deterministic_and_normalized(self, grid64):
         a = random_band_velocity(grid64, seed=42)
         b = random_band_velocity(grid64, seed=42)
         assert np.array_equal(a.u1.values, b.u1.values)
-        assert math.sqrt(2 * kinetic_energy(a)) == pytest.approx(math.pi * math.sqrt(2), rel=1e-12)
+        energy = self.initial_series(a).energy[0]
+        assert math.sqrt(2 * energy) == pytest.approx(math.pi * math.sqrt(2), rel=1e-12)
 
     def test_two_mode_mean_free_div_free(self, grid64):
         u = two_mode_velocity(grid64)
@@ -462,16 +498,12 @@ class TestInitialConditions:
 
 
 class TestGradientBmo:
-    @pytest.mark.parametrize("divergence_free, scans", [(True, 3), (False, 4)])
-    def test_scan_count_and_value(self, grid32, monkeypatch, divergence_free, scans):
-        # d1 u1 = -d2 u2 for Taylor-Green; the gradient of sin x1 sin x2 has
-        # d1 u1 = +d2 u2, so its fourth component needs its own scan
-        if divergence_free:
-            u = taylor_green_velocity(grid32)
-        else:
-            x1, x2 = grid32.coordinates()
-            u = VectorField.from_values(grid32, np.cos(x1) * np.sin(x2), np.sin(x1) * np.cos(x2))
-        expected = sum(bmo_seminorm(c) for c in velocity_gradient(u))
+    @pytest.mark.parametrize("ic", ["taylor_green", "random_42"])
+    def test_scan_count_and_value(self, grid32, monkeypatch, ic):
+        # a state's velocity is divergence-free, so d2 u2 = -d1 u1 and three
+        # scans give the sum over the four components of its gradient
+        state = FlowState.from_velocity(initial_condition(grid32, ic))
+        expected = sum(bmo_seminorm(c) for c in velocity_gradient(state.velocity))
         calls = []
 
         def counting(g):
@@ -479,5 +511,5 @@ class TestGradientBmo:
             return bmo_seminorm(g)
 
         monkeypatch.setattr(loglimit.flow, "bmo_seminorm", counting)
-        assert gradient_bmo(velocity_gradient(u)) == pytest.approx(expected, rel=1e-14)
-        assert len(calls) == scans
+        assert gradient_bmo(state) == pytest.approx(expected, rel=1e-14)
+        assert len(calls) == 3
