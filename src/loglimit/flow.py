@@ -13,13 +13,18 @@ over the four components), g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}},
 kinetic energy, and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2)
 are Parseval sums over the state's mode vector, with no FFT; h0 is read off
 the sample's velocity, which the blow-up test and the CFL record share; f0
-scans three gradient components, each one inverse FFT of the mode vector.
+scans three gradient components, each one inverse FFT of the mode vector
+(_state_gradient, the one velocity-gradient path of the package).
+
+Paired runs are compared through their mode vectors as well: the velocity
+gap (state_gap_l2), a bound on its maximum (sup_gap_sq_bound) and the
+energy-difference identity (energy_identity_terms) all start from the
+difference of two states' mode vectors.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +32,7 @@ import numpy as np
 
 from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _biot_savart_multiplier,
                    _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
-                   _unpack_dealiased, curl, derivative, inverse_transform, leray_project,
-                   write_csv)
+                   _unpack_dealiased, curl, inverse_transform, leray_project, write_csv)
 from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -183,27 +187,23 @@ class NormSeries:
         write_csv(path, SERIES_CSV_HEADER, zip(*(c.tolist() for c in cols)))
 
 
-def velocity_gradient(u: VectorField) -> tuple[ScalarField, ScalarField, ScalarField, ScalarField]:
-    """(d1 u1, d2 u1, d1 u2, d2 u2)."""
-    return (
-        derivative(u.u1, 1),
-        derivative(u.u1, 2),
-        derivative(u.u2, 1),
-        derivative(u.u2, 2),
+def _state_gradient(state: FlowState) -> tuple[ScalarField, ScalarField, ScalarField]:
+    """(d1 u1, d2 u1, d1 u2) of a state's velocity, each one multiplier product
+    and one inverse FFT of the vorticity spectrum.  The velocity is
+    divergence-free, so the fourth component d2 u2 is -d1 u1 exactly."""
+    n = state.grid.points_per_axis
+    w = state.omega_hat
+    return tuple(
+        inverse_transform(state.grid, _derivative_multiplier(n, i) * _biot_savart_multiplier(n, j) * w)
+        for i, j in ((1, 1), (2, 1), (1, 2))
     )
 
 
 def gradient_bmo(state: FlowState) -> float:
     """Mean-oscillation seminorm of a state's velocity gradient, summed over
-    its four components.  d1 u1, d2 u1 and d1 u2 take one multiplier and one
-    inverse FFT of the vorticity spectrum each; the velocity is divergence-free,
-    so d2 u2 = -d1 u1 exactly, and the sign-blind seminorm of d1 u1 counts twice."""
-    n = state.grid.points_per_axis
-    w = state.omega_hat
-    d1u1, d2u1, d1u2 = (
-        inverse_transform(state.grid, _derivative_multiplier(n, i) * _biot_savart_multiplier(n, j) * w)
-        for i, j in ((1, 1), (2, 1), (1, 2))
-    )
+    its four components; d2 u2 = -d1 u1, so the sign-blind seminorm of d1 u1
+    counts twice."""
+    d1u1, d2u1, d1u2 = _state_gradient(state)
     return 2.0 * bmo_seminorm(d1u1) + bmo_seminorm(d2u1) + bmo_seminorm(d1u2)
 
 
@@ -307,15 +307,6 @@ def require_shared_sample_times(*runs: RunResult) -> None:
             raise ValueError("paired runs must share sample times")
 
 
-def paired_velocities(*runs: RunResult) -> Iterator[tuple[VectorField, ...]]:
-    """Iterator over the velocities of any number of runs, one tuple per
-    sample in the order of `runs`, each velocity derived once.  Raises
-    ValueError at the call, not when the iterator is read, unless every run
-    was sampled at the first run's times."""
-    require_shared_sample_times(*runs)
-    return (tuple(s.velocity for s in states) for states in zip(*(r.states for r in runs)))
-
-
 def gap_l2(a: VectorField, b: VectorField) -> float:
     """L2 norm of the velocity difference."""
     if a.grid != b.grid:
@@ -403,11 +394,6 @@ def taylor_green_velocity(grid: GridSpec, amplitude: float = 1.0) -> VectorField
     )
 
 
-def taylor_green_vorticity(grid: GridSpec, amplitude: float = 1.0) -> ScalarField:
-    x1, x2 = grid.coordinates()
-    return ScalarField(grid, 2.0 * amplitude * np.sin(x1) * np.sin(x2))
-
-
 def two_mode_velocity(grid: GridSpec) -> VectorField:
     """Superposition of the Taylor-Green cell and a tilted (2, 1) mode."""
     x1, x2 = grid.coordinates()
@@ -466,8 +452,18 @@ class IdentityTerms:
 
 
 def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTerms:
-    """Evaluate the identity in one pass over paired runs sharing sample times."""
-    pairs = paired_velocities(run_nu, run_euler)
+    """Evaluate the identity in one pass over paired runs sharing sample times,
+    from the mode vectors of each sample's gap state w = uN - uE.
+
+    1/2 ||w||_L2^2 is the gap state's energy, a Parseval sum.  For
+    divergence-free a and b on the torus, int grad a : grad b =
+    int curl a curl b, so the viscous term is the Parseval pairing of the
+    vorticities, nu (2 pi)^2 sum_k Re(omegaN_k conj(omegaW_k)).  Only the
+    advection term is a grid sum: w (two inverse FFTs) against d1 uE1, d2 uE1
+    and d1 uE2 (three more), with d2 uE2 = -d1 uE1.  That is 5 inverse FFTs
+    per interior sample and none at the two samples at either end, which
+    enter only the stencil."""
+    require_shared_sample_times(run_nu, run_euler)
     t_n = run_nu.sample_times
     if len(t_n) < 5:
         raise ValueError("need at least 5 samples for the interior stencil")
@@ -477,28 +473,18 @@ def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTe
     half_gap_sq = np.zeros(len(t_n))
     adv = np.zeros(len(interior))
     visc = np.zeros(len(interior))
-    for i, (u_n, u_e) in enumerate(pairs):
-        half_gap_sq[i] = 0.5 * gap_l2(u_n, u_e) ** 2
+    for i, (s_n, s_e) in enumerate(zip(run_nu.states, run_euler.states)):
+        gap = FlowState._of_box(s_n.grid, s_n.time, s_n._box - s_e._box)
+        half_gap_sq[i] = _energy_enstrophy(gap)[0]
         if i not in interior:
             continue
-        w1 = u_n.u1.values - u_e.u1.values
-        w2 = u_n.u2.values - u_e.u2.values
-        grad_e = velocity_gradient(u_e)
-        # sum_ij w_i w_j d_i uE_j with (d1u1, d2u1, d1u2, d2u2) ordering
-        adv[i - 2] = float(
-            np.sum(
-                w1 * w1 * grad_e[0].values
-                + w2 * w1 * grad_e[1].values
-                + w1 * w2 * grad_e[2].values
-                + w2 * w2 * grad_e[3].values
-            )
-            * cv
-        )
-        grad_n = velocity_gradient(u_n)
-        grad_gap = velocity_gradient(VectorField.from_values(u_n.grid, w1, w2))
-        visc[i - 2] = nu * float(
-            np.sum(sum(gn.values * gw.values for gn, gw in zip(grad_n, grad_gap))) * cv
-        )
+        w = gap.velocity
+        w1, w2 = w.u1.values, w.u2.values
+        d1u1, d2u1, d1u2 = (c.values for c in _state_gradient(s_e))
+        # sum_ij w_i w_j d_i uE_j with d2 uE2 = -d1 uE1
+        adv[i - 2] = float(np.sum((w1 * w1 - w2 * w2) * d1u1 + w1 * w2 * (d2u1 + d1u2)) * cv)
+        a, b = s_n._box, gap._box
+        visc[i - 2] = nu * TWO_PI * TWO_PI * float(np.sum(a.real * b.real + a.imag * b.imag))
     dt = t_n[1] - t_n[0]
     ddt = np.array(
         [

@@ -19,6 +19,7 @@ from .flow import (
     FlowState,
     RunResult,
     SolverConfig,
+    _state_gradient,
     gap_l2,  # noqa: F401  (resolves the inviscid.gap_l2 entry of perfbench/tracing.PATCHES)
     random_band_velocity,
     require_shared_sample_times,
@@ -27,7 +28,6 @@ from .flow import (
     sup_gap_sq_bound,
     taylor_green_velocity,
     two_mode_velocity,
-    velocity_gradient,
 )
 from .grid import (
     GridSpec,
@@ -310,7 +310,8 @@ def measured_forcing(state_nu: FlowState, state_euler: FlowState, nu: float) -> 
     if alpha_vals.max() <= cfg.threshold:
         return 0.0
     alpha_r = truncation_remainder(ScalarField(u_nu.grid, alpha_vals), cfg)
-    beta = sum(np.abs(c.values) for c in velocity_gradient(u_euler))
+    d1u1, d2u1, d1u2 = (c.values for c in _state_gradient(state_euler))
+    beta = 2.0 * np.abs(d1u1) + np.abs(d2u1) + np.abs(d1u2)  # |d2 u2| = |d1 u1|
     return float(np.sum(np.abs(alpha_r.values) * beta) * u_nu.grid.cell_volume)
 
 

@@ -83,13 +83,6 @@ def gaussian_bump(grid: GridSpec, width: float) -> ScalarField:
     return ScalarField(grid, np.exp(-(r**2) / (2.0 * width**2)))
 
 
-def truncated_gaussian(grid: GridSpec, width: float) -> ScalarField:
-    """Gaussian bump hard-truncated to compact support of radius 3 * width."""
-    r = _periodic_radius(grid)
-    v = np.where(r <= 3.0 * width, np.exp(-(r**2) / (2.0 * width**2)), 0.0)
-    return ScalarField(grid, v)
-
-
 CORPUS_BUILDERS = (
     ("const_one", "constants", lambda grid: ScalarField(grid, np.ones(grid.shape))),
     ("mode_cos1", "modes", lambda grid: ScalarField.from_function(grid, lambda a, b: np.cos(a))),

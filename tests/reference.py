@@ -9,7 +9,11 @@ solver stepped that box as a mode vector; it takes its Fourier symbols from
 loglimit.grid, so it checks the mode-vector layout, not the symbols.
 `longdouble_state_gap` is the Parseval velocity gap of two flow states in
 extended precision, and `physical_sample_norms` a state's energy, enstrophy
-and velocity-gradient L2 norm from grid sums of the fields.  The majorant
+and velocity-gradient L2 norm from grid sums of the fields.
+`velocity_gradient` is the four-component gradient of a velocity field by
+loglimit.grid.derivative, and `physical_identity_terms` the energy-difference
+identity of two runs in velocity space, as the package evaluated both
+before it took the gradient and the identity from mode vectors.  The majorant
 integrator is the np.interp-based one the package's coefficient lookup
 replaced; it is kept as the reference that lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
 BMO scan pruned by the standard-deviation bound alone, from before wide
@@ -25,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from loglimit.grid import (_biot_savart_multiplier, _dealias_mask, _derivative_multiplier,
-                           _laplacian)
+                           _laplacian, derivative)
 
 TWO_PI = 2.0 * math.pi
 
@@ -224,6 +228,54 @@ def physical_sample_norms(omega_hat: np.ndarray) -> tuple[float, float, float]:
     enstrophy = 0.5 * square_sum(omega_hat)
     grad_sq = sum(square_sum(1j * kd * c) for c in u_hats for kd in (k1, k2))
     return energy, enstrophy, math.sqrt(grad_sq)
+
+
+def velocity_gradient(u):
+    """(d1 u1, d2 u1, d1 u2, d2 u2) of a VectorField, as ScalarFields."""
+    return (
+        derivative(u.u1, 1),
+        derivative(u.u1, 2),
+        derivative(u.u2, 1),
+        derivative(u.u2, 2),
+    )
+
+
+def _physical_gradient(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d1 v1, d2 v1, d1 v2, d2 v2) of grid values, each from its own symbol
+    i k_axis, the unpaired Nyquist wavenumber zeroed."""
+    n = v1.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    k[n // 2] = 0.0
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    return tuple(
+        np.real(np.fft.ifft2(1j * kd * np.fft.fft2(v))) for v in (v1, v2) for kd in (k1, k2)
+    )
+
+
+def physical_identity_terms(u_nu, u_e, nu: float, times) -> tuple[np.ndarray, ...]:
+    """(ddt_half_gap_sq, advection, viscous) of the energy-difference identity
+    at the interior samples, from two runs' velocity fields at the shared
+    `times` (sequences of VectorFields), in velocity space: w = uN - uE, the
+    exactly summed grid sums 1/2 int |w|^2, int (w . grad uE) . w and
+    nu int grad uN : grad w, and the fourth-order centered stencil in time."""
+    cv = (TWO_PI / u_e[0].grid.points_per_axis) ** 2
+    half_gap_sq, adv, visc = [], [], []
+    for i, (a, b) in enumerate(zip(u_nu, u_e)):
+        n1, n2, e1, e2 = a.u1.values, a.u2.values, b.u1.values, b.u2.values
+        w1, w2 = n1 - e1, n2 - e2
+        half_gap_sq.append(0.5 * math.fsum((w1 * w1 + w2 * w2).ravel()) * cv)
+        if not 2 <= i < len(times) - 2:
+            continue
+        grad_e = _physical_gradient(e1, e2)
+        pairs = (w1 * w1, w2 * w1, w1 * w2, w2 * w2)
+        adv.append(math.fsum(sum(p * g for p, g in zip(pairs, grad_e)).ravel()) * cv)
+        grad_n, grad_w = _physical_gradient(n1, n2), _physical_gradient(w1, w2)
+        visc.append(nu * math.fsum(sum(gn * gw for gn, gw in zip(grad_n, grad_w)).ravel()) * cv)
+    dt = times[1] - times[0]
+    q = half_gap_sq
+    ddt = [(-q[i + 2] + 8 * q[i + 1] - 8 * q[i - 1] + q[i - 2]) / (12 * dt)
+           for i in range(2, len(times) - 2)]
+    return np.array(ddt), np.array(adv), np.array(visc)
 
 
 # The majorant integrator as it was with np.interp coefficients, kept as the

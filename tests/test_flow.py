@@ -15,21 +15,20 @@ from loglimit.flow import (
     energy_identity_terms,
     gap_l2,
     gradient_bmo,
-    paired_velocities,
     random_band_velocity,
+    require_shared_sample_times,
     run,
     state_gap_l2,
     step,
     sup_gap_sq_bound,
     taylor_green_velocity,
-    taylor_green_vorticity,
     two_mode_velocity,
-    velocity_gradient,
 )
 from loglimit.grid import GridSpec, VectorField, divergence
 from loglimit.inviscid import initial_condition
 from loglimit.norms import bmo_seminorm
-from reference import dealiased_spectrum, full_array_step, physical_sample_norms
+from reference import (dealiased_spectrum, full_array_step, physical_identity_terms,
+                       physical_sample_norms, velocity_gradient)
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -50,7 +49,8 @@ class TestState:
 
     def test_taylor_green_vorticity_consistent(self, grid32):
         state = FlowState.from_velocity(taylor_green_velocity(grid32))
-        assert_allclose(state.vorticity.values, taylor_green_vorticity(grid32).values, atol=1e-12)
+        x1, x2 = grid32.coordinates()
+        assert_allclose(state.vorticity.values, 2.0 * np.sin(x1) * np.sin(x2), atol=1e-12)
 
     def test_biot_savart_roundtrip(self, grid32):
         u = taylor_green_velocity(grid32)
@@ -270,14 +270,24 @@ class TestRun:
         assert calls == ["ifft2"] * inverse
 
     def test_run_derives_no_gradient_or_vorticity(self, grid32, monkeypatch):
+        # no vorticity field, and no gradient beyond the three components
+        # that gradient_bmo scans, one _state_gradient per sample
         def forbidden(*args):
-            raise AssertionError("run derived a velocity gradient or a vorticity field")
+            raise AssertionError("run derived a vorticity field")
 
-        monkeypatch.setattr(loglimit.flow, "velocity_gradient", forbidden)
+        state_gradient = loglimit.flow._state_gradient
+        gradients = []
+
+        def counting(state):
+            gradients.append(state)
+            return state_gradient(state)
+
+        monkeypatch.setattr(loglimit.flow, "_state_gradient", counting)
         monkeypatch.setattr(FlowState, "vorticity", property(forbidden))
         cfg = SolverConfig(grid=grid32, nu=1e-2, horizon=0.2, min_samples=10)
         res = run(random_band_velocity(grid32, seed=3), cfg, compute_norms=True)
         assert len(res.states) == 11 and np.all(res.series.f0 > 0)
+        assert gradients == list(res.states)
 
     @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
     @pytest.mark.parametrize("n", [64, 128])
@@ -402,25 +412,14 @@ class TestSupGapSqBound:
         assert 0 < fired < len(ratios)
 
 
-class TestPairedVelocities:
-    def test_three_runs_one_tuple_per_sample(self, grid32):
-        u = taylor_green_velocity(grid32)
-        runs = [run(u, tg_config(grid32, nu, 0.2, samples=5), compute_norms=False)
-                for nu in (0.0, 0.1, 0.01)]
-        tuples = list(paired_velocities(*runs))
-        assert len(tuples) == len(runs[0].states)
-        for i, velocities in enumerate(tuples):
-            assert len(velocities) == 3
-            for r, v in zip(runs, velocities):
-                assert np.array_equal(v.u1.values, r.states[i].velocity.u1.values)
-
+class TestRequireSharedSampleTimes:
     def test_three_runs_require_shared_sample_times(self, grid32):
         u = taylor_green_velocity(grid32)
         runs = [run(u, tg_config(grid32, nu, 0.2, samples=s), compute_norms=False)
                 for nu, s in ((0.0, 5), (0.1, 5), (0.01, 6))]
-        paired_velocities(*runs[:2])
+        require_shared_sample_times(*runs[:2])
         with pytest.raises(ValueError, match="sample times"):
-            paired_velocities(*runs)
+            require_shared_sample_times(*runs)
 
 
 class TestEnergyIdentity:
@@ -455,7 +454,25 @@ class TestEnergyIdentity:
         with pytest.raises(ValueError, match="sample times"):
             energy_identity_terms(res_b, res_a)
 
-    def test_velocities_derived_once_per_sample(self, grid32, monkeypatch):
+    @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
+    def test_terms_match_velocity_space_oracle(self, grid64, ic):
+        u = initial_condition(grid64, ic)
+        res_e = run(u, tg_config(grid64, 0.0, 0.5, samples=10), compute_norms=False)
+        res_n = run(u, tg_config(grid64, 0.5, 0.5, samples=10), compute_norms=False)
+        terms = energy_identity_terms(res_n, res_e)
+        expected = physical_identity_terms(
+            [s.velocity for s in res_n.states], [s.velocity for s in res_e.states],
+            0.5, res_e.sample_times,
+        )
+        assert np.array_equal(terms.times, res_e.sample_times[2:-2])
+        tol = 1e-12 * terms.largest_term
+        for got, want in zip((terms.ddt_half_gap_sq, terms.advection, terms.viscous), expected):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol
+
+    def test_velocity_derived_only_for_interior_gap_states(self, grid32, monkeypatch):
+        # the end samples enter only the stencil, by Parseval; an interior
+        # sample derives the gap state's velocity and no run state's
         u = taylor_green_velocity(grid32)
         res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10), compute_norms=False)
         res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10), compute_norms=False)
@@ -463,12 +480,15 @@ class TestEnergyIdentity:
         calls = []
 
         def counting(state):
-            calls.append(state.time)
+            calls.append(state)
             return derive(state)
 
         monkeypatch.setattr(FlowState, "velocity", property(counting))
         energy_identity_terms(res_n, res_e)
-        assert len(calls) == 2 * len(res_e.states)
+        assert len(calls) == len(res_e.states) - 4
+        run_states = {id(s) for s in res_n.states + res_e.states}
+        assert not any(id(s) in run_states for s in calls)
+        assert [s.time for s in calls] == [s.time for s in res_n.states[2:-2]]
 
 
 class TestInitialConditions:

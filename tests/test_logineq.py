@@ -24,7 +24,6 @@ from loglimit.logineq import (
     riesz_l1_chain,
     scan_corpus,
     support_extent,
-    truncated_gaussian,
     truncated_log,
     verify_main_inequality,
     verify_zygmund_estimate,
@@ -161,7 +160,11 @@ class TestZygmundEstimate:
             verify_zygmund_estimate(h)
 
     def test_truncated_gaussian_admitted(self, grid64):
-        h = truncated_gaussian(grid64, np.pi / 16)
+        # a Gaussian bump of width pi/16 about (pi, pi), cut off at radius 3 * width
+        width = np.pi / 16
+        x1, x2 = grid64.coordinates()
+        r = np.sqrt((x1 - np.pi) ** 2 + (x2 - np.pi) ** 2)
+        h = ScalarField(grid64, np.where(r <= 3.0 * width, np.exp(-(r**2) / (2.0 * width**2)), 0.0))
         trial = verify_zygmund_estimate(h)
         assert trial.support <= np.pi**2
         assert trial.bound is None

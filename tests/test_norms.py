@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from loglimit import norms
-from loglimit.flow import random_band_velocity, velocity_gradient
+from loglimit.flow import random_band_velocity
 from loglimit.grid import TWO_PI, GridSpec, ScalarField, csv_line
 from loglimit.logineq import CORPUS_BUILDERS, gaussian_bump, make_corpus, normalized_indicator
 from loglimit.norms import (
@@ -32,6 +32,7 @@ from reference import (
     random_band_limited,
     std_pruned_bmo_seminorm,
     translate_bmo_seminorm,
+    velocity_gradient,
 )
 
 
