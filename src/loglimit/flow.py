@@ -12,9 +12,10 @@ machinery: f0 (mean-oscillation seminorm of the velocity gradient, summed
 over the four components), g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}},
 kinetic energy, and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2)
 are Parseval sums over the state's mode vector, with no FFT; h0 is read off
-the sample's velocity, which the blow-up test and the CFL record share; f0
-scans three gradient components, each one inverse FFT of the mode vector
-(_state_gradient, the one velocity-gradient path of the package).
+the sample's velocity, which the blow-up test, the CFL record and the
+first stage of the next step share; f0 scans three gradient components,
+each one inverse FFT of the mode vector (_state_gradient, the one
+velocity-gradient path of the package).
 
 Paired runs are compared through their mode vectors as well: the velocity
 gap (state_gap_l2), a bound on its maximum (sup_gap_sq_bound) and the
@@ -115,13 +116,20 @@ class FlowState:
         )
 
 
-def _advection_rhs(grid: GridSpec, omega_box: np.ndarray) -> np.ndarray:
+def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
+                   velocity: VectorField | None = None) -> np.ndarray:
     """Dealiased -(u . grad omega) of a mode vector, as a mode vector; both
-    hold normalized coefficients in grid._pack_dealiased order."""
+    hold normalized coefficients in grid._pack_dealiased order.  `velocity`,
+    the mode vector's velocity as FlowState.velocity derives it, saves the
+    two Biot-Savart inverse FFTs: it holds the same values bit for bit, as
+    the scalings by n^2 are exact."""
     n = grid.points_per_axis
     w = _unpack_dealiased(omega_box * (n * n), n)
-    u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
-    u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
+    if velocity is None:
+        u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
+        u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
+    else:
+        u1, u2 = velocity.u1.values, velocity.u2.values
     w1 = np.real(np.fft.ifft2(_derivative_multiplier(n, 1) * w))
     w2 = np.real(np.fft.ifft2(_derivative_multiplier(n, 2) * w))
     return -(_pack_dealiased(np.fft.fft2(u1 * w1 + u2 * w2)) / (n * n))
@@ -150,22 +158,27 @@ def _integrating_factors(n: int, nu: float, dt: float) -> tuple:
     return e_half, e_full
 
 
-def _step_raw(grid: GridSpec, omega_box: np.ndarray, nu: float, dt: float) -> np.ndarray:
+def _step_raw(grid: GridSpec, omega_box: np.ndarray, nu: float, dt: float,
+              velocity: VectorField | None = None) -> np.ndarray:
     """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega,
-    on a mode vector in grid._pack_dealiased order."""
+    on a mode vector in grid._pack_dealiased order; `velocity`, if given, is
+    that of omega_box, for the first stage (_advection_rhs)."""
     e_half, e_full = _integrating_factors(grid.points_per_axis, nu, dt)
-    k1 = _advection_rhs(grid, omega_box)
+    k1 = _advection_rhs(grid, omega_box, velocity)
     k2 = _advection_rhs(grid, e_half * (omega_box + (dt / 2.0) * k1))
     k3 = _advection_rhs(grid, e_half * omega_box + (dt / 2.0) * k2)
     k4 = _advection_rhs(grid, e_full * omega_box + dt * e_half * k3)
     return e_full * omega_box + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def step(state: FlowState, cfg: SolverConfig, dt: float | None = None) -> FlowState:
-    """Advance one RK4 step; dt defaults to the CFL bound of the current state."""
+def step(state: FlowState, cfg: SolverConfig, dt: float | None = None,
+         velocity: VectorField | None = None) -> FlowState:
+    """Advance one RK4 step; dt defaults to the CFL bound of the current state.
+    A caller that holds state.velocity passes it as `velocity`, and the step
+    derives it no second time; the result is the same bit for bit."""
     if dt is None:
         dt = cfl_timestep(state, cfg)
-    new_box = _step_raw(state.grid, state._box, cfg.nu, dt)
+    new_box = _step_raw(state.grid, state._box, cfg.nu, dt, velocity)
     if not np.all(np.isfinite(new_box.view(float))):
         raise FloatingPointError("flow step produced non-finite spectrum (blow-up)")
     return FlowState._of_box(state.grid, state.time + dt, new_box)
@@ -261,12 +274,13 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
         if sample:
             try:
                 for _ in range(chunk):
-                    state = step(state, cfg, dt)
+                    state = step(state, cfg, dt, velocity=u)
+                    u = None  # the velocity of the chunk's first state only
             except FloatingPointError:
                 blow_up = True
                 break
         states.append(state)
-        u = state.velocity  # derived once: the series row and the blow-up check share it
+        u = state.velocity  # derived once: the row, the blow-up test and the next step share it
         rows.append(_sample_row(state, u, cfg, compute_norms))
         umax = _max_speed(u)
         max_cfl = max(max_cfl, dt * umax / cfg.grid.spacing)

@@ -22,7 +22,8 @@ empty cell for None, and lines that end in a bare newline.
 
 It also holds the package's one parallel map (`_map_tasks`), which runs
 independent tasks side by side, in this process and in forked children: a
-sweep's flows, a corpus scan's BMO norms, the Zygmund family's trials.
+sweep's flows, pairings and f0 scans, its file writes and its majorant
+checks, a corpus scan's BMO norms, the Zygmund family's trials.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache

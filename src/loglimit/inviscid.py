@@ -9,12 +9,14 @@ log sup-gap against log viscosity.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import flow
 from .flow import (
     FlowState,
     RunResult,
@@ -162,55 +164,90 @@ def fit_exponent(x, y) -> float | None:
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
-def _sweep_member(cfg: ExperimentConfig, nu: float, compute_norms: bool) -> RunResult:
+def _sweep_member(cfg: ExperimentConfig, nu: float) -> RunResult:
     """The sweep's run at nu (0.0 for the reference), from its own copy of
-    the initial condition."""
+    the initial condition, without f0; a blown reference raises."""
     u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
-    return run(u0, cfg.solver_config(nu), compute_norms=compute_norms)
+    res = run(u0, cfg.solver_config(nu), compute_norms=False)
+    if nu == 0.0 and res.blow_up:
+        raise RuntimeError("reference run blew up; sweep aborted")
+    return res
+
+
+def _paired_member(cfg: ExperimentConfig, nu: float, euler: RunResult) -> tuple:
+    """The viscous run at nu and its pairing with the reference run."""
+    res = _sweep_member(cfg, nu)
+    return res, _pairing(res, euler, nu)
+
+
+def _pairing(res: RunResult, euler: RunResult, nu: float) -> tuple | None:
+    """(gap curve, forcing) of the viscous run at nu against the reference,
+    sample by sample from the paired states' mode vectors; None for a blown
+    run."""
+    if res.blow_up:
+        return None
+    pairs = list(zip(res.states, euler.states))
+    return (np.array([state_gap_l2(s, e) for s, e in pairs]),
+            np.array([measured_forcing(s, e, nu) for s, e in pairs]))
+
+
+def _call(fn, *args):
+    """fn(*args): the map function of a map whose tasks name their own."""
+    return fn(*args)
 
 
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
-    The 1 + K runs are independent and run side by side (_map_tasks), the
-    reference run in this process.  The sweep keeps the viscous runs up to
-    and including the first that blows up, and then sets `aborted`; the
-    runs after it may have been computed too, and their results are
-    discarded.  If runs raise, the caller gets
-    the first error in task order: the reference run's, else that of the
-    largest nu whose run raised, whatever the number of processes.  A blown
-    reference run raises, and so do runs sampled at other times than the
-    reference.  One pass over the completed runs' paired samples then
-    records per nu the gap curve (state_gap_l2) and the forcing
-    (measured_forcing), both from the paired states' mode vectors; a
-    velocity is derived only where the forcing's bound fails.
+    Two calls of the parallel map (_map_tasks) do the work.  The first runs
+    the reference in this process beside the largest nu's run, neither
+    with f0; a blown reference raises there.  The second forks once the
+    reference states exist, so its children read them without a copy being
+    sent; its tasks, longest first, are the other viscous runs, each of
+    which records its gap curve (state_gap_l2) and forcing
+    (measured_forcing) against the reference, the same pairing of the
+    largest nu's run, and, with compute_norms, one f0 scan
+    (flow.gradient_bmo) per reference sample.  Gaps and forcing come from
+    the paired states' mode vectors; a velocity is derived only where the
+    forcing's bound fails.
+
+    The sweep keeps the viscous runs up to and including the first that
+    blows up, and then sets `aborted`; the runs after it may have been
+    computed too, and their results are discarded.  If tasks raise, the
+    caller gets the first error in task order, whatever the number of
+    processes: the reference run's, else that of the largest nu whose run
+    raised, else that of an f0 scan.  Runs sampled at other times than the
+    reference raise too.
 
     The regularity series f0 is sampled on the reference run only (that is
     where M and the majorant coefficient come from); viscous runs skip the
     costly f0 scan, since only their g0 series enters any downstream check.
     """
-    tasks = [(cfg, 0.0, compute_norms)] + [(cfg, nu, False) for nu in cfg.nu_list]
-    euler, *viscous = _map_tasks(_sweep_member, tasks)
-    if euler.blow_up:
-        raise RuntimeError("reference run blew up; sweep aborted")
-    runs: dict = {}
-    aborted = False
-    for nu, res in zip(cfg.nu_list, viscous):
+    first_nu, *later_nus = cfg.nu_list
+    euler, first = _map_tasks(_sweep_member, [(cfg, 0.0), (cfg, first_nu)])
+    if first.blow_up:
+        later_nus = []
+    tasks = [(_paired_member, cfg, nu, euler) for nu in later_nus]
+    tasks.append((_pairing, first, euler, first_nu))
+    if compute_norms:
+        tasks += [(flow.gradient_bmo, state) for state in euler.states]
+    done = _map_tasks(_call, tasks)
+    k = len(later_nus)
+    later, first_pairing, f0 = done[:k], done[k], done[k + 1:]
+    if compute_norms:
+        euler = dataclasses.replace(euler, series=dataclasses.replace(euler.series, f0=np.array(f0)))
+    runs, gap_curves, forcing = {}, {}, {}
+    for nu, (res, pairing) in zip(cfg.nu_list, [(first, first_pairing), *later]):
         runs[nu] = res
         if res.blow_up:
-            aborted = True
             break
-    done = [nu for nu, res in runs.items() if not res.blow_up]
-    require_shared_sample_times(euler, *(runs[nu] for nu in done))
-    gap_curves, forcing = {}, {}
-    for nu in done:
-        pairs = list(zip(runs[nu].states, euler.states))
-        gap_curves[nu] = np.array([state_gap_l2(s, e) for s, e in pairs])
-        forcing[nu] = np.array([measured_forcing(s, e, nu) for s, e in pairs])
-    nus = np.array(done)
-    sup = np.array([gap_curves[nu].max() for nu in done])
+        gap_curves[nu], forcing[nu] = pairing
+    require_shared_sample_times(euler, *(runs[nu] for nu in gap_curves))
+    nus = np.array(list(gap_curves))
+    sup = np.array([curve.max() for curve in gap_curves.values()])
     M = float(np.max(euler.series.f0 + euler.series.g0**2))
     series = GapSeries(nu=nus, sup_gap=sup, M=M, theory_exponent=math.exp(-2.0 * M * cfg.horizon))
+    aborted = len(gap_curves) < len(runs)
     result = SweepResult(cfg, euler, runs, gap_curves, forcing, series, aborted)
     if cfg.output_dir is not None:
         persist_sweep(result, Path(cfg.output_dir))
@@ -218,7 +255,9 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
 
 
 def persist_sweep(result: SweepResult, outdir: Path) -> None:
-    """gaps.csv at the root, one subdirectory per run with series and state."""
+    """gaps.csv at the root, one subdirectory per run with series and state:
+    the one writer of a sweep's files.  The 1 + K runs' files are written
+    side by side (_map_tasks)."""
     outdir.mkdir(parents=True, exist_ok=True)
     series = result.series
     n = len(series.nu)
@@ -227,9 +266,8 @@ def persist_sweep(result: SweepResult, outdir: Path) -> None:
         (nu, sup, series.M, series.theory_exponent, bound)
         for nu, sup, bound in zip(series.nu, series.sup_gap, bounds)
     ))
-    write_run(result.euler, outdir / "euler")
-    for nu, res in result.runs.items():
-        write_run(res, outdir / run_label(nu))
+    _map_tasks(write_run, [(result.euler, outdir / "euler")]
+               + [(res, outdir / run_label(nu)) for nu, res in result.runs.items()])
 
 
 def load_gap_series(path: str | Path) -> GapSeries:
@@ -331,13 +369,15 @@ def majorant_problem(result: SweepResult, nu: float, c_emp: float) -> OsgoodProb
 def sweep_majorization(
     result: SweepResult, c_emp: float, tol: float = 0.05
 ) -> dict[float, MajorizationReport]:
-    """check_majorization for every completed sweep member, in this process:
-    each check integrates the majorant only as far as a sample can still
-    fail, which at the gate's settings cost less than starting a process
-    pool did."""
-    return {
-        nu: check_majorization(
-            result.euler.sample_times, gaps**2, majorant_problem(result, nu, c_emp), tol=tol
-        )
-        for nu, gaps in result.gap_curves.items()
-    }
+    """check_majorization for every completed sweep member, side by side
+    (_map_tasks); when checks raise, the first in nu order reaches the
+    caller."""
+    nus = list(result.gap_curves)
+    return dict(zip(nus, _map_tasks(_majorization, [(result, nu, c_emp, tol) for nu in nus])))
+
+
+def _majorization(result: SweepResult, nu: float, c_emp: float, tol: float) -> MajorizationReport:
+    return check_majorization(
+        result.euler.sample_times, result.gap_curves[nu] ** 2,
+        majorant_problem(result, nu, c_emp), tol=tol
+    )

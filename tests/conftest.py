@@ -24,7 +24,8 @@ def grid64():
 def cpus(monkeypatch):
     """Sets the CPUs this process may run on, as a count: the parallel map
     (grid._map_tasks) runs every task in-process on 1, and on 2 runs them in
-    this process and one forked child."""
+    this process and one child forked per map call.  A counter that a test
+    keeps in this process sees a task's calls only on 1."""
     return lambda k: monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 

@@ -148,6 +148,26 @@ class TestStep:
                 full = dealiased_spectrum(full_array_step(grid64, full, nu, res.dt))
                 assert state.omega_hat.tobytes() == full.tobytes()
 
+    def test_given_velocity_saves_two_inverse_ffts(self, grid32, monkeypatch):
+        # the first stage reads the velocity it is given; the step is the same
+        state = FlowState.from_velocity(random_band_velocity(grid32, seed=3))
+        u = state.velocity
+        cfg = tg_config(grid32, 1e-2, 1.0)
+        dt = cfl_timestep(state, cfg)
+        ifft2 = np.fft.ifft2
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return ifft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft2", counting)
+        plain = step(state, cfg, dt)
+        assert len(calls) == 16  # 4 stages, 4 inverse FFTs each
+        reused = step(state, cfg, dt, velocity=u)
+        assert len(calls) == 16 + 14
+        assert np.array_equal(reused._box, plain._box)
+
     def test_cfl_uses_max_speed(self, grid32):
         state = FlowState.from_velocity(taylor_green_velocity(grid32))
         cfg = tg_config(grid32, 0.0, 1.0)
@@ -245,6 +265,23 @@ class TestRun:
         res = run(u0, cfg, compute_norms=False)
         assert len(res.states) == 11
         assert len(calls) <= len(res.states) + 1
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("nu", [0.0, 1e-2])
+    @pytest.mark.parametrize("ic", ["taylor_green", "random_42"])
+    def test_steps_equal_a_plain_step_loop(self, grid32, ic, nu, stride):
+        # run hands each sample's velocity to the next step; a plain loop of
+        # steps, which derive it afresh, reaches the same mode vectors
+        cfg = SolverConfig(grid=grid32, nu=nu, horizon=0.2, min_samples=10,
+                           output_stride=stride)
+        res = run(initial_condition(grid32, ic), cfg, compute_norms=False)
+        assert len(res.states) == 11
+        state = res.states[0]
+        for sample in res.states[1:]:
+            for _ in range(stride):
+                state = step(state, cfg, res.dt)
+            assert state.time == sample.time
+            assert np.array_equal(state._box, sample._box)
 
     @pytest.mark.parametrize("compute_norms, inverse", [(False, 0), (True, 3)])
     def test_sample_row_ffts(self, grid32, monkeypatch, compute_norms, inverse):

@@ -18,7 +18,7 @@ from loglimit.inviscid import (
     sweep_majorization,
     verify_rate,
 )
-from loglimit import inviscid, osgood
+from loglimit import flow, inviscid, osgood
 from loglimit.flow import FlowState, gap_l2, run, state_gap_l2, sup_gap_sq_bound
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
@@ -117,8 +117,8 @@ class TestRunSweep:
         )
         member = inviscid._sweep_member
 
-        def shifted_member(cfg, nu, compute_norms):
-            res = member(cfg, nu, compute_norms)
+        def shifted_member(cfg, nu):
+            res = member(cfg, nu)
             if nu == 1e-2:
                 times = res.series.times + 1e-9
                 return dataclasses.replace(res, series=dataclasses.replace(res.series, times=times))
@@ -131,9 +131,11 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("blown", [0, 1])
     def test_blow_up_aborts_sweep(self, blown, monkeypatch, tmp_path):
+        # the largest nu runs in the sweep's first map, the others in its second
         cfg = ExperimentConfig(
             grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
             initial_condition_id="taylor_green", min_samples=10,
+            output_dir=str(tmp_path / "out"),
         )
         log = tmp_path / "started"  # a file, as the runs may start in child processes
         log.touch()
@@ -161,6 +163,42 @@ class TestRunSweep:
         assert list(result.series.nu) == completed
         assert len(result.series.sup_gap) == blown
         assert list(sweep_majorization(result, c_emp=1.0)) == completed
+        kept = {inviscid.run_label(nu) for nu in result.runs}
+        out = tmp_path / "out"
+        assert {p.name for p in out.iterdir()} == {"gaps.csv", "euler", *kept}
+        assert all((out / name).is_dir() for name in {"euler", *kept})
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_blown_reference_raises_before_any_f0_scan(self, k, monkeypatch, tmp_path, cpus):
+        cfg = ExperimentConfig(
+            grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2),
+            initial_condition_id="taylor_green", min_samples=10,
+            output_dir=str(tmp_path / "out"),
+        )
+        log = tmp_path / "scans"  # a file, as the scans may run in child processes
+        log.touch()
+        gradient_bmo = flow.gradient_bmo
+
+        def counting_bmo(state):
+            with open(log, "a") as fh:
+                fh.write(f"{state.time!r}\n")
+            return gradient_bmo(state)
+
+        def blowing_run(u0, solver_cfg, compute_norms=True):
+            res = run(u0, solver_cfg, compute_norms=compute_norms)
+            return dataclasses.replace(res, blow_up=solver_cfg.nu == 0.0)
+
+        cpus(k)
+        monkeypatch.setattr(flow, "gradient_bmo", counting_bmo)
+        result = run_sweep(dataclasses.replace(cfg, output_dir=None))
+        assert len(log.read_text().split()) == len(result.euler.states)  # the count sees every scan
+        log.write_text("")
+        monkeypatch.setattr(inviscid, "run", blowing_run)
+        with pytest.raises(RuntimeError, match="reference run blew up"):
+            run_sweep(cfg)
+        assert log.read_text() == ""
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
 
     def test_persistence(self, tmp_path):
         cfg = ExperimentConfig(
@@ -428,11 +466,16 @@ class TestSideBySide:
             return {pid: {float(nu) for p, nu in runs if p == pid} for pid, _ in runs}
 
         caller = str(os.getpid())
+        first_nu = self.CFG["nu_list"][0]
         monkeypatch.setattr(inviscid, "run", logging_run)
         cpus(2)
         pooled, pooled_reports = self._sweep(tmp_path / "pooled")
         placed = runs_by_pid()
-        assert len(placed) == 2 and 0.0 in placed[caller]  # the reference run in the caller
+        # the reference run in the caller; each of the sweep's two maps
+        # forks its own child, and the first map runs only the largest nu
+        assert 2 <= len(placed) <= 3 and 0.0 in placed[caller]
+        assert all(nus == {first_nu} or first_nu not in nus
+                   for pid, nus in placed.items() if pid != caller)
         cpus(1)
         serial, serial_reports = self._sweep(tmp_path / "serial")
         assert runs_by_pid() == {caller: {0.0, *self.CFG["nu_list"]}}
@@ -457,6 +500,14 @@ class TestSideBySide:
             pooled_bytes = (tmp_path / "pooled" / rel).read_bytes()
             assert pooled_bytes == (tmp_path / "serial" / rel).read_bytes(), rel
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_f0_does_not_depend_on_placement(self, cpus, k):
+        cpus(k)
+        euler = run_sweep(ExperimentConfig(**self.CFG)).euler
+        assert len(euler.series.f0) == len(euler.states) == 11
+        for f0, state in zip(euler.series.f0, euler.states):
+            assert f0 == flow.gradient_bmo(state)
+
     def test_no_process_left(self, cpus):
         cpus(2)
         result = run_sweep(ExperimentConfig(**self.CFG))
@@ -474,7 +525,7 @@ class TestSideBySide:
             return run(u0, solver_cfg, compute_norms=compute_norms)
 
         def failing_check(times, x_squared, problem, tol):
-            if problem.nu in (1e-2, 1e-3):  # the checks run in-process, in task order
+            if problem.nu in (1e-2, 1e-3):  # the first failure in nu order reaches the caller
                 raise LookupError(f"majorant at nu = {problem.nu} failed")
             return check_majorization(times, x_squared, problem, tol=tol)
 
@@ -491,9 +542,11 @@ class TestSideBySide:
         assert err.type is LookupError
         assert_no_child_left()
 
-    def _majorant_work(self, monkeypatch, c_emp):
+    def _majorant_work(self, monkeypatch, cpus, c_emp):
         """Per nu: the check's report, the trajectory points of all its
-        integrate_majorant calls, and those of one full-horizon integration."""
+        integrate_majorant calls, and those of one full-horizon integration.
+        In-process, as a forked child's calls would not reach the count."""
+        cpus(1)
         result = run_sweep(ExperimentConfig(**self.CFG))
         points = dict.fromkeys(self.CFG["nu_list"], 0)
         integrate = osgood.integrate_majorant
@@ -509,18 +562,18 @@ class TestSideBySide:
         return {nu: (rep, points[nu], len(integrate(majorant_problem(result, nu, c_emp)).times))
                 for nu, rep in reports.items()}
 
-    def test_majorant_work_is_cut(self, monkeypatch):
+    def test_majorant_work_is_cut(self, monkeypatch, cpus):
         # a work count, not a timing: at the gate's empirical constant each
         # check integrates the majorant only as far as a sample can still fail
-        for rep, points, full in self._majorant_work(monkeypatch, 5.58).values():
+        for rep, points, full in self._majorant_work(monkeypatch, cpus, 5.58).values():
             assert rep.passed and rep.checked_until < self.CFG["horizon"]
             assert 0 < points < 0.5 * full
 
-    def test_majorant_work_bounded_when_cut_fires_late(self, monkeypatch):
+    def test_majorant_work_bounded_when_cut_fires_late(self, monkeypatch, cpus):
         # at c_emp = 1.0 the cut fires only at t = 0.14 of 0.2, and the
         # growing prefixes converge at a finer step than the full horizon;
         # the check still costs at most twice one full-horizon integration
-        for rep, points, full in self._majorant_work(monkeypatch, 1.0).values():
+        for rep, points, full in self._majorant_work(monkeypatch, cpus, 1.0).values():
             assert rep.checked_until == pytest.approx(0.14)
             assert 0 < points <= 2 * full
 
