@@ -21,9 +21,10 @@ numbers at 17 significant digits (so floats round-trip bit for bit), an
 empty cell for None, and lines that end in a bare newline.
 
 It also holds the package's one parallel map (`_map_tasks`), which runs
-independent tasks side by side, in this process and in forked children: a
-sweep's flows, pairings and f0 scans, its file writes and its majorant
-checks, a corpus scan's BMO norms, the Zygmund family's trials.
+independent tasks side by side, in this process and in forked children
+that draw task indices from one locked counter: a sweep's flows, pairings
+and f0 scans, its file writes and its majorant checks, a corpus scan's BMO
+norms, the Zygmund family's trials.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs.  The coefficient cache
@@ -39,6 +40,7 @@ import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -398,8 +400,8 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     """[fn(*task) for task in tasks], in task order, run by this process and
     up to min(len(tasks), CPUs) - 1 forked children, CPUs being those this
     process may run on.  The caller takes task 0 and forks; then it and the
-    children draw the other task indices, in order, from one pipe
-    (_TaskQueue), so a caller that wants its longest tasks done first lists
+    children draw the other task indices, in order, from one shared counter
+    (_drawn), so a caller that wants its longest tasks done first lists
     them first.  Each child pickles its results back once, after its last
     task, and exits; those results must pickle, but fn and the tasks need
     not, since they reach the children through the fork, with the caller's
@@ -408,21 +410,23 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     A process stops drawing at its first task that raises.  When tasks
     raise, the first in task order raises here, wherever it ran; a task
     whose child exited without sending its results counts as one that
-    raised.  Every child is reaped, and every pipe closed, before this
-    returns or raises.  Runs in-process below 2 CPUs or tasks, and inside a
-    mapped task.  The package starts no thread that a fork could break."""
+    raised.  Every child is reaped, and every pipe and the counter closed,
+    before this returns or raises.  Runs in-process below 2 CPUs or tasks,
+    and inside a mapped task.  The package starts no thread that a fork
+    could break."""
     global _in_map
     procs = min(len(tasks), len(os.sched_getaffinity(0)))
     if procs < 2 or _in_map:
         return [fn(*task) for task in tasks]
-    queue = _TaskQueue(len(tasks))
     children = {}  # pid -> read end of the pipe its results come back on
     done: dict[int, tuple] = {}  # task index -> (raised, result or error)
     lost = []  # exit statuses of children that sent no results
     sys.stdout.flush()  # a child flushes its copies of these buffers when it exits
     sys.stderr.flush()
+    counter = os.memfd_create("loglimit-map")
     _in_map = True
     try:
+        os.pwrite(counter, (1).to_bytes(4, "little"), 0)  # task 0 is the caller's
         for _ in range(procs - 1):
             read_end, write_end = os.pipe()
             try:
@@ -432,11 +436,10 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
                 os.close(write_end)
                 raise
             if pid == 0:
-                _run_child(fn, tasks, queue, write_end)
+                _run_child(fn, tasks, counter, write_end)
             os.close(write_end)
             children[pid] = open(read_end, "rb")
-        _run_tasks(fn, tasks, queue.caller_indices(), done)
-        queue.close()
+        _run_tasks(fn, tasks, chain((0,), _drawn(counter, len(tasks))), done)
         for pid, results in list(children.items()):
             payload = results.read()
             results.close()
@@ -448,7 +451,7 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
                 lost.append(status)
     finally:
         _in_map = False
-        queue.close()
+        os.close(counter)
         for pid, results in children.items():  # left only when the caller is interrupted
             results.close()
             os.kill(pid, 9)  # SIGKILL
@@ -463,6 +466,24 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     return [done[i][1] for i in range(len(tasks))]
 
 
+def _drawn(counter: int, count: int):
+    """The task indices below count that this process draws from counter, a
+    file that the caller of _map_tasks and its children share and whose
+    first 4 bytes hold the next index to run.  A draw reads it and writes
+    back its successor under a lockf lock, which the kernel releases if the
+    holder dies, so a child that dies mid-draw cannot stall the others."""
+    while True:
+        os.lockf(counter, os.F_LOCK, 0)
+        try:
+            i = int.from_bytes(os.pread(counter, 4, 0), "little")
+            os.pwrite(counter, (i + 1).to_bytes(4, "little"), 0)
+        finally:
+            os.lockf(counter, os.F_ULOCK, 0)
+        if i >= count:
+            return
+        yield i
+
+
 def _run_tasks(fn, tasks: list[tuple], indices, done: dict) -> None:
     """done[i] = (raised, result or error) of fn(*tasks[i]) for each index
     drawn, up to the first task that raises."""
@@ -474,7 +495,7 @@ def _run_tasks(fn, tasks: list[tuple], indices, done: dict) -> None:
             return
 
 
-def _run_child(fn, tasks: list[tuple], queue: _TaskQueue, write_end: int):
+def _run_child(fn, tasks: list[tuple], counter: int, write_end: int):
     """A forked child of _map_tasks: runs the tasks it draws, writes their
     outcomes to write_end in one pickle, and exits, never returning into
     the caller's stack.  When it cannot send them (a result that does not
@@ -483,9 +504,8 @@ def _run_child(fn, tasks: list[tuple], queue: _TaskQueue, write_end: int):
     status = 1
     try:
         _in_map = True
-        queue.close_writer()
         done: dict[int, tuple] = {}
-        _run_tasks(fn, tasks, queue.drawn(), done)
+        _run_tasks(fn, tasks, _drawn(counter, len(tasks)), done)
         payload = pickle.dumps(done, pickle.HIGHEST_PROTOCOL)
         with open(write_end, "wb") as out:
             out.write(payload)
@@ -496,56 +516,3 @@ def _run_child(fn, tasks: list[tuple], queue: _TaskQueue, write_end: int):
         sys.stdout.flush()
         sys.stderr.flush()
         os._exit(status)
-
-
-class _TaskQueue:
-    """Task indices 1 .. count - 1, in order, on one pipe that the caller of
-    _map_tasks and its forked children read 4 bytes at a time.  The caller
-    writes them without blocking, as far as the pipe has room (64 KiB, or
-    16 384 indices, by default), in writes of at most 512 bytes, which any
-    POSIX pipe keeps whole; while the pipe is full, the caller takes the
-    next unwritten index itself.  The write end closes once every index is
-    written, so a reader meets the end of the pipe when none is left."""
-
-    def __init__(self, count: int):
-        self.read_end, self.write_end = os.pipe()
-        os.set_blocking(self.write_end, False)
-        self.unsent = memoryview(np.arange(1, count, dtype="<u4").tobytes())
-        self.feed()
-
-    def feed(self) -> None:
-        """Writes what the pipe has room for; closes the write end when done."""
-        while self.unsent:
-            try:
-                self.unsent = self.unsent[os.write(self.write_end, self.unsent[:512]):]
-            except BlockingIOError:
-                return
-        self.close_writer()
-
-    def caller_indices(self):
-        """Task 0, then the indices the caller of the map draws."""
-        yield 0
-        self.feed()
-        while self.unsent:  # the pipe is full: take the next unwritten index
-            i, self.unsent = int.from_bytes(self.unsent[:4], "little"), self.unsent[4:]
-            yield i
-            self.feed()
-        yield from self.drawn()
-
-    def drawn(self):
-        """The indices read from the pipe, up to its end."""
-        while got := os.read(self.read_end, 4):
-            yield int.from_bytes(got, "little")
-
-    def close_writer(self) -> None:
-        """Closes the write end; indices not yet written are dropped."""
-        if self.write_end >= 0:
-            os.close(self.write_end)
-            self.write_end = -1
-        self.unsent = self.unsent[:0]
-
-    def close(self) -> None:
-        self.close_writer()
-        if self.read_end >= 0:
-            os.close(self.read_end)
-            self.read_end = -1

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import signal
 import threading
 import time
 
@@ -334,6 +335,16 @@ def _lock_in_child(caller: int, delay: float):
     return None if os.getpid() == caller else threading.Lock()
 
 
+def _log_index(log: int, k: int) -> int:
+    os.write(log, f"{k}\n".encode())  # one O_APPEND write: whole lines, whoever writes
+    return k
+
+
+def _index_after(k: int, delay: float) -> int:
+    time.sleep(delay)
+    return k
+
+
 def _open_fds() -> list:
     return sorted(os.listdir("/proc/self/fd"))
 
@@ -366,13 +377,51 @@ class TestMapTasks:
         assert _map_tasks(lambda k: -k, [(k,) for k in range(3)]) == [0, -1, -2]  # fn need not pickle
         assert_no_child_left()
 
-    def test_long_task_list(self, cpus):
-        # more indices than the pipe holds (16 384): the caller must not
-        # block writing them before it forks
+    def test_long_task_list(self, cpus, tmp_path):
+        # hundreds of times the largest map the package makes (105 tasks);
+        # the log shows that every index is drawn and run exactly once
         cpus(2)
         count = 40_000
+        fds = _open_fds()
         assert _map_tasks(abs, [(-k,) for k in range(count)]) == list(range(count))
+        log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            assert _map_tasks(_log_index, [(log, k) for k in range(count)]) == list(range(count))
+        finally:
+            os.close(log)
+        ran = sorted(int(line) for line in (tmp_path / "ran").read_text().splitlines())
+        assert ran == list(range(count))
         assert_no_child_left()
+        assert _open_fds() == fds
+
+    def test_child_dying_mid_draw_does_not_hang(self, cpus, monkeypatch):
+        # the child exits while it holds the counter's lock, before writing
+        # the counter back, as the caller sleeps in task 0; the kernel drops
+        # the lock and the caller draws and runs every task.  The alarm
+        # fails a map that hangs instead of hanging the suite.
+        cpus(2)
+        caller, pwrite = os.getpid(), os.pwrite
+
+        def pwrite_or_exit(fd, data, offset):
+            if os.getpid() != caller:
+                os._exit(3)
+            return pwrite(fd, data, offset)
+
+        def hung(signum, frame):
+            raise TimeoutError("the map hangs after a child died mid-draw")
+
+        monkeypatch.setattr(os, "pwrite", pwrite_or_exit)
+        fds = _open_fds()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            tasks = [(0, 0.2)] + [(k, 0.0) for k in range(1, 6)]
+            assert _map_tasks(_index_after, tasks) == list(range(6))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+        assert _open_fds() == fds
 
     def test_child_exit_raises(self, cpus):
         # task 1 ends its child with status 3 while the caller sleeps in task 0
