@@ -17,13 +17,13 @@ u0 = taylor_green_velocity(grid)
 T = 1.0
 
 print("== inviscid run: exact steady state ==")
-res_e = run(u0, SolverConfig(grid=grid, nu=0.0, horizon=T, min_samples=50), compute_norms=False)
+res_e = run(u0, SolverConfig(grid=grid, nu=0.0, horizon=T, min_samples=50))
 drift = abs(res_e.series.energy[-1] - res_e.series.energy[0]) / res_e.series.energy[0]
 print(f"  energy drift over T = {T}: {drift:.2e}")
 
 print("\n== viscous run: exact exponential decay ==")
 nu = 1e-2
-res_n = run(u0, SolverConfig(grid=grid, nu=nu, horizon=T, min_samples=50), compute_norms=False)
+res_n = run(u0, SolverConfig(grid=grid, nu=nu, horizon=T, min_samples=50))
 worst = 0.0
 for s in res_n.states:
     expected = math.exp(-2 * nu * s.time)

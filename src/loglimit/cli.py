@@ -18,6 +18,7 @@ rows that disagree on M or theory_exponent).
 `simulate` and `sweep` print the realised CFL number (flow.RunResult.max_cfl;
 of a sweep, the largest over its runs) and, on stderr, a warning line when it
 exceeds the configured cfl; the warning does not change the exit status.
+`simulate` maps flow.gradient_bmo over its run's states (grid._map_tasks).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import inviscid, logineq, osgood, splitting
+from . import flow, inviscid, logineq, osgood, splitting
 from .flow import SolverConfig, run
-from .grid import GridSpec, csv_line, load_field_csv, write_csv
+from .grid import GridSpec, _map_tasks, csv_line, load_field_csv, write_csv
 from .norms import NORM_CSV_HEADER, compute_norms
 
 _COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "stride": "1",
@@ -162,6 +163,7 @@ def _cmd_simulate(args) -> int:
     grid = GridSpec(settings.pop("grid_points"))
     cfg = SolverConfig(grid=grid, nu=_value(conf, "nu", float), **settings)
     result = run(inviscid.initial_condition(grid, conf["ic"]), cfg)
+    result = result.with_f0(_map_tasks(flow.gradient_bmo, [(s,) for s in result.states]))
     inviscid.write_run(result, Path(conf["out"]))
     e = result.series.energy
     print(f"steps: {round(cfg.horizon / result.dt)}, samples: {len(result.sample_times)}")

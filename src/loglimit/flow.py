@@ -8,14 +8,14 @@ the 2/3 rule.  With zero viscosity the scheme is a plain dealiased RK4 for
 the Euler equations.
 
 A run records, at every sample time, the norm series needed by the majorant
-machinery: f0 (mean-oscillation seminorm of the velocity gradient, summed
-over the four components), g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}},
-kinetic energy, and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2)
-are Parseval sums over the state's mode vector, with no FFT; h0 is read off
-the sample's velocity, which the blow-up test, the CFL record and the
-first stage of the next step share; f0 scans three gradient components,
-each one inverse FFT of the mode vector (_state_gradient, the one
-velocity-gradient path of the package).
+machinery: g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}}, kinetic energy,
+and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2) are Parseval sums
+over the state's mode vector, with no FFT; h0 is read off the sample's
+velocity, which the blow-up test, the CFL record and the first stage of the
+next step share.  f0 is 0.0 until a caller maps gradient_bmo over the states
+(grid._map_tasks) and sets it (RunResult.with_f0); gradient_bmo scans three
+gradient components, each one inverse FFT of the mode vector
+(_state_gradient, the one velocity-gradient path of the package).
 
 Paired runs are compared through their mode vectors as well: the velocity
 gap (state_gap_l2), a bound on its maximum (sup_gap_sq_bound) and the
@@ -26,7 +26,7 @@ difference of two states' mode vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -232,9 +232,10 @@ def _energy_enstrophy(state: FlowState) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A run's states and series.  max_cfl is the realised CFL number, the
-    largest dt * max(|u1|, |u2|) / h over the samples: the fixed dt is set
-    from the initial speed, so a flow that speeds up can exceed config.cfl."""
+    """A run's states and series, f0 0.0 until with_f0 sets it.  max_cfl is
+    the realised CFL number, the largest dt * max(|u1|, |u2|) / h over the
+    samples: the fixed dt is set from the initial speed, so a flow that
+    speeds up can exceed config.cfl."""
 
     config: SolverConfig
     states: tuple[FlowState, ...]
@@ -247,8 +248,12 @@ class RunResult:
     def sample_times(self) -> np.ndarray:
         return self.series.times
 
+    def with_f0(self, f0) -> "RunResult":
+        """This run with f0 (gradient_bmo of each state) as its series' f0."""
+        return replace(self, series=replace(self.series, f0=np.array(f0, dtype=float)))
 
-def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunResult:
+
+def run(u0: VectorField, cfg: SolverConfig) -> RunResult:
     """Integrate from u0 over [0, horizon], sampling every output_stride steps.
 
     The initial field is Leray-projected defensively; any mean velocity
@@ -257,7 +262,7 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
     bound (shrunk so that min_samples * output_stride steps at least cover
     the horizon and steps land exactly on sample times), making sample times
     identical across runs that share an initial condition, e.g. a zero
-    viscosity reference paired with small viscosity runs.
+    viscosity reference paired with small viscosity runs.  f0 is left 0.0.
     """
     u0 = leray_project(u0)
     for comp in (u0.u1, u0.u2):
@@ -281,7 +286,7 @@ def run(u0: VectorField, cfg: SolverConfig, compute_norms: bool = True) -> RunRe
                 break
         states.append(state)
         u = state.velocity  # derived once: the row, the blow-up test and the next step share it
-        rows.append(_sample_row(state, u, cfg, compute_norms))
+        rows.append(_sample_row(state, u, cfg))
         umax = _max_speed(u)
         max_cfl = max(max_cfl, dt * umax / cfg.grid.spacing)
         # a ScalarField holds only finite values, so the speed cap is the one test
@@ -298,13 +303,13 @@ def _max_speed(u: VectorField) -> float:
     return max(float(np.abs(c.values).max()) for c in (u.u1, u.u2))
 
 
-def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig, compute_norms: bool):
-    """(f0, g0, h0, energy, enstrophy) of one sample; u is the state's velocity.
-    Only h0 reads u; g0 = ||omega||_L2, as for any mean-free, divergence-free
-    field on the torus."""
+def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig):
+    """(f0, g0, h0, energy, enstrophy) of one sample, f0 = 0.0 (unscanned);
+    u is the state's velocity.  Only h0 reads u; g0 = ||omega||_L2, as for
+    any mean-free, divergence-free field on the torus."""
     energy, enstrophy = _energy_enstrophy(state)
     return (
-        gradient_bmo(state) if compute_norms else 0.0,
+        0.0,
         math.sqrt(2.0 * enstrophy),
         lp_norm(ScalarField(u.grid, np.sqrt(u.u1.values**2 + u.u2.values**2)), 2.0 + cfg.sigma),
         energy,

@@ -145,7 +145,7 @@ class ScalarField:
     def mean(self) -> float:
         return float(self.values.mean())
 
-    # small arithmetic surface used by tests and demos
+    # field arithmetic, as curl, divergence and the Hardy norm's mean removal use it
     def __add__(self, other):
         if isinstance(other, ScalarField):
             _require_same_grid(self.grid, other.grid)
@@ -167,9 +167,6 @@ class ScalarField:
         return ScalarField(self.grid, self.values * float(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
 
     def __repr__(self) -> str:
         n = self.grid.points_per_axis
@@ -193,12 +190,6 @@ class VectorField:
     @classmethod
     def from_values(cls, grid: GridSpec, v1: np.ndarray, v2: np.ndarray) -> "VectorField":
         return cls(ScalarField(grid, v1), ScalarField(grid, v2))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.u1 + other.u1, self.u2 + other.u2)
 
 
 def _require_same_grid(a: GridSpec, b: GridSpec) -> None:

@@ -9,7 +9,6 @@ log sup-gap against log viscosity.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -168,7 +167,7 @@ def _sweep_member(cfg: ExperimentConfig, nu: float) -> RunResult:
     """The sweep's run at nu (0.0 for the reference), from its own copy of
     the initial condition, without f0; a blown reference raises."""
     u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
-    res = run(u0, cfg.solver_config(nu), compute_norms=False)
+    res = run(u0, cfg.solver_config(nu))
     if nu == 0.0 and res.blow_up:
         raise RuntimeError("reference run blew up; sweep aborted")
     return res
@@ -219,9 +218,11 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     raised, else that of an f0 scan.  Runs sampled at other times than the
     reference raise too.
 
-    The regularity series f0 is sampled on the reference run only (that is
-    where M and the majorant coefficient come from); viscous runs skip the
-    costly f0 scan, since only their g0 series enters any downstream check.
+    The regularity series f0 is scanned on the reference run only (that is
+    where M and the majorant coefficient come from) and set with
+    RunResult.with_f0; a viscous run's f0 stays 0.0, as only its g0 series
+    enters any downstream check, and so does the reference's without
+    compute_norms.
     """
     first_nu, *later_nus = cfg.nu_list
     euler, first = _map_tasks(_sweep_member, [(cfg, 0.0), (cfg, first_nu)])
@@ -235,7 +236,7 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     k = len(later_nus)
     later, first_pairing, f0 = done[:k], done[k], done[k + 1:]
     if compute_norms:
-        euler = dataclasses.replace(euler, series=dataclasses.replace(euler.series, f0=np.array(f0)))
+        euler = euler.with_f0(f0)
     runs, gap_curves, forcing = {}, {}, {}
     for nu, (res, pairing) in zip(cfg.nu_list, [(first, first_pairing), *later]):
         runs[nu] = res

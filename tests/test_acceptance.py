@@ -195,8 +195,7 @@ def test_acceptance_06_taylor_green_anchors():
     u0 = taylor_green_velocity(grid)
 
     # (a) inviscid steady state over T = 1
-    res_e = run(u0, SolverConfig(grid=grid, nu=0.0, horizon=1.0, min_samples=100),
-                compute_norms=False)
+    res_e = run(u0, SolverConfig(grid=grid, nu=0.0, horizon=1.0, min_samples=100))
     drift = max(
         np.linalg.norm(s.velocity.u1.values - u0.u1.values)
         / np.linalg.norm(u0.u1.values)
@@ -205,8 +204,7 @@ def test_acceptance_06_taylor_green_anchors():
 
     # (b) viscous decay exp(-2 nu t) at nu = 1e-2
     nu_b = 1e-2
-    res_n = run(u0, SolverConfig(grid=grid, nu=nu_b, horizon=1.0, min_samples=100),
-                compute_norms=False)
+    res_n = run(u0, SolverConfig(grid=grid, nu=nu_b, horizon=1.0, min_samples=100))
     decay_err = 0.0
     for s in res_n.states:
         expected = math.exp(-2 * nu_b * s.time) * u0.u1.values
@@ -297,10 +295,8 @@ def test_acceptance_09_energy_identity():
     def residual_at(dt):
         u = taylor_green_velocity(grid)
         samples = int(round(T / dt))
-        res_e = run(u, SolverConfig(grid=grid, nu=0.0, horizon=T, min_samples=samples),
-                    compute_norms=False)
-        res_n = run(u, SolverConfig(grid=grid, nu=nu, horizon=T, min_samples=samples),
-                    compute_norms=False)
+        res_e = run(u, SolverConfig(grid=grid, nu=0.0, horizon=T, min_samples=samples))
+        res_n = run(u, SolverConfig(grid=grid, nu=nu, horizon=T, min_samples=samples))
         terms = energy_identity_terms(res_n, res_e)
         return float(np.abs(terms.residual).max()), terms.largest_term
 

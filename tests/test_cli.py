@@ -12,9 +12,12 @@ import loglimit.cli
 import loglimit.inviscid
 import loglimit.logineq
 import loglimit.osgood
+from conftest import assert_no_child_left
+from loglimit import flow
 from loglimit.cli import main
-from loglimit.grid import FIELD_CSV_HEADER, GridSpec, save_field_csv
-from loglimit.inviscid import GAPS_CSV_HEADER
+from loglimit.flow import SERIES_CSV_HEADER, SolverConfig, run
+from loglimit.grid import FIELD_CSV_HEADER, GridSpec, read_csv, save_field_csv
+from loglimit.inviscid import GAPS_CSV_HEADER, initial_condition
 from loglimit.logineq import gaussian_bump
 
 
@@ -159,6 +162,40 @@ class TestSimulate:
         series = (outdir / "series.csv").read_text().splitlines()
         assert series[0] == "t,f0,g0,h0,energy,enstrophy"
         assert (outdir / "final_vorticity.csv").exists()
+
+    def test_files_do_not_depend_on_process_count(self, tmp_path, capsys, monkeypatch, cpus):
+        # f0 is scanned through the parallel map: in-process on 1 CPU, and
+        # in this process and a forked child on 2
+        log = tmp_path / "scans"  # a file, as the scans may run in a child process
+        log.touch()
+        gradient_bmo = flow.gradient_bmo
+
+        def counting_bmo(state):
+            with open(log, "a") as fh:
+                fh.write(f"{state.time!r}\n")
+            return gradient_bmo(state)
+
+        monkeypatch.setattr(flow, "gradient_bmo", counting_bmo)
+        settings = "grid = 32\nnu = 1e-3\nT = 0.2\nic = random_42\nsamples = 10\n"
+        outdirs = []
+        for k in (1, 2):
+            cpus(k)
+            outdirs.append(tmp_path / f"sim{k}")
+            config = tmp_path / f"run{k}.cfg"
+            config.write_text(settings + f"out = {outdirs[-1]}\n")
+            assert main(["simulate", str(config)]) == 0
+            assert "PASS" in capsys.readouterr().out
+            assert_no_child_left()
+            assert len(log.read_text().split()) == 11  # the fake sees every sample's scan
+            log.write_text("")
+        for name in ("series.csv", "final_vorticity.csv"):
+            assert (outdirs[0] / name).read_bytes() == (outdirs[1] / name).read_bytes(), name
+        grid = GridSpec(32)
+        res = run(initial_condition(grid, "random_42"),
+                  SolverConfig(grid=grid, nu=1e-3, horizon=0.2, min_samples=10))
+        f0 = read_csv(outdirs[0] / "series.csv", SERIES_CSV_HEADER)[:, 1]
+        assert f0.tolist() == [gradient_bmo(state) for state in res.states]
+        assert np.all(f0 > 0)
 
     def test_realised_cfl_reported(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

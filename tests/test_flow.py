@@ -138,7 +138,7 @@ class TestStep:
         u0 = initial_condition(grid64, f"random_{seed}")
         for nu in (0.0, 1e-1, 1e-2, 1e-3, 1e-4):
             loglimit.flow._integrating_factors.cache_clear()
-            res = run(u0, tg_config(grid64, nu, 0.5, samples=50), compute_norms=False)
+            res = run(u0, tg_config(grid64, nu, 0.5, samples=50))
             assert loglimit.flow._integrating_factors.cache_info().misses == 1
             if nu > 0:
                 assert not any(e.flags.writeable for e in
@@ -178,7 +178,7 @@ class TestRun:
     def test_energy_conservation_euler(self):
         grid = GridSpec(128)
         cfg = SolverConfig(grid=grid, nu=0.0, horizon=1.0, min_samples=20)
-        res = run(two_mode_velocity(grid), cfg, compute_norms=False)
+        res = run(two_mode_velocity(grid), cfg)
         e = res.series.energy
         assert abs(e[-1] - e[0]) / e[0] < 1e-6
         z = res.series.enstrophy
@@ -187,7 +187,7 @@ class TestRun:
     def test_viscous_energy_dissipation_rate(self, grid64):
         nu = 1e-2
         cfg = SolverConfig(grid=grid64, nu=nu, horizon=0.5, min_samples=50)
-        res = run(random_band_velocity(grid64, seed=5), cfg, compute_norms=False)
+        res = run(random_band_velocity(grid64, seed=5), cfg)
         e, z, t = res.series.energy, res.series.enstrophy, res.series.times
         # dE/dt = -2 nu Z, discretely per sample interval to 1 percent
         for i in range(len(t) - 1):
@@ -197,13 +197,13 @@ class TestRun:
 
     def test_enstrophy_nonincreasing_viscous(self, grid64):
         cfg = SolverConfig(grid=grid64, nu=1e-3, horizon=0.5, min_samples=25)
-        res = run(random_band_velocity(grid64, seed=43), cfg, compute_norms=False)
+        res = run(random_band_velocity(grid64, seed=43), cfg)
         z = res.series.enstrophy
         assert np.all(np.diff(z) <= 1e-12 + 1e-9 * z[:-1])
 
     def test_divergence_free_throughout(self, grid64):
         cfg = SolverConfig(grid=grid64, nu=1e-3, horizon=0.3, min_samples=10)
-        res = run(random_band_velocity(grid64, seed=7), cfg, compute_norms=False)
+        res = run(random_band_velocity(grid64, seed=7), cfg)
         for state in res.states:
             u = state.velocity
             vmax = max(np.abs(u.u1.values).max(), np.abs(u.u2.values).max())
@@ -211,15 +211,15 @@ class TestRun:
 
     def test_g0_equals_sqrt_twice_enstrophy(self, grid64):
         cfg = SolverConfig(grid=grid64, nu=0.0, horizon=0.3, min_samples=10)
-        res = run(random_band_velocity(grid64, seed=9), cfg, compute_norms=False)
+        res = run(random_band_velocity(grid64, seed=9), cfg)
         assert_allclose(res.series.g0, np.sqrt(2.0 * res.series.enstrophy), rtol=1e-10)
 
     def test_sample_times_deterministic_pairing(self, grid32):
         u = taylor_green_velocity(grid32)
         cfg_e = tg_config(grid32, 0.0, 0.5, samples=30)
         cfg_n = tg_config(grid32, 1e-2, 0.5, samples=30)
-        res_e = run(u, cfg_e, compute_norms=False)
-        res_n = run(u, cfg_n, compute_norms=False)
+        res_e = run(u, cfg_e)
+        res_n = run(u, cfg_n)
         assert np.array_equal(res_e.sample_times, res_n.sample_times)
 
     def test_mean_velocity_rejected(self, grid32):
@@ -231,7 +231,7 @@ class TestRun:
     def test_blow_up_marker_on_absurd_speed(self, grid32):
         u = taylor_green_velocity(grid32, amplitude=1e9)
         cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.1)
-        res = run(u, cfg, compute_norms=False)
+        res = run(u, cfg)
         assert res.blow_up
         assert len(res.states) == 1  # bailed before stepping
 
@@ -243,7 +243,7 @@ class TestRun:
     def test_realised_cfl_recomputed_from_states(self, n, ic, samples, exceeds):
         grid = GridSpec(n)
         cfg = SolverConfig(grid=grid, nu=0.0, horizon=1.0, min_samples=samples)
-        res = run(initial_condition(grid, ic), cfg, compute_norms=False)
+        res = run(initial_condition(grid, ic), cfg)
         speeds = [max(float(np.abs(c.values).max()) for c in (u.u1, u.u2))
                   for u in (s.velocity for s in res.states)]
         assert res.max_cfl == max(res.dt * v / grid.spacing for v in speeds)
@@ -262,7 +262,7 @@ class TestRun:
 
         monkeypatch.setattr(FlowState, "velocity", property(counting))
         cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2, min_samples=10)
-        res = run(u0, cfg, compute_norms=False)
+        res = run(u0, cfg)
         assert len(res.states) == 11
         assert len(calls) <= len(res.states) + 1
 
@@ -274,7 +274,7 @@ class TestRun:
         # steps, which derive it afresh, reaches the same mode vectors
         cfg = SolverConfig(grid=grid32, nu=nu, horizon=0.2, min_samples=10,
                            output_stride=stride)
-        res = run(initial_condition(grid32, ic), cfg, compute_norms=False)
+        res = run(initial_condition(grid32, ic), cfg)
         assert len(res.states) == 11
         state = res.states[0]
         for sample in res.states[1:]:
@@ -283,10 +283,9 @@ class TestRun:
             assert state.time == sample.time
             assert np.array_equal(state._box, sample._box)
 
-    @pytest.mark.parametrize("compute_norms, inverse", [(False, 0), (True, 3)])
-    def test_sample_row_ffts(self, grid32, monkeypatch, compute_norms, inverse):
-        # energy, enstrophy and g0 come from the mode vector; only f0 takes
-        # FFTs, one inverse transform per scanned gradient component
+    def test_sample_row_ffts(self, grid32, monkeypatch):
+        # energy, enstrophy and g0 come from the mode vector and h0 from the
+        # given velocity; f0 is left unscanned, so a sample takes no FFT
         state = FlowState.from_velocity(random_band_velocity(grid32, seed=3))
         u = state.velocity
         cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2)
@@ -303,12 +302,11 @@ class TestRun:
 
         for name in ("fft2", "ifft2"):
             monkeypatch.setattr(np.fft, name, counted(name))
-        loglimit.flow._sample_row(state, u, cfg, compute_norms)
-        assert calls == ["ifft2"] * inverse
+        row = loglimit.flow._sample_row(state, u, cfg)
+        assert calls == [] and row[0] == 0.0
 
     def test_run_derives_no_gradient_or_vorticity(self, grid32, monkeypatch):
-        # no vorticity field, and no gradient beyond the three components
-        # that gradient_bmo scans, one _state_gradient per sample
+        # no vorticity field and no gradient: a run leaves f0 unscanned
         def forbidden(*args):
             raise AssertionError("run derived a vorticity field")
 
@@ -322,9 +320,9 @@ class TestRun:
         monkeypatch.setattr(loglimit.flow, "_state_gradient", counting)
         monkeypatch.setattr(FlowState, "vorticity", property(forbidden))
         cfg = SolverConfig(grid=grid32, nu=1e-2, horizon=0.2, min_samples=10)
-        res = run(random_band_velocity(grid32, seed=3), cfg, compute_norms=True)
-        assert len(res.states) == 11 and np.all(res.series.f0 > 0)
-        assert gradients == list(res.states)
+        res = run(random_band_velocity(grid32, seed=3), cfg)
+        assert len(res.states) == 11 and np.all(res.series.f0 == 0.0)
+        assert gradients == []
 
     @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
     @pytest.mark.parametrize("n", [64, 128])
@@ -333,7 +331,7 @@ class TestRun:
         # velocity, the vorticity and the four gradient components
         grid = GridSpec(n)
         cfg = SolverConfig(grid=grid, nu=1e-3, horizon=0.1, min_samples=4)
-        res = run(initial_condition(grid, ic), cfg, compute_norms=False)
+        res = run(initial_condition(grid, ic), cfg)
         assert len(res.states) >= 5
         for i, state in enumerate(res.states):
             energy, enstrophy, grad_l2 = physical_sample_norms(state.omega_hat)
@@ -351,7 +349,7 @@ class TestRun:
             grid = GridSpec(n)
             cfg = SolverConfig(grid=grid, nu=0.0, horizon=T,
                                min_samples=int(round(T / dt)))
-            results[n] = run(two_mode_velocity(grid), cfg, compute_norms=False)
+            results[n] = run(two_mode_velocity(grid), cfg)
         ref = results[128].states[-1].omega_hat
 
         def coarse_error(n):
@@ -375,8 +373,8 @@ class TestGap:
     def test_taylor_green_pair_closed_form(self, grid32):
         nu, T = 1e-2, 0.5
         u = taylor_green_velocity(grid32)
-        res_e = run(u, tg_config(grid32, 0.0, T, samples=25), compute_norms=False)
-        res_n = run(u, tg_config(grid32, nu, T, samples=25), compute_norms=False)
+        res_e = run(u, tg_config(grid32, 0.0, T, samples=25))
+        res_n = run(u, tg_config(grid32, nu, T, samples=25))
         for se, sn in zip(res_e.states, res_n.states):
             expected = math.pi * math.sqrt(2.0) * (1 - math.exp(-2 * nu * sn.time))
             assert gap_l2(sn.velocity, se.velocity) == pytest.approx(expected, abs=1e-9)
@@ -452,7 +450,7 @@ class TestSupGapSqBound:
 class TestRequireSharedSampleTimes:
     def test_three_runs_require_shared_sample_times(self, grid32):
         u = taylor_green_velocity(grid32)
-        runs = [run(u, tg_config(grid32, nu, 0.2, samples=s), compute_norms=False)
+        runs = [run(u, tg_config(grid32, nu, 0.2, samples=s))
                 for nu, s in ((0.0, 5), (0.1, 5), (0.01, 6))]
         require_shared_sample_times(*runs[:2])
         with pytest.raises(ValueError, match="sample times"):
@@ -466,8 +464,8 @@ class TestEnergyIdentity:
         def residual_at(dt):
             u = taylor_green_velocity(grid64)
             samples = int(round(T / dt))
-            res_e = run(u, tg_config(grid64, 0.0, T, samples=samples), compute_norms=False)
-            res_n = run(u, tg_config(grid64, nu, T, samples=samples), compute_norms=False)
+            res_e = run(u, tg_config(grid64, 0.0, T, samples=samples))
+            res_n = run(u, tg_config(grid64, nu, T, samples=samples))
             terms = energy_identity_terms(res_n, res_e)
             return float(np.abs(terms.residual).max()), terms.largest_term
 
@@ -478,24 +476,24 @@ class TestEnergyIdentity:
 
     def test_advection_term_vanishes_for_taylor_green(self, grid32):
         u = taylor_green_velocity(grid32)
-        res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10), compute_norms=False)
-        res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10), compute_norms=False)
+        res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10))
+        res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10))
         terms = energy_identity_terms(res_n, res_e)
         # (w . grad uE) . w integrates to zero when w is parallel to uE
         assert np.abs(terms.advection).max() < 1e-12
 
     def test_requires_shared_sample_times(self, grid32):
         u = taylor_green_velocity(grid32)
-        res_a = run(u, tg_config(grid32, 0.0, 0.5, samples=10), compute_norms=False)
-        res_b = run(u, tg_config(grid32, 0.1, 0.5, samples=11), compute_norms=False)
+        res_a = run(u, tg_config(grid32, 0.0, 0.5, samples=10))
+        res_b = run(u, tg_config(grid32, 0.1, 0.5, samples=11))
         with pytest.raises(ValueError, match="sample times"):
             energy_identity_terms(res_b, res_a)
 
     @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
     def test_terms_match_velocity_space_oracle(self, grid64, ic):
         u = initial_condition(grid64, ic)
-        res_e = run(u, tg_config(grid64, 0.0, 0.5, samples=10), compute_norms=False)
-        res_n = run(u, tg_config(grid64, 0.5, 0.5, samples=10), compute_norms=False)
+        res_e = run(u, tg_config(grid64, 0.0, 0.5, samples=10))
+        res_n = run(u, tg_config(grid64, 0.5, 0.5, samples=10))
         terms = energy_identity_terms(res_n, res_e)
         expected = physical_identity_terms(
             [s.velocity for s in res_n.states], [s.velocity for s in res_e.states],
@@ -511,8 +509,8 @@ class TestEnergyIdentity:
         # the end samples enter only the stencil, by Parseval; an interior
         # sample derives the gap state's velocity and no run state's
         u = taylor_green_velocity(grid32)
-        res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10), compute_norms=False)
-        res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10), compute_norms=False)
+        res_e = run(u, tg_config(grid32, 0.0, 0.5, samples=10))
+        res_n = run(u, tg_config(grid32, 0.1, 0.5, samples=10))
         derive = FlowState.velocity.fget
         calls = []
 
@@ -532,7 +530,7 @@ class TestInitialConditions:
     @staticmethod
     def initial_series(u):
         cfg = SolverConfig(grid=u.grid, nu=0.0, horizon=0.01)
-        return run(u, cfg, compute_norms=False).series
+        return run(u, cfg).series
 
     def test_taylor_green_norms(self, grid64):
         series = self.initial_series(taylor_green_velocity(grid64))

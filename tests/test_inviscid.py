@@ -140,10 +140,10 @@ class TestRunSweep:
         log = tmp_path / "started"  # a file, as the runs may start in child processes
         log.touch()
 
-        def blowing_run(u0, solver_cfg, compute_norms=True):
+        def blowing_run(u0, solver_cfg):
             with open(log, "a") as fh:
                 fh.write(f"{solver_cfg.nu!r}\n")
-            res = run(u0, solver_cfg, compute_norms=compute_norms)
+            res = run(u0, solver_cfg)
             if solver_cfg.nu == cfg.nu_list[blown]:
                 return dataclasses.replace(res, blow_up=True)
             return res
@@ -184,8 +184,8 @@ class TestRunSweep:
                 fh.write(f"{state.time!r}\n")
             return gradient_bmo(state)
 
-        def blowing_run(u0, solver_cfg, compute_norms=True):
-            res = run(u0, solver_cfg, compute_norms=compute_norms)
+        def blowing_run(u0, solver_cfg):
+            res = run(u0, solver_cfg)
             return dataclasses.replace(res, blow_up=solver_cfg.nu == 0.0)
 
         cpus(k)
@@ -455,10 +455,10 @@ class TestSideBySide:
         log = tmp_path / "pids"  # the process and viscosity of every run
         log.touch()
 
-        def logging_run(u0, solver_cfg, compute_norms=True):
+        def logging_run(u0, solver_cfg):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {solver_cfg.nu}\n")
-            return run(u0, solver_cfg, compute_norms=compute_norms)
+            return run(u0, solver_cfg)
 
         def runs_by_pid():
             runs = [line.split() for line in log.read_text().splitlines()]
@@ -519,10 +519,10 @@ class TestSideBySide:
     def test_member_error_reaches_caller(self, monkeypatch, cpus, k):
         cpus(k)
 
-        def failing_run(u0, solver_cfg, compute_norms=True):
+        def failing_run(u0, solver_cfg):
             if solver_cfg.nu == 1e-2:
                 raise ArithmeticError(f"member at nu = {solver_cfg.nu} failed")
-            return run(u0, solver_cfg, compute_norms=compute_norms)
+            return run(u0, solver_cfg)
 
         def failing_check(times, x_squared, problem, tol):
             if problem.nu in (1e-2, 1e-3):  # the first failure in nu order reaches the caller
