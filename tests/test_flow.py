@@ -283,9 +283,11 @@ class TestRun:
             assert state.time == sample.time
             assert np.array_equal(state._box, sample._box)
 
-    def test_sample_row_ffts(self, grid32, monkeypatch):
+    @pytest.mark.parametrize("scan_f0, inverse", [(False, 0), (True, 3)])
+    def test_sample_row_ffts(self, grid32, monkeypatch, scan_f0, inverse):
         # energy, enstrophy and g0 come from the mode vector and h0 from the
-        # given velocity; f0 is left unscanned, so a sample takes no FFT
+        # given velocity, so a sample row takes no FFT; scanning f0 with
+        # gradient_bmo takes one inverse transform per gradient component
         state = FlowState.from_velocity(random_band_velocity(grid32, seed=3))
         u = state.velocity
         cfg = SolverConfig(grid=grid32, nu=0.0, horizon=0.2)
@@ -303,7 +305,10 @@ class TestRun:
         for name in ("fft2", "ifft2"):
             monkeypatch.setattr(np.fft, name, counted(name))
         row = loglimit.flow._sample_row(state, u, cfg)
-        assert calls == [] and row[0] == 0.0
+        assert row[0] == 0.0
+        if scan_f0:
+            assert loglimit.flow.gradient_bmo(state) > 0.0
+        assert calls == ["ifft2"] * inverse
 
     def test_run_derives_no_gradient_or_vorticity(self, grid32, monkeypatch):
         # no vorticity field and no gradient: a run leaves f0 unscanned
