@@ -5,7 +5,11 @@ the Biot-Savart multiplier, which keeps it divergence-free to rounding.
 Time stepping is RK4 with the viscous term integrated exactly per stage by
 an integrating factor, and the quadratic advection product is dealiased with
 the 2/3 rule.  With zero viscosity the scheme is a plain dealiased RK4 for
-the Euler equations.
+the Euler equations.  Every field of a mode vector (velocity, vorticity,
+gradient, the advection product's factors) is one band inverse FFT, which
+transforms only the rows of the 2/3 band (grid._band_ifft2), and the
+advection product goes back through a forward FFT that computes only the
+kept modes (grid._band_fft2); both give numpy's 2-D transforms bit for bit.
 
 A run records, at every sample time, the norm series needed by the majorant
 machinery: g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}}, kinetic energy,
@@ -14,7 +18,7 @@ over the state's mode vector, with no FFT; h0 is read off the sample's
 velocity, which the blow-up test, the CFL record and the first stage of the
 next step share.  f0 is 0.0 until a caller maps gradient_bmo over the states
 (grid._map_tasks) and sets it (RunResult.with_f0); gradient_bmo scans three
-gradient components, each one inverse FFT of the mode vector
+gradient components, each one band inverse FFT of the mode vector
 (_state_gradient, the one velocity-gradient path of the package).
 
 Paired runs are compared through their mode vectors as well: the velocity
@@ -31,9 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _biot_savart_multiplier,
-                   _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
-                   _unpack_dealiased, curl, inverse_transform, leray_project, write_csv)
+from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _band_fft2, _band_ifft2,
+                   _biot_savart_multiplier, _dealias_band, _derivative_multiplier, _laplacian,
+                   _mode_box, _pack_dealiased, _unpack_band, _unpack_dealiased, curl,
+                   leray_project, write_csv)
 from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -66,8 +71,10 @@ class SolverConfig:
 
 class FlowState:
     """Vorticity-spectrum snapshot: a state keeps only its dealiased, mean-free
-    spectrum and derives the velocity (Biot-Savart) and vorticity through
-    grid.inverse_transform on each access; callers bind them once to reuse them.
+    spectrum and derives the velocity (Biot-Savart) and vorticity on each
+    access, one band inverse FFT (grid._band_ifft2) per component, the same
+    bits as grid.inverse_transform of the full spectrum; callers bind them
+    once to reuse them.
 
     Only the modes of the 2/3 rule are stored, as the mode vector that
     grid._pack_dealiased gathers (row-major, zero mode first and set to 0):
@@ -103,36 +110,57 @@ class FlowState:
     def omega_hat(self) -> np.ndarray:
         return _unpack_dealiased(self._box, self.grid.points_per_axis)
 
+    def _field(self, mult: np.ndarray | None = None) -> ScalarField:
+        """The field whose normalized coefficients are the state's spectrum,
+        times `mult` (band rows, _band_multipliers) if given."""
+        n = self.grid.points_per_axis
+        w = _unpack_band(self._box, n)
+        coeff = w if mult is None else mult * w
+        return ScalarField(self.grid, _band_ifft2(coeff * n * n))
+
     @property
     def vorticity(self) -> ScalarField:
-        return inverse_transform(self.grid, self.omega_hat)
+        return self._field()
 
     @property
     def velocity(self) -> VectorField:
-        n = self.grid.points_per_axis
-        w = self.omega_hat
-        return VectorField(
-            *(inverse_transform(self.grid, _biot_savart_multiplier(n, axis) * w) for axis in (1, 2))
-        )
+        return VectorField(*(self._field(b) for b in _band_multipliers(self.grid.points_per_axis)[0]))
+
+
+@lru_cache(maxsize=32)
+def _band_multipliers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The Biot-Savart pair (B1, B2), the derivative pair (D1, D2) and the
+    products D_i B_j of _state_gradient's components d_i u_j, (i, j) = (1, 1),
+    (2, 1) and (1, 2), each restricted to the band rows of the 2/3 rule
+    (grid._dealias_band), read-only."""
+    rows = _dealias_band(n)[0]
+    biot_savart = tuple(_biot_savart_multiplier(n, axis)[rows] for axis in (1, 2))
+    derivative = tuple(_derivative_multiplier(n, axis)[rows] for axis in (1, 2))
+    gradient = tuple((_derivative_multiplier(n, i) * _biot_savart_multiplier(n, j))[rows]
+                     for i, j in ((1, 1), (2, 1), (1, 2)))
+    for a in (*biot_savart, *derivative, *gradient):
+        a.setflags(write=False)
+    return biot_savart, derivative, gradient
 
 
 def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
                    velocity: VectorField | None = None) -> np.ndarray:
     """Dealiased -(u . grad omega) of a mode vector, as a mode vector; both
-    hold normalized coefficients in grid._pack_dealiased order.  `velocity`,
-    the mode vector's velocity as FlowState.velocity derives it, saves the
-    two Biot-Savart inverse FFTs: it holds the same values bit for bit, as
-    the scalings by n^2 are exact."""
+    hold normalized coefficients in grid._pack_dealiased order.  Each inverse
+    FFT transforms only the band rows of the 2/3 rule (grid._band_ifft2), and
+    the forward FFT computes only the kept modes (grid._band_fft2).
+    `velocity`, the mode vector's velocity as FlowState.velocity derives it,
+    saves the two Biot-Savart inverse FFTs: it holds the same values bit for
+    bit, as the scalings by n^2 are exact."""
     n = grid.points_per_axis
-    w = _unpack_dealiased(omega_box * (n * n), n)
+    w = _unpack_band(omega_box * (n * n), n)
+    (b1, b2), (d1, d2), _ = _band_multipliers(n)
     if velocity is None:
-        u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
-        u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
+        u1, u2 = _band_ifft2(b1 * w), _band_ifft2(b2 * w)
     else:
         u1, u2 = velocity.u1.values, velocity.u2.values
-    w1 = np.real(np.fft.ifft2(_derivative_multiplier(n, 1) * w))
-    w2 = np.real(np.fft.ifft2(_derivative_multiplier(n, 2) * w))
-    return -(_pack_dealiased(np.fft.fft2(u1 * w1 + u2 * w2)) / (n * n))
+    w1, w2 = _band_ifft2(d1 * w), _band_ifft2(d2 * w)
+    return -(_band_fft2(u1 * w1 + u2 * w2) / (n * n))
 
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
@@ -202,14 +230,9 @@ class NormSeries:
 
 def _state_gradient(state: FlowState) -> tuple[ScalarField, ScalarField, ScalarField]:
     """(d1 u1, d2 u1, d1 u2) of a state's velocity, each one multiplier product
-    and one inverse FFT of the vorticity spectrum.  The velocity is
+    and one band inverse FFT of the vorticity spectrum.  The velocity is
     divergence-free, so the fourth component d2 u2 is -d1 u1 exactly."""
-    n = state.grid.points_per_axis
-    w = state.omega_hat
-    return tuple(
-        inverse_transform(state.grid, _derivative_multiplier(n, i) * _biot_savart_multiplier(n, j) * w)
-        for i, j in ((1, 1), (2, 1), (1, 2))
-    )
+    return tuple(state._field(g) for g in _band_multipliers(state.grid.points_per_axis)[2])
 
 
 def gradient_bmo(state: FlowState) -> float:
@@ -479,9 +502,9 @@ def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTe
     int curl a curl b, so the viscous term is the Parseval pairing of the
     vorticities, nu (2 pi)^2 sum_k Re(omegaN_k conj(omegaW_k)).  Only the
     advection term is a grid sum: w (two inverse FFTs) against d1 uE1, d2 uE1
-    and d1 uE2 (three more), with d2 uE2 = -d1 uE1.  That is 5 inverse FFTs
-    per interior sample and none at the two samples at either end, which
-    enter only the stencil."""
+    and d1 uE2 (three more), with d2 uE2 = -d1 uE1.  That is 5 band inverse
+    FFTs (grid._band_ifft2) per interior sample and none at the two samples
+    at either end, which enter only the stencil."""
     require_shared_sample_times(run_nu, run_euler)
     t_n = run_nu.sample_times
     if len(t_n) < 5:

@@ -13,7 +13,11 @@ symbols are cached here beside the derivative and Riesz multipliers.  The
 2/3 rule has one layout, the boolean `_dealias_mask`: a flow state and the
 solver's stages hold the modes it keeps as a vector gathered through it in
 row-major order (`_pack_dealiased`), and `_unpack_dealiased` scatters such a
-vector back into an n x n spectrum.
+vector back into an n x n spectrum.  The mask keeps a square band of rows
+and the same band of columns (`_dealias_band`); `_band_ifft2` and
+`_band_fft2` are np.fft.ifft2 and np.fft.fft2 on such spectra, bit for bit,
+without the 1-D passes over the rows that are zero or the columns that the
+mask drops.
 
 It also owns the CSV format of every file the package writes (`csv_line`,
 `write_csv`) and reads (`read_csv`): a header row, comma-separated cells,
@@ -106,7 +110,7 @@ def _as_valid_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
         raise ValueError(f"values shape {arr.shape} does not match grid {grid.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite (found nan or inf)")
-    arr = np.ascontiguousarray(arr).copy()
+    arr = np.array(arr, order="C")  # one contiguous copy, whatever the input's layout
     arr.setflags(write=False)
     return arr
 
@@ -269,6 +273,45 @@ def _unpack_dealiased(box: np.ndarray, n: int) -> np.ndarray:
     coeff[_dealias_mask(n)] = box
     coeff.setflags(write=False)
     return coeff
+
+
+@lru_cache(maxsize=32)
+def _dealias_band(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, mask): the ascending indices of the rows that hold a mode of
+    _dealias_mask(n), which are also the indices of its columns, and the mask
+    restricted to those rows, both read-only."""
+    rows = np.flatnonzero(_dealias_mask(n).any(axis=1))
+    mask = _dealias_mask(n)[rows]
+    for a in (rows, mask):
+        a.setflags(write=False)
+    return rows, mask
+
+
+def _unpack_band(box: np.ndarray, n: int) -> np.ndarray:
+    """The band rows (_dealias_band) of _unpack_dealiased(box, n)."""
+    mask = _dealias_band(n)[1]
+    coeff = np.zeros(mask.shape, dtype=complex)
+    coeff[mask] = box
+    return coeff
+
+
+def _band_ifft2(band: np.ndarray) -> np.ndarray:
+    """np.real(np.fft.ifft2(coeff)) bit for bit, for the n x n spectrum coeff
+    whose band rows (_dealias_band) are `band` and whose other rows are 0:
+    ifft2's passes, along axis -1 and then axis 0, without those over the
+    zero rows, which come out exactly 0."""
+    n = band.shape[1]
+    coeff = np.zeros((n, n), dtype=complex)
+    coeff[_dealias_band(n)[0]] = np.fft.ifft(band, axis=-1)
+    return np.fft.ifft(coeff, axis=0).real
+
+
+def _band_fft2(values: np.ndarray) -> np.ndarray:
+    """_pack_dealiased(np.fft.fft2(values)) bit for bit: fft2's passes, along
+    axis -1 and then axis 0, without those over the columns and rows that the
+    mask drops."""
+    rows = _dealias_band(values.shape[0])[0]
+    return np.fft.fft(np.fft.fft(values, axis=-1)[:, rows], axis=0)[rows].ravel()
 
 
 def derivative(field: ScalarField, axis: int) -> ScalarField:

@@ -20,9 +20,10 @@ import numpy as np
 
 # riesz_transform stays bound here for the benchmark's call tracer
 # (perfbench/tracing.py); this module's Riesz transforms go through riesz_l1
+# and _hardy_riesz
 from .grid import TWO_PI, GridSpec, ScalarField, _map_tasks, riesz_transform, write_csv  # noqa: F401
 from .inviscid import fit_exponent
-from .norms import _hardy_norm, bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
+from .norms import _hardy_riesz, bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
 
 TRIALS_CSV_HEADER = ("f_id", "g_id", "grid", "lhs", "bmo_f", "l1_g", "linf_g", "bracket", "ratio")
 
@@ -344,9 +345,9 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
         fields, bmo = corpora[n], bmo_by_size[n]
         g_norms, chain = [], []  # per field: (Hardy, L1, Linf) norms; chain constants
         for _, _, fld in fields:
-            riesz = riesz_l1(fld)
+            hardy, riesz = _hardy_riesz(fld)
             l1, linf = lp_norm(fld, 1), lp_norm(fld, np.inf)
-            g_norms.append((_hardy_norm(fld, riesz), l1, linf))
+            g_norms.append((hardy, l1, linf))
             rec = _riesz_l1_chain(riesz, l1, linf)
             chain += [rec["c_1"], rec["c_2"]]
         rows, dual = [], []

@@ -56,8 +56,12 @@ def bmo_seminorm(g: ScalarField) -> float:
     square's deviation is computed from its cells, so the maximum is the one a
     scan of every square computes, up to the rounding of each square's sums;
     the bounds only decide which squares are read, so it is the same float
-    whichever bound pruned them.  All levels read their squares from one copy
-    of the field wrapped by n/2 - 1 cells, built when the first is read.
+    whichever bound pruned them.  Before the levels, the one square whose
+    standard-deviation bound is the largest over all levels is read, if that
+    bound beats the full torus: on smooth fields it holds the maximum or
+    comes close, and then prunes most squares of every level.  All levels
+    read their squares from one copy of the field wrapped by n/2 - 1 cells,
+    built when the first is read.
     """
     vals = g.values
     if vals.min() == vals.max():
@@ -73,7 +77,13 @@ def bmo_seminorm(g: ScalarField) -> float:
     w = np.ldexp(v, -e)
     n = w.shape[0]
     padded = None  # v wrapped by n/2 - 1 cells, built once a square must be read
-    for s, bound in _std_bounds(w).items():
+    bounds = _std_bounds(w)
+    top_s = max(bounds, key=lambda s: bounds[s].max())
+    top = int(bounds[top_s].argmax())
+    if bounds[top_s][top] > np.ldexp(best, -e):
+        padded = np.pad(v, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
+        best = max(best, _gathered_max(padded, n, top_s, np.array([top])))
+    for s, bound in bounds.items():
         live = np.flatnonzero(bound > np.ldexp(best, -e))
         if s > _SUB_SIDE and live.size * s * s > _CHORD_GATE * (s // _SUB_SIDE) ** 2 * w.size:
             bound = np.minimum(bound, _chord_bounds(w, s))
@@ -248,19 +258,24 @@ def hardy_norm(g: ScalarField) -> float:
     The torus Riesz transform annihilates means, so the mean is split off
     first and its mass |mean| * (2pi)^2 is charged to the L1 term.
     """
-    return _hardy_norm(g, riesz_l1(g))
+    return _hardy_riesz(g)[0]
 
 
-def _hardy_norm(g: ScalarField, riesz: tuple[float, float]) -> float:
-    """hardy_norm of g given riesz_l1(g)."""
+def _hardy_riesz(g: ScalarField) -> tuple[float, tuple[float, float]]:
+    """(hardy_norm(g), riesz_l1(g)), building the mean-free part of g once."""
     m = g.mean()
-    r1, r2 = riesz
-    return lp_norm(g - m, 1) + abs(m) * TWO_PI**2 + r1 + r2
+    g0 = g - m
+    r1, r2 = riesz = _riesz_l1(g0)
+    return lp_norm(g0, 1) + abs(m) * TWO_PI**2 + r1 + r2, riesz
 
 
 def riesz_l1(g: ScalarField) -> tuple[float, float]:
     """L1 norms of both Riesz transforms of the mean-free part of g."""
-    g0 = g - g.mean()
+    return _riesz_l1(g - g.mean())
+
+
+def _riesz_l1(g0: ScalarField) -> tuple[float, float]:
+    """riesz_l1 of a mean-free field g0."""
     return lp_norm(riesz_transform(g0, 1), 1), lp_norm(riesz_transform(g0, 2), 1)
 
 

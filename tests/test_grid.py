@@ -17,7 +17,14 @@ from loglimit.grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _band_fft2,
+    _band_ifft2,
+    _dealias_band,
+    _dealias_mask,
     _map_tasks,
+    _pack_dealiased,
+    _unpack_band,
+    _unpack_dealiased,
     curl,
     divergence,
     gradient,
@@ -61,6 +68,13 @@ class TestScalarField:
         vals[3, 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
             ScalarField(grid16, vals)
+
+    def test_strided_values_copied_contiguous(self, grid16):
+        # the real part of a complex array is a strided view of it
+        view = (np.random.default_rng(1).standard_normal(grid16.shape) + 2j).real
+        f = ScalarField(grid16, view)
+        assert f.values.flags.c_contiguous and not np.shares_memory(f.values, view)
+        assert f.values.tobytes() == view.copy().tobytes()
 
     def test_values_immutable(self, grid16):
         f = ScalarField(grid16, np.ones(grid16.shape))
@@ -106,6 +120,41 @@ class TestScalarField:
         quad = np.sum(vals**2) * grid32.cell_volume
         spec = TWO_PI**2 * np.sum(np.abs(f.spectral) ** 2)
         assert_allclose(quad, spec, rtol=1e-12)
+
+
+def _taylor_green_box(n: int) -> np.ndarray:
+    """The packed 2/3-rule modes of sin x1 cos x2, mostly exact zeros."""
+    x1, x2 = GridSpec(n).coordinates()
+    return _pack_dealiased(np.fft.fft2(np.sin(x1) * np.cos(x2)))
+
+
+class TestBandTransforms:
+    """_band_ifft2 and _band_fft2 skip only passes over zeros or dropped
+    modes, so they equal numpy's 2-D transforms bit for bit."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_band_layout(self, n):
+        rows, mask = _dealias_band(n)
+        full = _dealias_mask(n)
+        assert np.array_equal(np.flatnonzero(full.any(axis=0)), rows)
+        assert np.array_equal(full[rows], mask) and not full[np.setdiff1d(np.arange(n), rows)].any()
+        assert not (rows.flags.writeable or mask.flags.writeable)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_inverse_matches_ifft2(self, n):
+        rng = np.random.default_rng(n)
+        size = int(_dealias_mask(n).sum())
+        for box in (rng.standard_normal(size) + 1j * rng.standard_normal(size),
+                    _taylor_green_box(n)):
+            want = np.real(np.fft.ifft2(_unpack_dealiased(box, n)))
+            assert _band_ifft2(_unpack_band(box, n)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_forward_matches_fft2(self, n):
+        x1, x2 = GridSpec(n).coordinates()
+        for values in (np.random.default_rng(n).standard_normal((n, n)),
+                       np.sin(x1) * np.cos(x2) * np.cos(x1)):
+            assert _band_fft2(values).tobytes() == _pack_dealiased(np.fft.fft2(values)).tobytes()
 
 
 class TestGradient:

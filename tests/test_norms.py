@@ -287,6 +287,17 @@ class TestWrappedCopy:
         assert got == pytest.approx(brute_bmo_seminorm(vals), rel=1e-12, abs=0.0)
         assert any(n * n - 1 in c for s, c in reads if s == n // 2)
 
+    @pytest.mark.parametrize("component", range(3))
+    def test_seed_square_read_first(self, component, reads):
+        # a smooth gradient component: the square with the largest bound over
+        # all levels is read alone, before any level, and the scan still
+        # finds the maximum over every square
+        grid = GridSpec(32)
+        vals = velocity_gradient(random_band_velocity(grid, seed=42))[component].values
+        got = bmo_seminorm(ScalarField(grid, vals))
+        assert reads[0][1].size == 1
+        assert got == pytest.approx(brute_bmo_seminorm(vals), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_no_square_read(self, n, reads, monkeypatch):
         # +-1 on diagonal bands, half the torus each: no square of side <= n/2
