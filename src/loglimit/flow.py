@@ -6,10 +6,12 @@ Time stepping is RK4 with the viscous term integrated exactly per stage by
 an integrating factor, and the quadratic advection product is dealiased with
 the 2/3 rule.  With zero viscosity the scheme is a plain dealiased RK4 for
 the Euler equations.  Every field of a mode vector (velocity, vorticity,
-gradient, the advection product's factors) is one band inverse FFT, which
-transforms only the rows of the 2/3 band (grid._band_ifft2), and the
-advection product goes back through a forward FFT that computes only the
-kept modes (grid._band_fft2); both give numpy's 2-D transforms bit for bit.
+gradient, the advection product's factors) comes from one helper,
+_band_fields: it scales and unpacks the vector once, and takes one band
+inverse FFT per field, which transforms only the rows of the 2/3 band
+(grid._band_ifft2).  The advection product goes back through a forward FFT
+that computes only the kept modes (grid._band_fft2); both give numpy's 2-D
+transforms bit for bit.
 
 A run records, at every sample time, the norm series needed by the majorant
 machinery: g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}}, kinetic energy,
@@ -18,8 +20,8 @@ over the state's mode vector, with no FFT; h0 is read off the sample's
 velocity, which the blow-up test, the CFL record and the first stage of the
 next step share.  f0 is 0.0 until a caller maps gradient_bmo over the states
 (grid._map_tasks) and sets it (RunResult.with_f0); gradient_bmo scans three
-gradient components, each one band inverse FFT of the mode vector
-(_state_gradient, the one velocity-gradient path of the package).
+gradient components of the mode vector (_state_gradient, the one
+velocity-gradient path of the package).
 
 Paired runs are compared through their mode vectors as well: the velocity
 gap (state_gap_l2), a bound on its maximum (sup_gap_sq_bound) and the
@@ -37,8 +39,7 @@ import numpy as np
 
 from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _band_fft2, _band_ifft2,
                    _biot_savart_multiplier, _dealias_band, _derivative_multiplier, _laplacian,
-                   _mode_box, _pack_dealiased, _unpack_band, _unpack_dealiased, curl,
-                   leray_project, write_csv)
+                   _mode_box, _pack_dealiased, _unpack_band, curl, leray_project, write_csv)
 from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -72,15 +73,15 @@ class SolverConfig:
 class FlowState:
     """Vorticity-spectrum snapshot: a state keeps only its dealiased, mean-free
     spectrum and derives the velocity (Biot-Savart) and vorticity on each
-    access, one band inverse FFT (grid._band_ifft2) per component, the same
-    bits as grid.inverse_transform of the full spectrum; callers bind them
-    once to reuse them.
+    access, through _band_fields, the same bits as grid.inverse_transform of
+    the full spectrum; callers bind them once to reuse them.
 
     Only the modes of the 2/3 rule are stored, as the mode vector that
     grid._pack_dealiased gathers (row-major, zero mode first and set to 0):
     16 * (2 * (n // 3) - 1)**2 bytes (26 896 at n = 64, 41% of the full
     spectrum).  `step` advances that vector as it is; `omega_hat` rebuilds
-    the read-only n x n spectrum, zero outside the mask, on each read."""
+    the read-only n x n spectrum, zero at the modes that the rule drops, on
+    each read."""
 
     __slots__ = ("grid", "time", "_box")
 
@@ -108,23 +109,22 @@ class FlowState:
 
     @property
     def omega_hat(self) -> np.ndarray:
-        return _unpack_dealiased(self._box, self.grid.points_per_axis)
-
-    def _field(self, mult: np.ndarray | None = None) -> ScalarField:
-        """The field whose normalized coefficients are the state's spectrum,
-        times `mult` (band rows, _band_multipliers) if given."""
         n = self.grid.points_per_axis
-        w = _unpack_band(self._box, n)
-        coeff = w if mult is None else mult * w
-        return ScalarField(self.grid, _band_ifft2(coeff * n * n))
+        coeff = np.zeros((n, n), dtype=complex)
+        coeff[_dealias_band(n)[0]] = _unpack_band(self._box, n)
+        coeff.setflags(write=False)
+        return coeff
 
     @property
     def vorticity(self) -> ScalarField:
-        return self._field()
+        n = self.grid.points_per_axis
+        return ScalarField(self.grid, _band_fields(self._box, n, (None,))[0])
 
     @property
     def velocity(self) -> VectorField:
-        return VectorField(*(self._field(b) for b in _band_multipliers(self.grid.points_per_axis)[0]))
+        n = self.grid.points_per_axis
+        u1, u2 = _band_fields(self._box, n, _band_multipliers(n)[0])
+        return VectorField.from_values(self.grid, u1, u2)
 
 
 @lru_cache(maxsize=32)
@@ -143,23 +143,30 @@ def _band_multipliers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return biot_savart, derivative, gradient
 
 
+def _band_fields(box: np.ndarray, n: int, mults) -> list[np.ndarray]:
+    """The grid values of the mode vector `box` times each multiplier of
+    `mults` (band rows, _band_multipliers; None for the vector itself): the
+    vector is scaled by n^2 and unpacked into the band rows once, and each
+    field is one band inverse FFT (grid._band_ifft2)."""
+    w = _unpack_band(box * (n * n), n)
+    return [_band_ifft2(w if mult is None else mult * w) for mult in mults]
+
+
 def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
                    velocity: VectorField | None = None) -> np.ndarray:
     """Dealiased -(u . grad omega) of a mode vector, as a mode vector; both
-    hold normalized coefficients in grid._pack_dealiased order.  Each inverse
-    FFT transforms only the band rows of the 2/3 rule (grid._band_ifft2), and
-    the forward FFT computes only the kept modes (grid._band_fft2).
-    `velocity`, the mode vector's velocity as FlowState.velocity derives it,
-    saves the two Biot-Savart inverse FFTs: it holds the same values bit for
-    bit, as the scalings by n^2 are exact."""
+    hold normalized coefficients in grid._pack_dealiased order.  The factors
+    come from _band_fields, and the forward FFT computes only the kept modes
+    (grid._band_fft2).  `velocity`, FlowState.velocity of the mode vector,
+    is the output of the same _band_fields call, so passing it saves the two
+    Biot-Savart inverse FFTs."""
     n = grid.points_per_axis
-    w = _unpack_band(omega_box * (n * n), n)
-    (b1, b2), (d1, d2), _ = _band_multipliers(n)
+    biot_savart, derivative, _ = _band_multipliers(n)
     if velocity is None:
-        u1, u2 = _band_ifft2(b1 * w), _band_ifft2(b2 * w)
+        u1, u2, w1, w2 = _band_fields(omega_box, n, biot_savart + derivative)
     else:
         u1, u2 = velocity.u1.values, velocity.u2.values
-    w1, w2 = _band_ifft2(d1 * w), _band_ifft2(d2 * w)
+        w1, w2 = _band_fields(omega_box, n, derivative)
     return -(_band_fft2(u1 * w1 + u2 * w2) / (n * n))
 
 
@@ -230,9 +237,11 @@ class NormSeries:
 
 def _state_gradient(state: FlowState) -> tuple[ScalarField, ScalarField, ScalarField]:
     """(d1 u1, d2 u1, d1 u2) of a state's velocity, each one multiplier product
-    and one band inverse FFT of the vorticity spectrum.  The velocity is
+    of the vorticity spectrum (_band_fields).  The velocity is
     divergence-free, so the fourth component d2 u2 is -d1 u1 exactly."""
-    return tuple(state._field(g) for g in _band_multipliers(state.grid.points_per_axis)[2])
+    n = state.grid.points_per_axis
+    fields = _band_fields(state._box, n, _band_multipliers(n)[2])
+    return tuple(ScalarField(state.grid, v) for v in fields)
 
 
 def gradient_bmo(state: FlowState) -> float:

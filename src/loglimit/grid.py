@@ -10,14 +10,13 @@ Parseval reads  (cell volume) * sum(values**2) == (2pi)**2 * sum(|coeff|**2).
 This module is the only one that knows the wavenumber layout and this
 normalization; the solver's Biot-Savart, Laplacian and 2/3 dealiasing
 symbols are cached here beside the derivative and Riesz multipliers.  The
-2/3 rule has one layout, the boolean `_dealias_mask`: a flow state and the
-solver's stages hold the modes it keeps as a vector gathered through it in
-row-major order (`_pack_dealiased`), and `_unpack_dealiased` scatters such a
-vector back into an n x n spectrum.  The mask keeps a square band of rows
-and the same band of columns (`_dealias_band`); `_band_ifft2` and
-`_band_fft2` are np.fft.ifft2 and np.fft.fft2 on such spectra, bit for bit,
-without the 1-D passes over the rows that are zero or the columns that the
-mask drops.
+2/3 rule is stated once, in `_dealias_band`: the rows it keeps, which are
+also the columns it keeps, and the kept modes of those rows.  A flow state
+and the solver's stages hold the kept modes as a vector in row-major order
+(`_pack_dealiased` gathers it), `_unpack_band` scatters such a vector back
+into the band rows, and `_band_ifft2` and `_band_fft2` are np.fft.ifft2 and
+np.fft.fft2 on such spectra, bit for bit, without the 1-D passes over the
+rows that are zero or the columns that the rule drops.
 
 It also owns the CSV format of every file the package writes (`csv_line`,
 `write_csv`) and reads (`read_csv`): a header row, comma-separated cells,
@@ -256,39 +255,30 @@ def _mode_box(n: int, kmax: int) -> np.ndarray:
     return mask
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    """2/3 rule: keep the modes with |k1|, |k2| < n // 3."""
-    return _mode_box(n, n // 3 - 1)
-
-
-def _pack_dealiased(coeff: np.ndarray) -> np.ndarray:
-    """The modes of an n x n array that _dealias_mask keeps, as a vector in
-    row-major order: the zero mode first."""
-    return coeff[_dealias_mask(coeff.shape[0])]
-
-
-def _unpack_dealiased(box: np.ndarray, n: int) -> np.ndarray:
-    """Read-only n x n spectrum of a packed mode vector, 0 outside the mask."""
-    coeff = np.zeros((n, n), dtype=complex)
-    coeff[_dealias_mask(n)] = box
-    coeff.setflags(write=False)
-    return coeff
-
-
 @lru_cache(maxsize=32)
 def _dealias_band(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, mask): the ascending indices of the rows that hold a mode of
-    _dealias_mask(n), which are also the indices of its columns, and the mask
-    restricted to those rows, both read-only."""
-    rows = np.flatnonzero(_dealias_mask(n).any(axis=1))
-    mask = _dealias_mask(n)[rows]
+    """The 2/3 rule, which keeps the modes with |k1|, |k2| < floor(n/3), as
+    (rows, mask): the ascending indices of the rows that hold a kept mode,
+    which are also the indices of the columns that do, and the kept modes of
+    those rows, both read-only."""
+    keep = _mode_box(n, n // 3 - 1)
+    rows = np.flatnonzero(keep.any(axis=1))
+    mask = keep[rows]
     for a in (rows, mask):
         a.setflags(write=False)
     return rows, mask
 
 
+def _pack_dealiased(coeff: np.ndarray) -> np.ndarray:
+    """The modes of an n x n array that the 2/3 rule keeps, as a vector in
+    row-major order: the zero mode first."""
+    rows, mask = _dealias_band(coeff.shape[0])
+    return coeff[rows][mask]
+
+
 def _unpack_band(box: np.ndarray, n: int) -> np.ndarray:
-    """The band rows (_dealias_band) of _unpack_dealiased(box, n)."""
+    """The band rows (_dealias_band) of the n x n spectrum of a packed mode
+    vector, 0 at the modes that the 2/3 rule drops."""
     mask = _dealias_band(n)[1]
     coeff = np.zeros(mask.shape, dtype=complex)
     coeff[mask] = box
@@ -309,7 +299,7 @@ def _band_ifft2(band: np.ndarray) -> np.ndarray:
 def _band_fft2(values: np.ndarray) -> np.ndarray:
     """_pack_dealiased(np.fft.fft2(values)) bit for bit: fft2's passes, along
     axis -1 and then axis 0, without those over the columns and rows that the
-    mask drops."""
+    2/3 rule drops."""
     rows = _dealias_band(values.shape[0])[0]
     return np.fft.fft(np.fft.fft(values, axis=-1)[:, rows], axis=0)[rows].ravel()
 

@@ -18,12 +18,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# riesz_transform stays bound here for the benchmark's call tracer
-# (perfbench/tracing.py); this module's Riesz transforms go through riesz_l1
-# and _hardy_riesz
-from .grid import TWO_PI, GridSpec, ScalarField, _map_tasks, riesz_transform, write_csv  # noqa: F401
+from .grid import TWO_PI, GridSpec, ScalarField, _map_tasks, write_csv
 from .inviscid import fit_exponent
-from .norms import _hardy_riesz, bmo_seminorm, hardy_norm, lp_norm, riesz_l1, zygmund_functional
+from .norms import _hardy_riesz, bmo_seminorm, lp_norm, riesz_l1, zygmund_functional
+
+# riesz_transform and hardy_norm stay bound here for the benchmark's call
+# tracer (perfbench/tracing.py); this module's Riesz transforms and Hardy
+# norms go through riesz_l1 and _hardy_riesz
+from .grid import riesz_transform  # noqa: F401
+from .norms import hardy_norm  # noqa: F401
 
 TRIALS_CSV_HEADER = ("f_id", "g_id", "grid", "lhs", "bmo_f", "l1_g", "linf_g", "bracket", "ratio")
 
@@ -172,30 +175,12 @@ def verify_main_inequality(f: ScalarField, g: ScalarField, f_id: str = "f",
                         lp_norm(g, 1), lp_norm(g, np.inf))
 
 
-def _duality_constant(lhs: float, bmo_f: float, hardy_g: float) -> float | None:
-    """lhs / (bmo_f * hardy_g), None if the denominator vanishes."""
-    denom = bmo_f * hardy_g
-    return None if denom == 0.0 else lhs / denom
-
-
-def duality_ratio(f: ScalarField, g: ScalarField) -> float | None:
-    """Empirical constant of |int f g| <= C * ||f||_BMO * ||g||_H1 (None if degenerate)."""
-    return _duality_constant(abs(pairing(f, g)), bmo_seminorm(f), hardy_norm(g))
-
-
-def riesz_l1_chain(g: ScalarField) -> dict:
-    """Both sides of ||R_k g||_L1 <= c ||g||_L1 (1 + 2 ln(||g||_oo + 1) + |ln ||g||_L1|)."""
-    return _riesz_l1_chain(riesz_l1(g), lp_norm(g, 1), lp_norm(g, np.inf))
-
-
-def _riesz_l1_chain(riesz: tuple[float, float], l1g: float, linfg: float) -> dict:
-    """riesz_l1_chain of g from riesz_l1(g), ||g||_L1 and ||g||_Linf."""
+def _riesz_l1_chain(riesz: tuple[float, float], l1g: float, linfg: float) -> list:
+    """The constants c_k of ||R_k g||_L1 <= c_k ||g||_L1 (1 + 2 ln(||g||_oo + 1)
+    + |ln ||g||_L1|), k = 1, 2, from riesz_l1(g), ||g||_L1 and ||g||_Linf;
+    None where the right-hand factor vanishes."""
     rhs = l1g * (1.0 + 2.0 * math.log1p(linfg) + (abs(math.log(l1g)) if l1g > 0 else 0.0))
-    out = {"rhs_factor": rhs, "l1": l1g, "linf": linfg}
-    for axis, lhs in zip((1, 2), riesz):
-        out[f"lhs_{axis}"] = lhs
-        out[f"c_{axis}"] = (lhs / rhs) if rhs > 0 else None
-    return out
+    return [(lhs / rhs) if rhs > 0 else None for lhs in riesz]
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +303,12 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     pair), L1 and Linf norms are computed once, and so is each pairing
     |int f g|.  Each size's corpus is built once, here; the BMO scans of
     every size then run side by side in one _map_tasks call, largest size
-    first, and the rest runs in this process.  The trial rows,
-    duality ratios and Riesz-chain constants are the formulas
-    verify_main_inequality, duality_ratio and riesz_l1_chain apply to those
-    numbers.  Sizes must be distinct (a repeated size adds no refinement
-    step to the slope fits) and at least MIN_CORPUS_GRID.
+    first, and the rest runs in this process.  A trial row is the one
+    verify_main_inequality computes from those numbers (IneqTrial.of); the
+    duality ratio of (f, g) is |int f g| / (||f||_BMO ||g||_H1), and the
+    Riesz-chain constants of g come from _riesz_l1_chain.  Sizes must be
+    distinct (a repeated size adds no refinement step to the slope fits) and
+    at least MIN_CORPUS_GRID.
     """
     if len(sizes) == 0:
         raise ValueError("scan requires at least one size")
@@ -348,14 +334,14 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
             hardy, riesz = _hardy_riesz(fld)
             l1, linf = lp_norm(fld, 1), lp_norm(fld, np.inf)
             g_norms.append((hardy, l1, linf))
-            rec = _riesz_l1_chain(riesz, l1, linf)
-            chain += [rec["c_1"], rec["c_2"]]
+            chain += _riesz_l1_chain(riesz, l1, linf)
         rows, dual = [], []
         for (fid, fam, f), bmo_f in zip(fields, bmo):
             for (gid, _, g), (hardy_g, l1_g, linf_g) in zip(fields, g_norms):
                 lhs = abs(pairing(f, g))
                 rows.append(IneqTrial.of(fid, gid, n, lhs, bmo_f, l1_g, linf_g))
-                dual.append(_duality_constant(lhs, bmo_f, hardy_g))
+                denom = bmo_f * hardy_g
+                dual.append(None if denom == 0.0 else lhs / denom)
                 if rows[-1].ratio is not None:
                     max_by_family[fam] = max(max_by_family.get(fam, 0.0), rows[-1].ratio)
         trials += rows

@@ -5,8 +5,9 @@ square scans, and fsum quadrature.  These implementations share no code with
 the package paths they check.  `dealiased_spectrum` is the full-array 2/3-rule
 masking flow states did before they kept only the mode box, and
 `full_array_step` the solver step on full n x n spectra from before the
-solver stepped that box as a mode vector; it takes its Fourier symbols from
-loglimit.grid, so it checks the mode-vector layout, not the symbols.
+solver stepped that box as a mode vector; it builds its 2/3 mask from its
+own wavenumbers but takes its Fourier symbols from loglimit.grid, so it
+checks the mode-vector layout, not the symbols.
 `longdouble_state_gap` is the Parseval velocity gap of two flow states in
 extended precision, and `physical_sample_norms` a state's energy, enstrophy
 and velocity-gradient L2 norm from grid sums of the fields.
@@ -18,7 +19,11 @@ integrator is the np.interp-based one the package's coefficient lookup
 replaced; it is kept as the reference that lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
 BMO scan pruned by the standard-deviation bound alone, from before wide
 levels also took the sub-square chord bound; the package's scan must return
-its float exactly.
+its float exactly.  `duality_ratio` and `riesz_l1_chain` apply this
+module's formulas for the duality constant and the Riesz-chain constants to
+the package's public norms of one field or pair: the references for the
+constants that logineq.scan_corpus derives from the norms it computes once
+per field.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from loglimit.grid import (_biot_savart_multiplier, _dealias_mask, _derivative_multiplier,
-                           _laplacian, derivative)
+from loglimit.grid import _biot_savart_multiplier, _derivative_multiplier, _laplacian, derivative
+from loglimit.logineq import pairing
+from loglimit.norms import bmo_seminorm, hardy_norm, lp_norm, riesz_l1
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,7 +174,8 @@ def dealiased_spectrum(omega_hat: np.ndarray) -> np.ndarray:
 def _full_array_advection_rhs(grid, omega_hat: np.ndarray) -> np.ndarray:
     """Dealiased -(u . grad omega), acting on normalized coefficients."""
     n = grid.points_per_axis
-    dealias = _dealias_mask(n)
+    keep = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n // 3 - 1
+    dealias = keep[:, None] & keep[None, :]
     w = np.where(dealias, omega_hat, 0.0) * (n * n)
     u1 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 1) * w))
     u2 = np.real(np.fft.ifft2(_biot_savart_multiplier(n, 2) * w))
@@ -188,6 +195,25 @@ def full_array_step(grid, omega_hat: np.ndarray, nu: float, dt: float) -> np.nda
     k3 = _full_array_advection_rhs(grid, e_half * omega_hat + (dt / 2.0) * k2)
     k4 = _full_array_advection_rhs(grid, e_full * omega_hat + dt * e_half * k3)
     return e_full * omega_hat + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+
+
+def duality_ratio(f, g) -> float | None:
+    """Empirical constant of |int f g| <= C * ||f||_BMO * ||g||_H1, None if
+    the right-hand factor vanishes."""
+    denom = bmo_seminorm(f) * hardy_norm(g)
+    return None if denom == 0.0 else abs(pairing(f, g)) / denom
+
+
+def riesz_l1_chain(g) -> dict:
+    """Both sides of ||R_k g||_L1 <= c ||g||_L1 (1 + 2 ln(||g||_oo + 1) + |ln ||g||_L1|),
+    and c_k, their quotient for k = 1, 2 (None if the right side vanishes)."""
+    l1g, linfg = lp_norm(g, 1), lp_norm(g, np.inf)
+    rhs = l1g * (1.0 + 2.0 * math.log1p(linfg) + (abs(math.log(l1g)) if l1g > 0 else 0.0))
+    out = {"rhs_factor": rhs, "l1": l1g, "linf": linfg}
+    for axis, lhs in zip((1, 2), riesz_l1(g)):
+        out[f"lhs_{axis}"] = lhs
+        out[f"c_{axis}"] = (lhs / rhs) if rhs > 0 else None
+    return out
 
 
 def longdouble_state_gap(hat_a: np.ndarray, hat_b: np.ndarray) -> float:

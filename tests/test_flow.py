@@ -24,7 +24,8 @@ from loglimit.flow import (
     taylor_green_velocity,
     two_mode_velocity,
 )
-from loglimit.grid import GridSpec, VectorField, divergence
+from loglimit.grid import (GridSpec, VectorField, _biot_savart_multiplier, _derivative_multiplier,
+                           divergence)
 from loglimit.inviscid import initial_condition
 from loglimit.norms import bmo_seminorm
 from reference import (dealiased_spectrum, full_array_step, physical_identity_terms,
@@ -57,6 +58,26 @@ class TestState:
         v = FlowState.from_velocity(u).velocity
         assert_allclose(v.u1.values, u.u1.values, atol=1e-12)
         assert_allclose(v.u2.values, u.u2.values, atol=1e-12)
+
+    @pytest.mark.parametrize("ic", ["taylor_green", "two_mode", "random_42"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_derived_fields_match_ifft2(self, n, ic):
+        # the vorticity, both velocity components and the three gradient
+        # components are each numpy's ifft2 of the n x n spectrum times its
+        # n x n multiplier, bit for bit: of the initial state, and of the
+        # state one step later, whose spectrum fills more of the 2/3 band
+        grid = GridSpec(n)
+        state = FlowState.from_velocity(initial_condition(grid, ic))
+        b1, b2 = (_biot_savart_multiplier(n, axis) for axis in (1, 2))
+        d1, d2 = (_derivative_multiplier(n, axis) for axis in (1, 2))
+        mults = (None, b1, b2, d1 * b1, d2 * b1, d1 * b2)
+        for s in (state, step(state, tg_config(grid, 1e-3, 1.0))):
+            u = s.velocity
+            fields = (s.vorticity, u.u1, u.u2, *loglimit.flow._state_gradient(s))
+            for field, mult in zip(fields, mults, strict=True):
+                coeff = s.omega_hat if mult is None else mult * s.omega_hat
+                want = np.real(np.fft.ifft2(coeff * n * n))
+                assert field.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
     def test_spectrum_bit_identical_to_full_array_dealiasing(self, n):

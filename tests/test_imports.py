@@ -3,10 +3,14 @@ private module-level name is used somewhere in the package.
 
 Standard library only: each src/loglimit/*.py but __init__.py (which
 re-exports) is parsed with ast, and an imported name that the module never
-reads fails, unless its import line carries `noqa: F401`.  A module-level
-function, class or constant whose name starts with one underscore fails
-when no module of src/loglimit reads that name outside the statement that
-defines it: a helper that a refactor left behind.
+reads fails, unless its import line carries `noqa: F401`.  Such a line
+exists only to keep a name bound for the benchmark's call tracer, so each
+name it imports must be an attribute of that module that the tracer wraps
+(an entry of PATCHES in perfbench/tracing.py, which is parsed, not
+imported).  A module-level function, class or constant whose name starts
+with one underscore fails when no module of src/loglimit reads that name
+outside the statement that defines it: a helper that a refactor left
+behind.
 """
 
 import ast
@@ -15,6 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "loglimit"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
@@ -35,6 +40,32 @@ def unused_imports(source: str) -> list[str]:
                 imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def traced_attributes(source: str) -> set[tuple[str, str]]:
+    """The (dotted owner, attribute) pairs of the PATCHES tuple in `source`:
+    the first two strings of each of its entries."""
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "PATCHES" for t in stmt.targets):
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in stmt.value.elts}
+    raise ValueError("no PATCHES assignment")
+
+
+def untraced_noqa_imports(module: str, source: str, traced: set[tuple[str, str]]) -> list[str]:
+    """The names imported on the `noqa: F401` lines of loglimit.<module>,
+    whose source is `source`, that no (owner, attribute) pair of `traced`
+    wraps as loglimit.<module>.<name>, with their lines."""
+    lines = source.splitlines()
+    untraced = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if ("noqa: F401" in lines[alias.lineno - 1]
+                        and (f"loglimit.{module}", name) not in traced):
+                    untraced.append(f"{name} (line {alias.lineno})")
+    return untraced
 
 
 def _read_names(node: ast.AST) -> set[str]:
@@ -80,6 +111,12 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_noqa_imports_are_traced(path):
+    traced = traced_attributes(TRACING.read_text())
+    assert untraced_noqa_imports(path.stem, path.read_text(), traced) == []
+
+
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
@@ -88,6 +125,17 @@ def test_every_private_name_is_referenced():
 def test_guard_catches_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom sys import argv  # noqa: F401\nprint(sep)\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
+
+
+def test_guard_catches_an_untraced_noqa_import():
+    # b is kept bound for no tracer entry; c's entry wraps another module
+    tracing = ('PATCHES = (\n    ("loglimit.m", "a", "x.a", None),\n'
+               '    ("loglimit.other", "c", "x.c", _tag),\n)\n')
+    traced = traced_attributes(tracing)
+    assert traced == {("loglimit.m", "a"), ("loglimit.other", "c")}
+    source = ("from .grid import a  # noqa: F401\nfrom .norms import (\n"
+              "    b,  # noqa: F401\n    c,  # noqa: F401\n    d,\n)\nprint(d)\n")
+    assert untraced_noqa_imports("m", source, traced) == ["b (line 3)", "c (line 4)"]
 
 
 def test_guard_catches_an_unreferenced_private_name():

