@@ -11,7 +11,8 @@ _band_fields: it scales and unpacks the vector once, and takes one band
 inverse FFT per field, which transforms only the rows of the 2/3 band
 (grid._band_ifft2).  The advection product goes back through a forward FFT
 that computes only the kept modes (grid._band_fft2); both give numpy's 2-D
-transforms bit for bit.
+transforms bit for bit, and both run in per-grid scratch arrays
+(grid._band_scratch), so a stage allocates little more than its result.
 
 A run records, at every sample time, the norm series needed by the majorant
 machinery: g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}}, kinetic energy,
@@ -38,8 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import (TWO_PI, GridSpec, ScalarField, VectorField, _band_fft2, _band_ifft2,
-                   _biot_savart_multiplier, _dealias_band, _derivative_multiplier, _laplacian,
-                   _mode_box, _pack_dealiased, _unpack_band, curl, leray_project, write_csv)
+                   _band_scratch, _biot_savart_multiplier, _dealias_band,
+                   _derivative_multiplier, _laplacian, _mode_box, _pack_dealiased,
+                   _unpack_band, curl, leray_project, write_csv)
 from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
@@ -145,11 +147,19 @@ def _band_multipliers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 
 def _band_fields(box: np.ndarray, n: int, mults) -> list[np.ndarray]:
     """The grid values of the mode vector `box` times each multiplier of
-    `mults` (band rows, _band_multipliers; None for the vector itself): the
-    vector is scaled by n^2 and unpacked into the band rows once, and each
-    field is one band inverse FFT (grid._band_ifft2)."""
-    w = _unpack_band(box * (n * n), n)
-    return [_band_ifft2(w if mult is None else mult * w) for mult in mults]
+    `mults` (band rows, _band_multipliers; None for the vector itself), at
+    most four: the vector is scaled by n^2 and unpacked into the band rows
+    once, and each field is one band inverse FFT (grid._band_ifft2).  All of
+    it runs in the grid's scratch (grid._band_scratch), and the fields are
+    real views of its per-field slots: views valid until the next call on
+    that grid; every public caller copies (ScalarField does), and
+    _advection_rhs consumes them before its forward FFT."""
+    scratch = _band_scratch(n)
+    w, product = scratch["band"], scratch["product"]
+    w[_dealias_band(n)[1]] = box
+    w *= n * n
+    return [_band_ifft2(w if mult is None else np.multiply(mult, w, out=product), out=slot)
+            for mult, slot in zip(mults, scratch["fields"])]
 
 
 def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
@@ -167,7 +177,10 @@ def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
     else:
         u1, u2 = velocity.u1.values, velocity.u2.values
         w1, w2 = _band_fields(omega_box, n, derivative)
-    return -(_band_fft2(u1 * w1 + u2 * w2) / (n * n))
+    w1 *= u1  # u1 w1 + u2 w2, formed in _band_fields' scratch
+    w2 *= u2
+    w1 += w2
+    return -(_band_fft2(w1) / (n * n))
 
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:

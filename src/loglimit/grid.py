@@ -16,7 +16,12 @@ and the solver's stages hold the kept modes as a vector in row-major order
 (`_pack_dealiased` gathers it), `_unpack_band` scatters such a vector back
 into the band rows, and `_band_ifft2` and `_band_fft2` are np.fft.ifft2 and
 np.fft.fft2 on such spectra, bit for bit, without the 1-D passes over the
-rows that are zero or the columns that the rule drops.
+rows that are zero or the columns that the rule drops.  The band transforms
+and flow._band_fields run in per-grid scratch arrays (`_band_scratch`, the
+one cached helper whose arrays are writable) that every call at that grid
+reuses, so a call allocates only its result.  What they return in scratch
+is a view valid until the next call on that grid; every public caller
+copies it.
 
 It also owns the CSV format of every file the package writes (`csv_line`,
 `write_csv`) and reads (`read_csv`): a header row, comma-separated cells,
@@ -30,8 +35,10 @@ and f0 scans, its file writes and its majorant checks, a corpus scan's BMO
 norms, the Zygmund family's trials.
 
 All operations are pure: they return new fields and never mutate inputs, so
-they are safe to call concurrently on distinct inputs.  The coefficient cache
-is filled once under a lock.
+they are safe to call concurrently on distinct inputs, except the band
+transforms, which share their grid's scratch: one thread at a time runs
+them (the parallel map forks, and each process writes its own copy).  The
+coefficient cache is filled once under a lock.
 """
 
 from __future__ import annotations
@@ -285,23 +292,46 @@ def _unpack_band(box: np.ndarray, n: int) -> np.ndarray:
     return coeff
 
 
-def _band_ifft2(band: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _band_scratch(n: int) -> dict[str, np.ndarray]:
+    """The scratch of the band transforms at grid n and of flow._band_fields:
+    complex work arrays by name, each overwritten by every call that uses
+    it, and the one cached helper whose arrays are writable.  "coeff" is
+    written only in its band rows, so its other rows stay 0."""
+    b = len(_dealias_band(n)[0])
+    shapes = {"band": (b, n), "product": (b, n), "fields": (4, n, n),  # flow._band_fields
+              "rows": (b, n), "coeff": (n, n),  # _band_ifft2
+              "forward": (n, n), "columns": (n, b), "column_pass": (n, b)}  # _band_fft2
+    return {name: np.zeros(shape, dtype=complex) for name, shape in shapes.items()}
+
+
+def _band_ifft2(band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.real(np.fft.ifft2(coeff)) bit for bit, for the n x n spectrum coeff
     whose band rows (_dealias_band) are `band` and whose other rows are 0:
     ifft2's passes, along axis -1 and then axis 0, without those over the
-    zero rows, which come out exactly 0."""
+    zero rows, which come out exactly 0.  The row pass runs in this grid's
+    scratch (_band_scratch), and the column pass writes into `out`, an n x n
+    complex array (a fresh one when None), whose real part is returned as a
+    view: a scratch `out` is valid until the next call on that grid, and
+    every public caller copies it."""
     n = band.shape[1]
-    coeff = np.zeros((n, n), dtype=complex)
-    coeff[_dealias_band(n)[0]] = np.fft.ifft(band, axis=-1)
-    return np.fft.ifft(coeff, axis=0).real
+    scratch = _band_scratch(n)
+    coeff = scratch["coeff"]
+    coeff[_dealias_band(n)[0]] = np.fft.ifft(band, axis=-1, out=scratch["rows"])
+    return np.fft.ifft(coeff, axis=0, out=out).real
 
 
 def _band_fft2(values: np.ndarray) -> np.ndarray:
     """_pack_dealiased(np.fft.fft2(values)) bit for bit: fft2's passes, along
     axis -1 and then axis 0, without those over the columns and rows that the
-    2/3 rule drops."""
-    rows = _dealias_band(values.shape[0])[0]
-    return np.fft.fft(np.fft.fft(values, axis=-1)[:, rows], axis=0)[rows].ravel()
+    2/3 rule drops.  Both passes run in this grid's scratch (_band_scratch),
+    overwriting the previous call's; only the packed result is fresh."""
+    n = values.shape[0]
+    rows = _dealias_band(n)[0]
+    scratch = _band_scratch(n)
+    full = np.fft.fft(values, axis=-1, out=scratch["forward"])
+    columns = np.take(full, rows, axis=1, out=scratch["columns"])
+    return np.fft.fft(columns, axis=0, out=scratch["column_pass"])[rows].ravel()
 
 
 def derivative(field: ScalarField, axis: int) -> ScalarField:

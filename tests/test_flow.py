@@ -8,9 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import loglimit.flow
+import loglimit.grid
 from loglimit.flow import (
     FlowState,
     SolverConfig,
+    _advection_rhs,
     cfl_timestep,
     energy_identity_terms,
     gap_l2,
@@ -193,6 +195,57 @@ class TestStep:
         state = FlowState.from_velocity(taylor_green_velocity(grid32))
         cfg = tg_config(grid32, 0.0, 1.0)
         assert cfl_timestep(state, cfg) == pytest.approx(0.5 * grid32.spacing / 1.0, rel=1e-10)
+
+
+class TestScratch:
+    """The band transforms and _band_fields work in per-grid scratch
+    (grid._band_scratch): no array a caller keeps lives there, and no call
+    changes what an earlier one returned."""
+
+    def test_derived_fields_outlive_later_calls(self, grid32):
+        state = FlowState.from_velocity(random_band_velocity(grid32, seed=3))
+        u = state.velocity
+        fields = (u.u1, u.u2, state.vorticity, *loglimit.flow._state_gradient(state))
+        before = [f.values.tobytes() for f in fields]
+        cfg = tg_config(grid32, 1e-2, 0.2, samples=5)
+        euler = run(two_mode_velocity(grid32), tg_config(grid32, 0.0, 0.2, samples=5))
+        viscous = run(two_mode_velocity(grid32), cfg)
+        step(euler.states[1], cfg)
+        gradient_bmo(euler.states[2])
+        energy_identity_terms(viscous, euler)
+        assert [f.values.tobytes() for f in fields] == before
+        scratch = loglimit.grid._band_scratch(32).values()
+        assert not any(np.shares_memory(f.values, a) for f in fields for a in scratch)
+
+    def test_rhs_independent_of_earlier_calls(self, grid32):
+        a, b = (FlowState.from_velocity(random_band_velocity(grid32, seed=s)) for s in (3, 4))
+        first = _advection_rhs(grid32, a._box)
+        want = first.tobytes()
+        _advection_rhs(grid32, b._box)
+        assert _advection_rhs(grid32, a._box).tobytes() == want
+        assert _advection_rhs(grid32, a._box, a.velocity).tobytes() == want
+        assert first.tobytes() == want
+        assert not any(np.shares_memory(first, s) for s in loglimit.grid._band_scratch(32).values())
+
+    @pytest.mark.parametrize("stage, budget_kb", [("rhs", 128), ("step", 300)])
+    def test_allocation_budget(self, grid64, stage, budget_kb):
+        # glibc gives a freed heap top above its trim threshold, 128 KB at
+        # first, back to the kernel; a right-hand side that allocates less
+        # than that does not fault its temporaries in again in every stage
+        state = FlowState.from_velocity(random_band_velocity(grid64, seed=42))
+        cfg = tg_config(grid64, 1e-3, 0.5)
+        dt = cfl_timestep(state, cfg)
+        call = {"rhs": lambda: _advection_rhs(grid64, state._box),
+                "step": lambda: step(state, cfg, dt)}[stage]
+        call()  # the cached multipliers, integrating factors and scratch now exist
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < budget_kb * 1024
 
 
 class TestRun:

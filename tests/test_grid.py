@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import loglimit.flow
+import loglimit.grid
 from loglimit.grid import (
     FIELD_CSV_HEADER,
     TWO_PI,
@@ -126,6 +128,17 @@ def _two_thirds_mask(n: int) -> np.ndarray:
     return keep[:, None] & keep[None, :]
 
 
+def _arrays_in(value) -> list[np.ndarray]:
+    """The arrays in a value made of arrays, tuples, dicts and numbers."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays_in(v)]
+    return []
+
+
 def _taylor_green_box(n: int) -> np.ndarray:
     """The packed 2/3-rule modes of sin x1 cos x2, mostly exact zeros."""
     x1, x2 = GridSpec(n).coordinates()
@@ -146,6 +159,22 @@ class TestBandTransforms:
         # a mode vector lists the kept modes in row-major order
         coeff = np.random.default_rng(n).standard_normal((n, n)) * (1 + 1j)
         assert _pack_dealiased(coeff).tobytes() == coeff[full].tobytes()
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_cached_arrays_read_only_but_the_scratch(self, n):
+        # a cached array is shared by every caller, so it is read-only; the
+        # band transforms' scratch is the one exception, written by each call
+        args = {"_derivative_multiplier": [(n, 1), (n, 2)], "_riesz_multiplier": [(n, 1), (n, 2)],
+                "_biot_savart_multiplier": [(n, 1), (n, 2)], "_mode_box": [(n, n // 3 - 1)],
+                "_integrating_factors": [(n, 1e-3, 0.01)]}
+        helpers = {name: fn for module in (loglimit.grid, loglimit.flow)
+                   for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
+        assert "_band_scratch" in helpers and set(args) <= set(helpers)
+        for name, fn in helpers.items():
+            arrays = [a for call in args.get(name, [(n,)]) for a in _arrays_in(fn(*call))]
+            assert arrays, name
+            writable = {a.flags.writeable for a in arrays}
+            assert writable == {name == "_band_scratch"}, name
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
     def test_inverse_matches_ifft2(self, n):
