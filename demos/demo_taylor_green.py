@@ -36,7 +36,7 @@ print(f"  max deviation of ||u(t)|| / ||u0|| from exp(-2 nu t): {worst:.2e}")
 print("\n== velocity gap against the closed form ==")
 print("      t      measured gap   pi sqrt2 (1 - exp(-2 nu t))")
 for s_n, s_e in zip(res_n.states[::10], res_e.states[::10]):
-    gap = gap_l2(s_n.velocity, s_e.velocity)
+    gap = gap_l2(s_n, s_e)
     exact = math.pi * math.sqrt(2) * (1 - math.exp(-2 * nu * s_n.time))
     print(f"  {s_n.time:6.2f} {gap:14.9f} {exact:14.9f}")
 

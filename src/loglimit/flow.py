@@ -24,10 +24,11 @@ next step share.  f0 is 0.0 until a caller maps gradient_bmo over the states
 gradient components of the mode vector (_state_gradient, the one
 velocity-gradient path of the package).
 
-Paired runs are compared through their mode vectors as well: the velocity
-gap (state_gap_l2), a bound on its maximum (sup_gap_sq_bound) and the
-energy-difference identity (energy_identity_terms) all start from the
-difference of two states' mode vectors.
+Paired runs are compared through one gap state, the difference of the two
+states' mode vectors (_gap_state, which also checks that they share a grid):
+the velocity gap gap_l2 is its L2 norm by Parseval, sup_gap_sq_bound a
+bound on the maximum of its squared velocity, and energy_identity_terms
+reads the identity's gap terms off it.
 """
 
 from __future__ import annotations
@@ -371,16 +372,6 @@ def require_shared_sample_times(*runs: RunResult) -> None:
             raise ValueError("paired runs must share sample times")
 
 
-def gap_l2(a: VectorField, b: VectorField) -> float:
-    """L2 norm of the velocity difference."""
-    if a.grid != b.grid:
-        raise ValueError("velocity fields live on different grids")
-    cv = a.grid.cell_volume
-    d1 = a.u1.values - b.u1.values
-    d2 = a.u2.values - b.u2.values
-    return math.sqrt(float(np.sum(d1 * d1 + d2 * d2)) * cv)
-
-
 @lru_cache(maxsize=32)
 def _biot_savart_moduli(n: int) -> tuple[np.ndarray, np.ndarray]:
     """|B1|, |B2| of the Biot-Savart multipliers on the mode vector, as one
@@ -392,17 +383,22 @@ def _biot_savart_moduli(n: int) -> tuple[np.ndarray, np.ndarray]:
     return moduli, weights
 
 
-def state_gap_l2(a: FlowState, b: FlowState) -> float:
-    """L2 norm of the velocity difference of two states, from their mode
-    vectors by Parseval: (2 pi)^2 sum_k (|B1_k|^2 + |B2_k|^2) |a_k - b_k|^2.
-
-    The difference is a trigonometric polynomial inside the 2/3 box, so in
-    exact arithmetic this is gap_l2 of the two velocities.  It subtracts the
-    coefficients, not two nearly equal inverse FFTs, so a small gap keeps its
-    relative accuracy, and no velocity is derived."""
+def _gap_state(a: FlowState, b: FlowState) -> FlowState:
+    """The state whose mode vector is a's minus b's: its velocity is
+    u_a - u_b, its vorticity omega_a - omega_b, at a's time."""
     if a.grid != b.grid:
         raise ValueError("flow states live on different grids")
-    d = a._box - b._box
+    return FlowState._of_box(a.grid, a.time, a._box - b._box)
+
+
+def gap_l2(a: FlowState, b: FlowState) -> float:
+    """L2 norm of the velocity difference of two states, from the gap
+    state's mode vector w by Parseval:
+    2 pi sqrt(sum_k (|B1_k|^2 + |B2_k|^2) |w_k|^2).
+
+    It subtracts the coefficients, not two nearly equal inverse FFTs, so a
+    small gap keeps its relative accuracy, and no velocity is derived."""
+    d = _gap_state(a, b)._box
     weights = _biot_savart_moduli(a.grid.points_per_axis)[1]
     return TWO_PI * math.sqrt(float(np.sum(weights * (d.real * d.real + d.imag * d.imag))))
 
@@ -411,32 +407,33 @@ _FFT_SLACK = 1e-9  # relative to a state's l1 mass of velocity coefficients; see
 
 
 def sup_gap_sq_bound(a: FlowState, b: FlowState) -> float:
-    """An upper bound on max_x (u1a - u1b)^2 + (u2a - u2b)^2, the velocities
-    as a.velocity and b.velocity compute them on the grid, rounding included,
-    from the two mode vectors alone: no velocity is derived.
+    """An upper bound on max_x w1^2 + w2^2, w the gap state's velocity
+    (_gap_state(a, b).velocity, as measured_forcing derives it) or the
+    difference of a.velocity and b.velocity, as computed on the grid,
+    rounding included, from the two mode vectors alone: no velocity is derived.
 
-    Exactly, with the packed multipliers B_i as computed, u_ia - u_ib is the
-    real part of the trigonometric polynomial sum_k B_ik (a_k - b_k) e^{ik.x},
-    so |u_ia - u_ib| <= W_i = sum_k |B_ik| |a_k - b_k| at every x (Wiener).
-    Rounding, with u the unit roundoff: a computed component is
-    real(ifft2(n^2 B_i w)); B_i is imaginary, so the product is rounded once,
-    and the scalings by n^2 and 1/n^2 are exact (powers of two).  A length-N
-    FFT returns each output within c log2(N) u sum_k |x_k| of the exact sum,
-    c a small constant (a few roundings and one twiddle factor per butterfly
-    stage, every intermediate value at most the l1 mass below it), so each
-    computed component is within (c log2(n^2) + 1) u sum_k |B_ik| |w_k| of the
-    exact one.  The bound widens |a_k - b_k| by eps (|a_k| + |b_k|), with
-    eps = 1e-9 > 9e6 u, which covers c log2(n^2) + 1 up to 9e6, far beyond
-    any grid.  The computed difference, squares and sum add 4 roundings, and
-    the bound's own sums of M positive terms, in any order, lie within
-    M u / (1 - M u) of the exact ones (M modes); with the roundings of their
-    terms, the factor 1 + 4 (M + 8) u covers all of these.  Underflow moves a
-    value by at most about 2^-1000 here: the absolute 2^-500 covers it.
+    Exactly, with the packed multipliers B_i as computed and d the computed
+    a - b, w_i is the real part of sum_k B_ik d_k e^{ik.x}, so |w_i| <= W_i =
+    sum_k |B_ik| |d_k| at every x (Wiener).  Rounding, with u the unit
+    roundoff: a computed component is real(ifft2(n^2 B_i x)), x = d, a or b;
+    B_i is imaginary, so the product is rounded once, and the scalings by
+    n^2 and 1/n^2 are exact (powers of two).  A length-N FFT returns each
+    output within c log2(N) u sum_k |x_k| of the exact sum, c a small
+    constant (a few roundings and one twiddle factor per butterfly stage,
+    every intermediate value at most the l1 mass below it), so each computed
+    component is within (c log2(n^2) + 1) u sum_k |B_ik| |x_k| of the exact
+    one.  The bound widens |d_k| by eps (|a_k| + |b_k|) >= eps |d_k| / (1 + u),
+    with eps = 1e-9 > 9e6 u, which covers c log2(n^2) + 1 up to 9e6, far
+    beyond any grid, for x = d and x = a, b alike, and the rounding of d
+    (at most u |d_k|) too.  A velocity difference, squares and sum add at
+    most 4 roundings, and the bound's own sums of M positive terms, in any
+    order, lie within M u / (1 - M u) of the exact ones (M modes); with the
+    roundings of their terms, the factor 1 + 4 (M + 8) u covers all of
+    these.  Underflow moves a value by at most about 2^-1000 here: the
+    absolute 2^-500 covers it.
     """
-    if a.grid != b.grid:
-        raise ValueError("flow states live on different grids")
     moduli = _biot_savart_moduli(a.grid.points_per_axis)[0]
-    mass = np.abs(a._box - b._box)
+    mass = np.abs(_gap_state(a, b)._box)
     mass += _FFT_SLACK * (np.abs(a._box) + np.abs(b._box))
     w1, w2 = moduli @ mass
     return float((w1 * w1 + w2 * w2) * (1.0 + 4 * (len(mass) + 8) * _U) + 2.0**-500)
@@ -538,7 +535,7 @@ def energy_identity_terms(run_nu: RunResult, run_euler: RunResult) -> IdentityTe
     adv = np.zeros(len(interior))
     visc = np.zeros(len(interior))
     for i, (s_n, s_e) in enumerate(zip(run_nu.states, run_euler.states)):
-        gap = FlowState._of_box(s_n.grid, s_n.time, s_n._box - s_e._box)
+        gap = _gap_state(s_n, s_e)
         half_gap_sq[i] = _energy_enstrophy(gap)[0]
         if i not in interior:
             continue

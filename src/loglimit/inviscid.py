@@ -20,12 +20,12 @@ from .flow import (
     FlowState,
     RunResult,
     SolverConfig,
+    _gap_state,
     _state_gradient,
-    gap_l2,  # noqa: F401  (resolves the inviscid.gap_l2 entry of perfbench/tracing.PATCHES)
+    gap_l2,
     random_band_velocity,
     require_shared_sample_times,
     run,
-    state_gap_l2,
     sup_gap_sq_bound,
     taylor_green_velocity,
     two_mode_velocity,
@@ -163,19 +163,18 @@ def fit_exponent(x, y) -> float | None:
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])
 
 
-def _sweep_member(cfg: ExperimentConfig, nu: float) -> RunResult:
-    """The sweep's run at nu (0.0 for the reference), from its own copy of
-    the initial condition, without f0; a blown reference raises."""
-    u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
+def _sweep_member(cfg: ExperimentConfig, u0: VectorField, nu: float) -> RunResult:
+    """The sweep's run from u0 at nu (0.0 for the reference), without f0; a
+    blown reference raises."""
     res = run(u0, cfg.solver_config(nu))
     if nu == 0.0 and res.blow_up:
         raise RuntimeError("reference run blew up; sweep aborted")
     return res
 
 
-def _paired_member(cfg: ExperimentConfig, nu: float, euler: RunResult) -> tuple:
-    """The viscous run at nu and its pairing with the reference run."""
-    res = _sweep_member(cfg, nu)
+def _paired_member(cfg: ExperimentConfig, u0: VectorField, nu: float, euler: RunResult) -> tuple:
+    """The viscous run from u0 at nu and its pairing with the reference run."""
+    res = _sweep_member(cfg, u0, nu)
     return res, _pairing(res, euler, nu)
 
 
@@ -186,7 +185,7 @@ def _pairing(res: RunResult, euler: RunResult, nu: float) -> tuple | None:
     if res.blow_up:
         return None
     pairs = list(zip(res.states, euler.states))
-    return (np.array([state_gap_l2(s, e) for s, e in pairs]),
+    return (np.array([gap_l2(s, e) for s, e in pairs]),
             np.array([measured_forcing(s, e, nu) for s, e in pairs]))
 
 
@@ -198,12 +197,13 @@ def _call(fn, *args):
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     """One reference run plus one viscous run per nu, paired sample by sample.
 
-    Two calls of the parallel map (_map_tasks) do the work.  The first runs
-    the reference in this process beside the largest nu's run, neither
-    with f0; a blown reference raises there.  The second forks once the
-    reference states exist, so its children read them without a copy being
-    sent; its tasks, longest first, are the other viscous runs, each of
-    which records its gap curve (state_gap_l2) and forcing
+    The initial condition is built once, here, and two calls of the
+    parallel map (_map_tasks) do the work.  The first runs the reference in
+    this process beside the largest nu's run, neither with f0; a blown
+    reference raises there.  The second forks once the reference states
+    exist, so its children read them and the initial condition without a
+    copy being sent; its tasks, longest first, are the other viscous runs,
+    each of which records its gap curve (gap_l2) and forcing
     (measured_forcing) against the reference, the same pairing of the
     largest nu's run, and, with compute_norms, one f0 scan
     (flow.gradient_bmo) per reference sample.  Gaps and forcing come from
@@ -225,10 +225,11 @@ def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:
     compute_norms.
     """
     first_nu, *later_nus = cfg.nu_list
-    euler, first = _map_tasks(_sweep_member, [(cfg, 0.0), (cfg, first_nu)])
+    u0 = initial_condition(GridSpec(cfg.grid_points), cfg.initial_condition_id)
+    euler, first = _map_tasks(_sweep_member, [(cfg, u0, 0.0), (cfg, u0, first_nu)])
     if first.blow_up:
         later_nus = []
-    tasks = [(_paired_member, cfg, nu, euler) for nu in later_nus]
+    tasks = [(_paired_member, cfg, u0, nu, euler) for nu in later_nus]
     tasks.append((_pairing, first, euler, first_nu))
     if compute_norms:
         tasks += [(flow.gradient_bmo, state) for state in euler.states]
@@ -334,24 +335,24 @@ def measured_forcing(state_nu: FlowState, state_euler: FlowState, nu: float) -> 
     """g at one sample: integral over {alpha > 1/nu} of alpha_r |grad uE|.
 
     alpha = |u_nu - u_euler|^2 is the squared velocity gap of a paired
-    sample; the remainder alpha_r of its truncation split at threshold 1/nu
-    is paired with the reference-flow gradient magnitudes.  For resolved
-    sweeps the remainder is empty and g vanishes identically: when
-    sup_gap_sq_bound, which bounds the computed max alpha from the mode
-    vectors, is at most the threshold, g is 0.0 and no velocity is derived.
+    sample, the squared velocity of its gap state (flow._gap_state); the
+    remainder alpha_r of its truncation split at threshold 1/nu is paired
+    with the reference-flow gradient magnitudes.  For resolved sweeps the
+    remainder is empty and g vanishes identically: when sup_gap_sq_bound,
+    which bounds the computed max alpha from the mode vectors, is at most
+    the threshold, g is 0.0 and no velocity is derived.
     """
     cfg = SplitConfig(threshold=max(1.0 / nu, 1.0 + 1e-9))
     if sup_gap_sq_bound(state_nu, state_euler) <= cfg.threshold:
         return 0.0
-    u_nu, u_euler = state_nu.velocity, state_euler.velocity
-    d1, d2 = u_nu.u1.values - u_euler.u1.values, u_nu.u2.values - u_euler.u2.values
-    alpha_vals = d1**2 + d2**2
+    w = _gap_state(state_nu, state_euler).velocity
+    alpha_vals = w.u1.values**2 + w.u2.values**2
     if alpha_vals.max() <= cfg.threshold:
         return 0.0
-    alpha_r = truncation_remainder(ScalarField(u_nu.grid, alpha_vals), cfg)
+    alpha_r = truncation_remainder(ScalarField(w.grid, alpha_vals), cfg)
     d1u1, d2u1, d1u2 = (c.values for c in _state_gradient(state_euler))
     beta = 2.0 * np.abs(d1u1) + np.abs(d2u1) + np.abs(d1u2)  # |d2 u2| = |d1 u1|
-    return float(np.sum(np.abs(alpha_r.values) * beta) * u_nu.grid.cell_volume)
+    return float(np.sum(np.abs(alpha_r.values) * beta) * w.grid.cell_volume)
 
 
 def majorant_problem(result: SweepResult, nu: float, c_emp: float) -> OsgoodProblem:

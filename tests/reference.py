@@ -9,8 +9,10 @@ solver stepped that box as a mode vector; it builds its 2/3 mask from its
 own wavenumbers but takes its Fourier symbols from loglimit.grid, so it
 checks the mode-vector layout, not the symbols.
 `longdouble_state_gap` is the Parseval velocity gap of two flow states in
-extended precision, and `physical_sample_norms` a state's energy, enstrophy
-and velocity-gradient L2 norm from grid sums of the fields.
+extended precision, `velocity_gap_l2` the velocity gap of two grid velocity
+fields by the grid sum (the package's gap_l2 before it took flow states),
+and `physical_sample_norms` a state's energy, enstrophy and
+velocity-gradient L2 norm from grid sums of the fields.
 `velocity_gradient` is the four-component gradient of a velocity field by
 loglimit.grid.derivative, and `physical_identity_terms` the energy-difference
 identity of two runs in velocity space, as the package evaluated both
@@ -229,6 +231,15 @@ def longdouble_state_gap(hat_a: np.ndarray, hat_b: np.ndarray) -> float:
     di = hat_a.imag.astype(np.longdouble) - hat_b.imag.astype(np.longdouble)
     two_pi = 2 * np.arccos(np.longdouble(-1.0))
     return float(two_pi * np.sqrt(np.sum((dr * dr + di * di) / ksq)))
+
+
+def velocity_gap_l2(a, b) -> float:
+    """L2 norm of the difference of two velocity fields, by the grid sum."""
+    if a.grid != b.grid:
+        raise ValueError("velocity fields live on different grids")
+    d1 = a.u1.values - b.u1.values
+    d2 = a.u2.values - b.u2.values
+    return math.sqrt(float(np.sum(d1 * d1 + d2 * d2)) * a.grid.cell_volume)
 
 
 def physical_sample_norms(omega_hat: np.ndarray) -> tuple[float, float, float]:

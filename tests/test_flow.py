@@ -13,6 +13,7 @@ from loglimit.flow import (
     FlowState,
     SolverConfig,
     _advection_rhs,
+    _gap_state,
     cfl_timestep,
     energy_identity_terms,
     gap_l2,
@@ -20,7 +21,6 @@ from loglimit.flow import (
     random_band_velocity,
     require_shared_sample_times,
     run,
-    state_gap_l2,
     step,
     sup_gap_sq_bound,
     taylor_green_velocity,
@@ -31,7 +31,7 @@ from loglimit.grid import (GridSpec, VectorField, _biot_savart_multiplier, _deri
 from loglimit.inviscid import initial_condition
 from loglimit.norms import bmo_seminorm
 from reference import (dealiased_spectrum, full_array_step, physical_identity_terms,
-                       physical_sample_norms, velocity_gradient)
+                       physical_sample_norms, velocity_gap_l2, velocity_gradient)
 
 
 def tg_config(grid, nu, T, samples=20):
@@ -448,7 +448,9 @@ class TestRun:
 class TestGap:
     def test_identical_fields(self, grid32):
         u = taylor_green_velocity(grid32)
-        assert gap_l2(u, u) == 0.0
+        assert velocity_gap_l2(u, u) == 0.0
+        s = FlowState.from_velocity(u)
+        assert gap_l2(s, s) == 0.0
 
     def test_taylor_green_pair_closed_form(self, grid32):
         nu, T = 1e-2, 0.5
@@ -457,9 +459,9 @@ class TestGap:
         res_n = run(u, tg_config(grid32, nu, T, samples=25))
         for se, sn in zip(res_e.states, res_n.states):
             expected = math.pi * math.sqrt(2.0) * (1 - math.exp(-2 * nu * sn.time))
-            assert gap_l2(sn.velocity, se.velocity) == pytest.approx(expected, abs=1e-9)
-            assert state_gap_l2(sn, se) == pytest.approx(expected, abs=1e-9)
-            assert state_gap_l2(se, sn) == state_gap_l2(sn, se)
+            assert velocity_gap_l2(sn.velocity, se.velocity) == pytest.approx(expected, abs=1e-9)
+            assert gap_l2(sn, se) == pytest.approx(expected, abs=1e-9)
+            assert gap_l2(se, sn) == gap_l2(sn, se)
 
     def test_orthogonal_modes_pythagoras(self, grid32):
         a = VectorField.from_values(
@@ -468,23 +470,25 @@ class TestGap:
         b = VectorField.from_values(
             grid32, np.zeros(grid32.shape), np.sin(2 * grid32.coordinates()[1])
         )
-        na, nb = gap_l2(a, VectorField.from_values(grid32, *[np.zeros(grid32.shape)] * 2)), None
-        nb = gap_l2(b, VectorField.from_values(grid32, *[np.zeros(grid32.shape)] * 2))
-        assert gap_l2(a, b) == pytest.approx(math.hypot(na, nb), rel=1e-12)
+        zero = VectorField.from_values(grid32, *[np.zeros(grid32.shape)] * 2)
+        na, nb = velocity_gap_l2(a, zero), velocity_gap_l2(b, zero)
+        assert velocity_gap_l2(a, b) == pytest.approx(math.hypot(na, nb), rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
         a = taylor_green_velocity(GridSpec(32))
         b = taylor_green_velocity(GridSpec(64))
         with pytest.raises(ValueError):
-            gap_l2(a, b)
-        for gap in (state_gap_l2, sup_gap_sq_bound):
+            velocity_gap_l2(a, b)
+        for gap in (gap_l2, sup_gap_sq_bound, _gap_state):
             with pytest.raises(ValueError, match="different grids"):
                 gap(FlowState.from_velocity(a), FlowState.from_velocity(b))
 
 
 class TestSupGapSqBound:
     """sup_gap_sq_bound lets measured_forcing skip the physical alpha only if
-    the computed alpha.max() is at most the threshold."""
+    the computed alpha.max() is at most the threshold: alpha of the gap
+    state's velocity, as measured_forcing computes it, and alpha of the
+    difference of the two states' velocities."""
 
     @staticmethod
     def _aligned_difference(n, rng):
@@ -524,6 +528,8 @@ class TestSupGapSqBound:
                 ua, ub = a.velocity, b.velocity
                 d1, d2 = ua.u1.values - ub.u1.values, ua.u2.values - ub.u2.values
                 assert (d1**2 + d2**2).max() <= threshold, r
+                w = _gap_state(a, b).velocity
+                assert (w.u1.values**2 + w.u2.values**2).max() <= threshold, r
         assert 0 < fired < len(ratios)
 
 

@@ -7,10 +7,11 @@ reads fails, unless its import line carries `noqa: F401`.  Such a line
 exists only to keep a name bound for the benchmark's call tracer, so each
 name it imports must be an attribute of that module that the tracer wraps
 (an entry of PATCHES in perfbench/tracing.py, which is parsed, not
-imported).  A module-level function, class or constant whose name starts
-with one underscore fails when no module of src/loglimit reads that name
-outside the statement that defines it: a helper that a refactor left
-behind.
+imported), and one that the module reads fails as a stale marker: a
+tracer-only binding that became a real call loses its `noqa`.  A
+module-level function, class or constant whose name starts with one
+underscore fails when no module of src/loglimit reads that name outside
+the statement that defines it: a helper that a refactor left behind.
 """
 
 import ast
@@ -24,22 +25,36 @@ PACKAGE = sorted(SRC.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
-def unused_imports(source: str) -> list[str]:
-    """The imported names of `source` that it never reads, with their lines."""
+def _imports(source: str) -> tuple[list[tuple[str, int, bool]], set[str]]:
+    """(name, line, whether the line carries `noqa: F401`) of each name that
+    `source` imports, __future__ features aside, and the names it reads."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    imported = {}
+    imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "noqa: F401" in lines[alias.lineno - 1]:
-                    continue
                 name = alias.asname or alias.name.split(".")[0]
-                imported[name] = alias.lineno
+                imported.append((name, alias.lineno, "noqa: F401" in lines[alias.lineno - 1]))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    return imported, used
+
+
+def unused_imports(source: str) -> list[str]:
+    """The imported names of `source` that it never reads, with their lines;
+    `noqa: F401` lines aside."""
+    imported, used = _imports(source)
+    return [f"{name} (line {line})" for name, line, noqa in imported
+            if not noqa and name not in used]
+
+
+def stale_noqa_imports(source: str) -> list[str]:
+    """The names imported on the `noqa: F401` lines of `source` that it also
+    reads, with their lines."""
+    imported, used = _imports(source)
+    return [f"{name} (line {line})" for name, line, noqa in imported if noqa and name in used]
 
 
 def traced_attributes(source: str) -> set[tuple[str, str]]:
@@ -56,16 +71,9 @@ def untraced_noqa_imports(module: str, source: str, traced: set[tuple[str, str]]
     """The names imported on the `noqa: F401` lines of loglimit.<module>,
     whose source is `source`, that no (owner, attribute) pair of `traced`
     wraps as loglimit.<module>.<name>, with their lines."""
-    lines = source.splitlines()
-    untraced = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if ("noqa: F401" in lines[alias.lineno - 1]
-                        and (f"loglimit.{module}", name) not in traced):
-                    untraced.append(f"{name} (line {alias.lineno})")
-    return untraced
+    imported, _ = _imports(source)
+    return [f"{name} (line {line})" for name, line, noqa in imported
+            if noqa and (f"loglimit.{module}", name) not in traced]
 
 
 def _read_names(node: ast.AST) -> set[str]:
@@ -117,6 +125,11 @@ def test_noqa_imports_are_traced(path):
     assert untraced_noqa_imports(path.stem, path.read_text(), traced) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_stale_noqa_import(path):
+    assert stale_noqa_imports(path.read_text()) == []
+
+
 def test_every_private_name_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unreferenced_private_names(sources) == []
@@ -125,6 +138,16 @@ def test_every_private_name_is_referenced():
 def test_guard_catches_an_unused_import():
     source = "import math\nfrom os import path, sep\nfrom sys import argv  # noqa: F401\nprint(sep)\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
+
+
+def test_guard_catches_a_stale_noqa_import():
+    # gap_l2 is called, so its marker is stale; a stays a tracer-only binding,
+    # and b, read only as another object's attribute, is not read either
+    source = ("from .flow import gap_l2  # noqa: F401\nfrom .grid import (\n"
+              "    a,  # noqa: F401\n    b,  # noqa: F401\n)\nimport os\n"
+              "def f(s, e):\n    return gap_l2(s, e) + os.b\n")
+    assert stale_noqa_imports(source) == ["gap_l2 (line 1)"]
+    assert unused_imports(source) == []
 
 
 def test_guard_catches_an_untraced_noqa_import():

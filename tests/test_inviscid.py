@@ -19,11 +19,11 @@ from loglimit.inviscid import (
     verify_rate,
 )
 from loglimit import flow, inviscid, osgood
-from loglimit.flow import FlowState, gap_l2, run, state_gap_l2, sup_gap_sq_bound
+from loglimit.flow import FlowState, gap_l2, run, sup_gap_sq_bound
 from loglimit.grid import GridSpec
 from loglimit.osgood import check_majorization
 from conftest import assert_no_child_left
-from reference import longdouble_state_gap
+from reference import longdouble_state_gap, velocity_gap_l2
 
 
 def closed_form_tg_slope(nu_list, T):
@@ -117,8 +117,8 @@ class TestRunSweep:
         )
         member = inviscid._sweep_member
 
-        def shifted_member(cfg, nu):
-            res = member(cfg, nu)
+        def shifted_member(cfg, u0, nu):
+            res = member(cfg, u0, nu)
             if nu == 1e-2:
                 times = res.series.times + 1e-9
                 return dataclasses.replace(res, series=dataclasses.replace(res.series, times=times))
@@ -392,13 +392,13 @@ class TestForcing:
         )
         result, derived, in_pass = self._count_derivations(monkeypatch, cfg)
         # the forcing bound holds at every sample, so the pass derives none;
-        # N + 1 in each run (the CFL step too), and 1 in each run's own
+        # N + 1 in each run (the CFL step too), and 1 in the sweep's one
         # random_band_velocity initial condition
         assert in_pass == 0
         N = len(result.euler.states)
-        assert derived == (1 + len(cfg.nu_list)) * (N + 2) == 265
+        assert derived == (1 + len(cfg.nu_list)) * (N + 1) + 1 == 261
 
-    def test_paired_pass_derives_two_velocities_where_the_bound_fails(self, monkeypatch):
+    def test_paired_pass_derives_one_velocity_where_the_bound_fails(self, monkeypatch):
         cfg = ExperimentConfig(
             grid_points=32, horizon=0.5, nu_list=(0.9, 0.5),
             initial_condition_id="random_42", min_samples=10,
@@ -409,7 +409,8 @@ class TestForcing:
                    for nu in cfg.nu_list}
         assert np.count_nonzero(result.forcing[0.9]) == 4
         assert failing[0.9] >= 4
-        assert in_pass == 2 * sum(failing.values())
+        # the gap state's velocity, once per failing sample
+        assert in_pass == sum(failing.values())
 
 
 @pytest.fixture(scope="module")
@@ -431,14 +432,15 @@ class TestStateGap:
         for nu, curve in f0_sweep.gap_curves.items():
             for i, (sn, se) in enumerate(zip(f0_sweep.runs[nu].states, f0_sweep.euler.states)):
                 want = longdouble_state_gap(sn.omega_hat, se.omega_hat)
-                assert curve[i] == state_gap_l2(sn, se)
+                assert curve[i] == gap_l2(sn, se)
                 assert abs(curve[i] - want) <= 1e-15 * want, (nu, i)
 
     def test_gap_curves_match_velocity_gap(self, f0_sweep):
         for nu, curve in f0_sweep.gap_curves.items():
             for i, (sn, se) in enumerate(zip(f0_sweep.runs[nu].states, f0_sweep.euler.states)):
                 if curve[i] > 1e-3:
-                    assert curve[i] == pytest.approx(gap_l2(sn.velocity, se.velocity), rel=1e-12)
+                    want = velocity_gap_l2(sn.velocity, se.velocity)
+                    assert curve[i] == pytest.approx(want, rel=1e-12)
 
 
 class TestSideBySide:

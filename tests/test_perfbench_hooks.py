@@ -65,6 +65,25 @@ def test_sweep_runs_under_the_tracer(monkeypatch):
         assert np.array_equal(traced.forcing[nu], plain.forcing[nu])
 
 
+def test_traced_sweep_records_one_gap_span_per_paired_sample(monkeypatch):
+    # in-process, so that the tracer sees every pairing
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    import tracing
+
+    cfg = inviscid.ExperimentConfig(grid_points=32, horizon=0.2, nu_list=(1e-1, 1e-2, 1e-3),
+                                    initial_condition_id="random_42", min_samples=10)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = tracer.call(tracing.ROOT, inviscid.run_sweep, cfg, compute_norms=False)
+    finally:
+        tracer.uninstall()
+    paired = sum(len(result.runs[nu].states) for nu in result.gap_curves)
+    assert paired == len(cfg.nu_list) * len(result.euler.states)
+    assert sum(s.name == "inviscid.gap_l2" for s in tracer.spans) == paired
+
+
 def test_corpus_scan_runs_under_the_tracer(monkeypatch):
     # a pool task that is a traced name (bmo_seminorm) does not pickle while
     # the tracer is installed: it would fail every traced verify_ineq operation
