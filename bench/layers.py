@@ -1,0 +1,153 @@
+"""Per-layer timings of loglimit, pinned to one core, written as JSON.
+
+    python3 bench/layers.py                      # n = 32, 64, 128, 256; 5 repeats each
+    python3 bench/layers.py --quick --out x.json # n = 16, one repeat: the schema only
+
+The script imports the package from `src/` of the checkout it sits in and
+pins its own process to one CPU (os.sched_setaffinity), so the parallel map
+runs every task in-process and a layer's time is one core's.  Each layer
+runs once untimed, then REPEATS timed times; the file records the
+median and quartiles of those times in ms, with the samples, and the
+sha256 digest of the layer's output, so that a timing is tied to the result
+it produced.  The layers, at each n:
+
+- norms.bmo_seminorm.log_cap, norms.bmo_seminorm.mode_coscos: the BMO scan
+  of two corpus fields;
+- flow.gradient_bmo: the f0 scan of one sample, random_42 after 5 steps at
+  nu = 1e-3 (the sweeps' per-sample BMO cost);
+- norms.hardy_norm: the Hardy norm of log_cap;
+- flow.step: one CFL step of that state;
+- logineq.scan_corpus: scan_corpus((n,)).
+
+The default output is BENCH_layers.json at the repository root; a later
+change reruns the script and commits the new file, and the file's history
+is the trajectory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from loglimit import flow, logineq, norms  # noqa: E402
+from loglimit.grid import GridSpec  # noqa: E402
+
+SCHEMA = "loglimit-layers/1"
+SIZES, REPEATS = (32, 64, 128, 256), 5
+LAYERS = (
+    "norms.bmo_seminorm.log_cap",
+    "norms.bmo_seminorm.mode_coscos",
+    "flow.gradient_bmo",
+    "norms.hardy_norm",
+    "flow.step",
+    "logineq.scan_corpus",
+)
+
+
+def digest(value) -> str:
+    """sha256 of a layer's output: a float's bits, a flow state's mode
+    vector and time, or a corpus scan's trial rows and maxima."""
+    if isinstance(value, float):
+        data = np.float64(value).tobytes()
+    elif isinstance(value, flow.FlowState):
+        data = value._box.tobytes() + np.float64(value.time).tobytes()
+    else:
+        data = repr((value.trials, value.max_ratio, value.duality_max_by_size,
+                     value.chain_max_by_size)).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def layer_calls(n: int) -> dict:
+    """Layer name -> a call with no arguments, on inputs built here."""
+    grid = GridSpec(n)
+    corpus = {fid: f for fid, _, f in logineq.make_corpus(grid)}
+    cfg = flow.SolverConfig(grid, nu=1e-3, horizon=1.0)
+    state = flow.FlowState.from_velocity(flow.random_band_velocity(grid, seed=42))
+    for _ in range(5):
+        state = flow.step(state, cfg)
+    return {
+        "norms.bmo_seminorm.log_cap": lambda: norms.bmo_seminorm(corpus["log_cap"]),
+        "norms.bmo_seminorm.mode_coscos": lambda: norms.bmo_seminorm(corpus["mode_coscos"]),
+        "flow.gradient_bmo": lambda: flow.gradient_bmo(state),
+        "norms.hardy_norm": lambda: norms.hardy_norm(corpus["log_cap"]),
+        "flow.step": lambda: flow.step(state, cfg),
+        "logineq.scan_corpus": lambda: logineq.scan_corpus((n,)),
+    }
+
+
+def time_layer(call, repeats: int) -> dict:
+    """Median and quartiles (ms) of `repeats` timed calls after one untimed
+    call, and the digest of the output, which every call must repeat."""
+    out = digest(call())
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = call()
+        samples.append(1e3 * (time.perf_counter() - start))
+        if digest(result) != out:
+            raise RuntimeError("a layer's output changed between repeats")
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3),
+            "samples": samples, "digest": out}
+
+
+def git(*args: str) -> str | None:
+    """Output of a git command in this checkout, None without git or a repository."""
+    try:
+        proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                              timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def environment(cpu: int) -> dict:
+    status = git("status", "--porcelain", "--", "src", "bench")
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else status != "",
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "pinned_cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": {var: os.environ.get(var)
+                    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--quick", action="store_true", help="n = 16 and one repeat")
+    p.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
+    args = p.parse_args(argv)
+    sizes, repeats = ((16,), 1) if args.quick else (SIZES, REPEATS)
+    cpu = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    layers = {name: {"unit": "ms", "by_size": {}} for name in LAYERS}
+    for n in sizes:
+        for name, call in layer_calls(n).items():
+            layers[name]["by_size"][str(n)] = row = time_layer(call, repeats)
+            print(f"{name:32s} n={n:4d}  median {row['median']:9.3f} ms  "
+                  f"[{row['q1']:.3f}, {row['q3']:.3f}]", flush=True)
+    command = " ".join(["python3", "bench/layers.py", *(sys.argv[1:] if argv is None else argv)])
+    report = {"schema": SCHEMA, "command": command, "sizes": list(sizes), "repeats": repeats,
+              "environment": environment(cpu), "layers": layers}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

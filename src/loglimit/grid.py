@@ -520,6 +520,12 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     return [done[i][1] for i in range(len(tasks))]
 
 
+def _call(fn, *args):
+    """fn(*args): the map function of a _map_tasks call whose tasks name
+    their own function, (fn, *args)."""
+    return fn(*args)
+
+
 def _drawn(counter: int, count: int):
     """The task indices below count that this process draws from counter, a
     file that the caller of _map_tasks and its children share and whose

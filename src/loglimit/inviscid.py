@@ -34,6 +34,7 @@ from .grid import (
     GridSpec,
     ScalarField,
     VectorField,
+    _call,
     _map_tasks,
     read_csv,
     save_field_csv,
@@ -187,11 +188,6 @@ def _pairing(res: RunResult, euler: RunResult, nu: float) -> tuple | None:
     pairs = list(zip(res.states, euler.states))
     return (np.array([gap_l2(s, e) for s, e in pairs]),
             np.array([measured_forcing(s, e, nu) for s, e in pairs]))
-
-
-def _call(fn, *args):
-    """fn(*args): the map function of a map whose tasks name their own."""
-    return fn(*args)
 
 
 def run_sweep(cfg: ExperimentConfig, compute_norms: bool = True) -> SweepResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import TWO_PI, GridSpec, ScalarField, _map_tasks, write_csv
+from .grid import TWO_PI, GridSpec, ScalarField, _call, _map_tasks, write_csv
 from .inviscid import fit_exponent
 from .norms import _hardy_riesz, bmo_seminorm, lp_norm, riesz_l1, zygmund_functional
 
@@ -296,14 +296,22 @@ def _max_defined(values) -> float:
     return max([0.0] + [v for v in values if v is not None])
 
 
+def _field_norms(g: ScalarField) -> tuple:
+    """(_hardy_riesz(g), ||g||_L1, ||g||_Linf): a corpus field's norms as the
+    g of a trial."""
+    return _hardy_riesz(g), lp_norm(g, 1), lp_norm(g, np.inf)
+
+
 def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
     """Deterministically enumerate all (f, g, size) trials over the corpus.
 
     Per size, each field's BMO norm, Riesz L1 pair, Hardy norm (from that
     pair), L1 and Linf norms are computed once, and so is each pairing
-    |int f g|.  Each size's corpus is built once, here; the BMO scans of
-    every size then run side by side in one _map_tasks call, largest size
-    first, and the rest runs in this process.  A trial row is the one
+    |int f g|.  Each size's corpus is built once, here; then one _map_tasks
+    call runs every field's BMO scan and then every field's other norms
+    (_field_norms), each largest size first, so the Riesz transforms of
+    the first fields run beside the last scans; the pairings and the rows
+    run in this process.  A trial row is the one
     verify_main_inequality computes from those numbers (IneqTrial.of); the
     duality ratio of (f, g) is |int f g| / (||f||_BMO ||g||_H1), and the
     Riesz-chain constants of g come from _riesz_l1_chain.  Sizes must be
@@ -319,20 +327,19 @@ def scan_corpus(sizes=(32, 64, 128)) -> CorpusScan:
                          f"ind_sixteenth is a level-4 dyadic square), got {tuple(sizes)}")
     grids = [GridSpec(n) for n in sizes]  # every size is checked before any field is built
     corpora = {grid.points_per_axis: make_corpus(grid) for grid in grids}
-    # every BMO scan ends before the first Riesz FFT: interleaved in one
-    # process, they raised its peak RSS by ~0.07 MB (verify_ineq benchmark)
     largest_first = sorted(sizes, reverse=True)
-    scans = iter(_map_tasks(bmo_seminorm, [(f,) for n in largest_first for _, _, f in corpora[n]]))
-    bmo_by_size = {n: [next(scans) for _ in corpora[n]] for n in largest_first}
+    queue = [f for n in largest_first for _, _, f in corpora[n]]
+    done = iter(_map_tasks(_call, [(bmo_seminorm, f) for f in queue]
+                           + [(_field_norms, f) for f in queue]))
+    bmo_by_size = {n: [next(done) for _ in corpora[n]] for n in largest_first}
+    norms_by_size = {n: [next(done) for _ in corpora[n]] for n in largest_first}
     trials: list[IneqTrial] = []
     max_by_family: dict[str, float] = {}
     max_by_size, duality_by_size, chain_by_size = {}, {}, {}
     for n in sizes:
         fields, bmo = corpora[n], bmo_by_size[n]
         g_norms, chain = [], []  # per field: (Hardy, L1, Linf) norms; chain constants
-        for _, _, fld in fields:
-            hardy, riesz = _hardy_riesz(fld)
-            l1, linf = lp_norm(fld, 1), lp_norm(fld, np.inf)
+        for (hardy, riesz), l1, linf in norms_by_size[n]:
             g_norms.append((hardy, l1, linf))
             chain += _riesz_l1_chain(riesz, l1, linf)
         rows, dual = [], []

@@ -24,7 +24,7 @@ NORM_CSV_HEADER = ("l1", "l2", "linf", "lp_sigma", "bmo", "hardy", "llogl")
 
 def lp_norm(g: ScalarField, p: float) -> float:
     """Riemann-sum L_p norm; p = inf returns max |g|."""
-    if p != np.inf and p < 1:
+    if not p >= 1:  # written so that nan fails it, as it fails every comparison
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     if p == np.inf:
         return float(np.abs(g.values).max())
@@ -35,9 +35,10 @@ def lp_norm(g: ScalarField, p: float) -> float:
 # Gathered s x s blocks hold at most this many cells at once.
 _GATHER_CELLS = 1 << 16
 _U = np.finfo(float).eps / 2  # unit roundoff
-# The chord bound splits each s x s square into 4^k sub-squares of this side
-# and costs about 4^k n^2 element passes; a level builds it only when its
-# live squares hold more than _CHORD_GATE times as many cells.
+# The chord bound splits each s x s square into 4^k sub-squares of this side;
+# it costs O(n^2 log s) for the box statistics and 4^k element passes per
+# square it bounds.  A level builds it only when its live squares hold more
+# than _CHORD_GATE * 4^k n^2 cells.
 _SUB_SIDE = 8
 _CHORD_GATE = 8
 
@@ -51,8 +52,9 @@ def bmo_seminorm(g: ScalarField) -> float:
     and are skipped.  A square's mean absolute deviation is at most its
     standard deviation (Cauchy-Schwarz), so a square whose rounding-widened
     standard deviation cannot beat the running maximum is skipped.  On a wide
-    level where many squares survive that test, the bound is tightened to the
-    minimum with _chord_bounds, built from 8 x 8 sub-squares.  Every other
+    level where many squares survive that test, the bound of each survivor is
+    tightened to the minimum with _chord_bounds, built from 8 x 8
+    sub-squares and evaluated at the survivors only.  Every other
     square's deviation is computed from its cells, so the maximum is the one a
     scan of every square computes, up to the rounding of each square's sums;
     the bounds only decide which squares are read, so it is the same float
@@ -61,7 +63,8 @@ def bmo_seminorm(g: ScalarField) -> float:
     bound beats the full torus: on smooth fields it holds the maximum or
     comes close, and then prunes most squares of every level.  All levels
     read their squares from one copy of the field wrapped by n/2 - 1 cells,
-    built when the first is read.
+    built when the first is read, through one s x s window view per level
+    (_gathered_max).
     """
     vals = g.values
     if vals.min() == vals.max():
@@ -77,25 +80,33 @@ def bmo_seminorm(g: ScalarField) -> float:
     w = np.ldexp(v, -e)
     n = w.shape[0]
     padded = None  # v wrapped by n/2 - 1 cells, built once a square must be read
+
+    def windows(s: int) -> np.ndarray:
+        """The s x s windows of the wrapped copy, which the first call builds."""
+        nonlocal padded
+        if padded is None:
+            padded = np.pad(v, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
+        return sliding_window_view(padded, (s, s))
+
     bounds = _std_bounds(w)
     top_s = max(bounds, key=lambda s: bounds[s].max())
     top = int(bounds[top_s].argmax())
     if bounds[top_s][top] > np.ldexp(best, -e):
-        padded = np.pad(v, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
-        best = max(best, _gathered_max(padded, n, top_s, np.array([top])))
+        best = max(best, _gathered_max(windows(top_s), n, top_s, np.array([top])))
     for s, bound in bounds.items():
         live = np.flatnonzero(bound > np.ldexp(best, -e))
         if s > _SUB_SIDE and live.size * s * s > _CHORD_GATE * (s // _SUB_SIDE) ** 2 * w.size:
-            bound = np.minimum(bound, _chord_bounds(w, s))
-            live = np.flatnonzero(bound > np.ldexp(best, -e))
+            bound[live] = np.minimum(bound[live], _chord_bounds(w, s, live))
+            live = live[bound[live] > np.ldexp(best, -e)]
         live = live[np.argsort(-bound[live])]
         chunk = max(1, _GATHER_CELLS // (s * s))
+        view = None  # this level's s x s windows of the wrapped copy
         for start in range(0, live.size, chunk):
             if bound[live[start]] <= np.ldexp(best, -e):
                 break  # bounds are sorted: no later square can beat best
-            if padded is None:
-                padded = np.pad(v, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
-            best = max(best, _gathered_max(padded, n, s, live[start : start + chunk]))
+            if view is None:
+                view = windows(s)
+            best = max(best, _gathered_max(view, n, s, live[start : start + chunk]))
     return best
 
 
@@ -152,10 +163,11 @@ def _std_bounds(w: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
-def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
-    """Flat upper bounds on the computed mean absolute deviation of every
-    wrapped s x s square of w (max|w| = W < 1), indexed like _std_bounds', for
-    s = 2^k t with sub-squares P of side t = _SUB_SIDE.
+def _chord_bounds(w: np.ndarray, s: int, corners: np.ndarray) -> np.ndarray:
+    """Upper bounds on the computed mean absolute deviation of the wrapped
+    s x s squares of w (max|w| = W < 1) at flat corners i * n + j, as
+    _std_bounds indexes them, for s = 2^k t with sub-squares P of side
+    t = _SUB_SIDE.
 
     Each square Q with mean c splits into 4^k sub-squares P with mean m, lo =
     min and hi = max.  On [lo, hi], |x - c| lies below its chord, so with
@@ -166,7 +178,9 @@ def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
     is exact when P lies on one side of c.  By Cauchy-Schwarz also
     mean_P |w - c| <= G = sqrt(var_P + (m - c)^2), and Q's deviation is the
     average over its sub-squares of min(F, G).  Box sums, mins and maxes come
-    by doubling in O(n^2 log s), then 4^k passes over wrapped copies.
+    by doubling in O(n^2 log s) on the whole grid (_chord_stats); then 4^k
+    passes gather the sub-square statistics of the given corners only, so a
+    corner's bound is the same float whichever other corners are asked for.
 
     Rounding, with u the unit roundoff and g_j = j u / (1 - j u):
     - Box means: the window sums are pairwise sums of depth 2 log2 t and
@@ -197,6 +211,40 @@ def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
     one bound by at most 2^-1074.
     """
     n, t = w.shape[0], _SUB_SIDE
+    stats, c = _chord_stats(w, s)
+    wide = n + s - t
+    first = corners + corners // n * (wide - n)  # each square's first sub-square in stats
+    c = c.ravel()[corners]
+    at, sub = np.empty_like(first), np.empty((corners.size, 4))
+    acc, d, f = np.zeros_like(c), np.empty_like(c), np.empty_like(c)
+    pm, slope, offset, pvar = sub.T  # views of sub, which each pass refills
+    for a in range(0, s, t):
+        for b in range(0, s, t):
+            np.add(first, a * wide + b, out=at)
+            # the indices are in range; "clip" lets take fill sub unbuffered
+            np.take(stats, at, axis=0, out=sub, mode="clip")
+            np.subtract(pm, c, out=d)
+            np.abs(d, out=d)
+            np.multiply(slope, c, out=f)
+            f += offset
+            np.maximum(f, d, out=f)  # chord F
+            d *= d
+            d += pvar
+            np.sqrt(d, out=d)  # Cauchy-Schwarz G
+            np.minimum(f, d, out=f)
+            acc += f
+    acc /= (s // t) ** 2
+    acc += 1e-9 + 4 * s * s * _U
+    return acc
+
+
+def _chord_stats(w: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The statistics _chord_bounds reads, for the whole n x n grid: per
+    t x t sub-square corner, side by side, its mean, the chord's middle piece
+    as slope * c + offset, and its variance plus eta, wrapped by s - t cells
+    so that every sub-square of every s x s square has its corner in the
+    copy, flat with row length n + s - t; and every s x s square's mean c."""
+    n, t = w.shape[0], _SUB_SIDE
     sums, lo, hi = np.stack((w, w * w)), w, w
     r = 1
     while r < t:
@@ -218,37 +266,30 @@ def _chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
     np.clip(alpha, 0.0, 1.0, out=alpha)
     eta = (9 * s.bit_length() + 90) * _U
     var = np.maximum(s2 / (t * t) - m * m, 0.0) + eta
-    # per sub-square corner: mean, the chord's middle piece as slope * c + offset, var
-    pad = ((0, s - t), (0, s - t))
-    stats = [
-        np.pad(x, pad, mode="wrap")
-        for x in (m, 2.0 * alpha - 1.0, (1.0 - alpha) * hi - alpha * lo, var)
-    ]
-    acc, d, f = np.zeros_like(w), np.empty_like(w), np.empty_like(w)
-    for a in range(0, s, t):
-        for b in range(0, s, t):
-            pm, slope, offset, pvar = (x[a : a + n, b : b + n] for x in stats)
-            np.subtract(pm, c, out=d)
-            np.abs(d, out=d)
-            np.multiply(slope, c, out=f)
-            f += offset
-            np.maximum(f, d, out=f)  # chord F
-            d *= d
-            d += pvar
-            np.sqrt(d, out=d)  # Cauchy-Schwarz G
-            np.minimum(f, d, out=f)
-            acc += f
-    acc /= (s // t) ** 2
-    acc += 1e-9 + 4 * s * s * _U
-    return acc.ravel()
+    wide = n + s - t
+    stats = np.empty((wide, wide, 4))
+    for k, x in enumerate((m, 2.0 * alpha - 1.0, (1.0 - alpha) * hi - alpha * lo, var)):
+        stats[:n, :n, k] = x
+    stats[n:, :n] = stats[: s - t, :n]
+    stats[:, n:] = stats[:, : s - t]
+    return stats.reshape(wide * wide, 4), c
 
 
-def _gathered_max(padded: np.ndarray, n: int, s: int, corners: np.ndarray) -> float:
+def _gathered_max(windows: np.ndarray, n: int, s: int, corners: np.ndarray) -> float:
     """Largest mean absolute deviation among the s x s squares at flat corners
-    i * n + j, read from an n x n field wrapped by at least s - 1 cells."""
+    i * n + j of an n x n field, read from windows, the s x s windows
+    (sliding_window_view) of a copy of the field wrapped by at least s - 1
+    cells.  A square's mean is its sum / s^2, the bits np.mean gives.  Where
+    a chunk holds at most 16 squares (s >= 64), each square is centred by one
+    scalar subtraction, which there is cheaper than broadcasting the means."""
     i, j = np.divmod(corners, n)
-    blocks = sliding_window_view(padded, (s, s))[i, j].reshape(corners.size, s * s)
-    blocks -= blocks.mean(axis=1, keepdims=True)
+    blocks = windows[i, j].reshape(corners.size, s * s)
+    means = blocks.sum(axis=1) / (s * s)
+    if _GATHER_CELLS // (s * s) <= 16:
+        for block, mean in zip(blocks, means):
+            block -= mean
+    else:
+        blocks -= means[:, None]
     return float(np.abs(blocks, out=blocks).sum(axis=1).max()) / (s * s)
 
 
@@ -281,7 +322,7 @@ def _riesz_l1(g0: ScalarField) -> tuple[float, float]:
 
 def zygmund_functional(g: ScalarField, lam: float) -> float:
     """Quadrature of g * ln+(g / lam) for pointwise nonnegative g."""
-    if lam <= 0:
+    if not lam > 0:  # written so that nan fails it, as it fails every comparison
         raise ValueError(f"lambda must be positive, got {lam}")
     v = g.values
     if v.min() < 0:

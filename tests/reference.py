@@ -21,7 +21,9 @@ integrator is the np.interp-based one the package's coefficient lookup
 replaced; it is kept as the reference that lookup must match bit for bit.  `std_pruned_bmo_seminorm` at the end is the
 BMO scan pruned by the standard-deviation bound alone, from before wide
 levels also took the sub-square chord bound; the package's scan must return
-its float exactly.  `duality_ratio` and `riesz_l1_chain` apply this
+its float exactly, and `full_grid_chord_bounds` the chord bound at every
+square from before the package evaluated it at the squares still live.
+`duality_ratio` and `riesz_l1_chain` apply this
 module's formulas for the duality constant and the Riesz-chain constants to
 the package's public norms of one field or pair: the references for the
 constants that logineq.scan_corpus derives from the norms it computes once
@@ -478,3 +480,41 @@ def _gathered_max(padded: np.ndarray, s: int, corners: np.ndarray) -> float:
     blocks = sliding_window_view(padded, (s, s))[i, j].reshape(corners.size, s * s)
     blocks -= blocks.mean(axis=1, keepdims=True)
     return float(np.abs(blocks, out=blocks).sum(axis=1).max()) / (s * s)
+
+
+def full_grid_chord_bounds(w: np.ndarray, s: int) -> np.ndarray:
+    """The sub-square chord bound of every wrapped s x s square of w, by flat
+    corner, as the package built it before it evaluated the bound at chosen
+    corners only: box statistics by rolled doubling, then one pass per 8 x 8
+    sub-square over whole n x n slices of the wrapped statistics.  The
+    package's bound at any corner must be this one's, bit for bit."""
+    n, t = w.shape[0], 8
+    s1, s2, lo, hi = w, w * w, w, w
+    r = 1
+    while r < t:
+        for axis in (0, 1):
+            s1 = s1 + np.roll(s1, -r, axis)
+            s2 = s2 + np.roll(s2, -r, axis)
+            lo = np.minimum(lo, np.roll(lo, -r, axis))
+            hi = np.maximum(hi, np.roll(hi, -r, axis))
+        r *= 2
+    m, c = s1 / (t * t), s1
+    while r < s:
+        for axis in (0, 1):
+            c = c + np.roll(c, -r, axis)
+        r *= 2
+    c = c / (s * s)
+    span = hi - lo
+    alpha = np.clip(np.divide(hi - m, span, out=np.zeros_like(span), where=span > 0), 0.0, 1.0)
+    var = np.maximum(s2 / (t * t) - m * m, 0.0) + (9 * s.bit_length() + 90) * _U
+    stats = [np.pad(x, ((0, s - t), (0, s - t)), mode="wrap")
+             for x in (m, 2.0 * alpha - 1.0, (1.0 - alpha) * hi - alpha * lo, var)]
+    acc = np.zeros_like(w)
+    for a in range(0, s, t):
+        for b in range(0, s, t):
+            pm, slope, offset, pvar = (x[a : a + n, b : b + n] for x in stats)
+            chord = np.maximum(slope * c + offset, np.abs(pm - c))
+            acc += np.minimum(chord, np.sqrt((pm - c) ** 2 + pvar))
+    acc /= (s // t) ** 2
+    acc += 1e-9 + 4 * s * s * _U
+    return acc.ravel()

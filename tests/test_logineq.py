@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -235,14 +237,20 @@ class TestCorpusScan:
         with pytest.raises(ValueError, match="distinct"):
             scan_corpus(sizes=(16, 32, 16))
 
-    def test_one_riesz_pass_per_field(self, monkeypatch):
-        calls = []
+    def test_one_riesz_pass_per_field(self, monkeypatch, tmp_path):
+        log = tmp_path / "riesz"  # appended to by every process that runs a transform
+        log.touch()
         transform = loglimit.norms.riesz_transform
-        monkeypatch.setattr(
-            loglimit.norms, "riesz_transform", lambda g, axis: calls.append(axis) or transform(g, axis)
-        )
+
+        def logging_transform(g, axis):
+            with open(log, "a") as fh:
+                fh.write(f"{axis}\n")
+            return transform(g, axis)
+
+        monkeypatch.setattr(loglimit.norms, "riesz_transform", logging_transform)
         scan = scan_corpus(sizes=(16,))
-        assert len(calls) == 2 * len(CORPUS_BUILDERS)
+        n_fields = len(CORPUS_BUILDERS)
+        assert Counter(log.read_text().split()) == {"1": n_fields, "2": n_fields}
         monkeypatch.undo()
         # the Hardy norms and the chain derived from that pass are the public functions' bits
         fields = [f for _, _, f in make_corpus(GridSpec(16))]
@@ -255,21 +263,24 @@ class TestCorpusScan:
         with pytest.raises(ValueError, match="at least 16"):
             scan_corpus(sizes=(64, 8))
 
-    def test_one_norm_pair_and_pairing_each(self, monkeypatch):
-        calls = {"pairing": 0, "lp_norm": 0}
+    def test_one_norm_pair_and_pairing_each(self, monkeypatch, tmp_path):
+        log = tmp_path / "calls"  # appended to by every process that calls one of them
+        log.touch()
 
         def counted(name):
             inner = getattr(loglimit.logineq, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                with open(log, "a") as fh:
+                    fh.write(f"{name}\n")
                 return inner(*args)
             return wrapper
 
-        for name in calls:
+        for name in ("pairing", "lp_norm"):
             monkeypatch.setattr(loglimit.logineq, name, counted(name))
         scan_corpus(sizes=(16,))
         n_fields = len(CORPUS_BUILDERS)
+        calls = Counter(log.read_text().split())
         assert calls == {"pairing": n_fields**2, "lp_norm": 2 * n_fields}  # L1 and Linf per field
 
     def test_trials_equal_the_public_trial(self):
@@ -364,6 +375,25 @@ class TestCorpusScanSideBySide:
         cpus(1)
         scan_corpus(sizes=(16,))
         assert log.read_text().split() == [caller, "16"] * len(CORPUS_BUILDERS)
+
+    def test_norm_tasks_run_in_both_processes(self, monkeypatch, cpus, tmp_path):
+        log = tmp_path / "pids"  # the process of every field's norm task
+        log.touch()
+        norms_of = loglimit.logineq._field_norms
+
+        def logging_norms(g):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.02)  # long enough that neither process can run them all alone
+            return norms_of(g)
+
+        monkeypatch.setattr(loglimit.logineq, "_field_norms", logging_norms)
+        cpus(2)
+        scan_corpus(sizes=(16, 32))
+        pids = log.read_text().split()
+        assert len(pids) == 2 * len(CORPUS_BUILDERS)
+        assert str(os.getpid()) in pids and len(set(pids)) == 2
+        assert_no_child_left()
 
     def test_zygmund_scan_side_by_side(self, cpus):
         cpus(1)

@@ -29,6 +29,7 @@ from reference import (
     brute_hardy_norm,
     brute_lp_norm,
     brute_zygmund,
+    full_grid_chord_bounds,
     random_band_limited,
     std_pruned_bmo_seminorm,
     translate_bmo_seminorm,
@@ -77,6 +78,11 @@ class TestLp:
         f = ScalarField(grid16, np.ones(grid16.shape))
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    def test_nan_p_rejected(self, grid16):
+        f = ScalarField(grid16, np.ones(grid16.shape))
+        with pytest.raises(ValueError, match="p >= 1, got nan"):
+            lp_norm(f, math.nan)
 
     def test_l2_matches_parseval(self, grid32):
         vals = random_band_limited(32, 8, seed=2)
@@ -191,12 +197,48 @@ class TestBmo:
         vals = build(np.indices((n, n)))
         v = vals - vals.mean()
         e = int(np.frexp(np.abs(v).max())[1])
-        bound = _chord_bounds(np.ldexp(v, -e), s).reshape(n, n)
+        bound = _chord_bounds(np.ldexp(v, -e), s, np.arange(n * n)).reshape(n, n)
         padded = np.pad(v, ((0, s - 1), (0, s - 1)), mode="wrap")
         for i, row in enumerate(sliding_window_view(padded, (s, s))[:n]):
             blocks = row.reshape(n, s * s)
             mad = np.abs(blocks - blocks.mean(axis=1, keepdims=True)).mean(axis=1)
             assert np.all(bound[i] >= np.ldexp(mad, -e))
+
+    @pytest.mark.parametrize("n, s", [(32, 16), (64, 32), (128, 16), (128, 64)])
+    @pytest.mark.parametrize("build", BOUND_FIELDS, ids=BOUND_FIELD_IDS)
+    def test_live_corner_chord_bounds_are_the_full_grid_bits(self, build, n, s):
+        # the bounds at the corners the scan would pass (live under the std
+        # bound against the full torus) and at a random third of the corners
+        # are the full-grid pass's bits there, in any corner order
+        vals = build(np.indices((n, n)))
+        v = vals - vals.mean()
+        e = int(np.frexp(np.abs(v).max())[1])
+        w = np.ldexp(v, -e)
+        full = full_grid_chord_bounds(w, s)
+        live = np.flatnonzero(_std_bounds(w)[s] > np.abs(w).mean())
+        some = np.random.default_rng(n + s).permutation(n * n)[: n * n // 3]
+        for corners in (live, some, np.sort(some)):
+            assert _chord_bounds(w, s, corners).tobytes() == full[corners].tobytes()
+
+    @pytest.mark.parametrize("s, count", [(64, 16), (64, 5), (32, 64), (16, 7), (2, 300)])
+    def test_window_view_read_is_the_per_square_mad(self, s, count):
+        # one level's window view, read twice: each read is the largest
+        # per-square deviation computed square by square, on the per-row
+        # centring (s = 64) and the broadcast one (s <= 32)
+        n = 128
+        vals = np.random.default_rng(s + count).standard_normal((n, n)) + 3.0
+        padded = np.pad(vals, ((0, n // 2 - 1), (0, n // 2 - 1)), mode="wrap")
+        kept = padded.copy()
+        view = sliding_window_view(padded, (s, s))
+        for seed in (0, 1):
+            corners = np.random.default_rng(seed).choice(n * n, count, replace=False)
+            mads = []
+            for corner in corners:
+                i, j = divmod(int(corner), n)
+                block = padded[i : i + s, j : j + s].ravel()
+                mads.append(float(np.abs(block - block.mean()).sum()) / (s * s))
+            assert norms._gathered_max(view, n, s, corners) == max(mads)
+        assert np.array_equal(padded, kept)  # reads leave the wrapped copy as it was
 
     @pytest.mark.parametrize("n", [32, 64, 128])
     def test_corpus_bits_match_std_pruned_scan(self, n):
@@ -373,6 +415,11 @@ class TestZygmund:
         f = ScalarField(grid16, np.ones(grid16.shape))
         with pytest.raises(ValueError):
             zygmund_functional(f, 0.0)
+
+    def test_lambda_nan_rejected(self, grid16):
+        f = ScalarField(grid16, np.ones(grid16.shape))
+        with pytest.raises(ValueError, match="positive, got nan"):
+            zygmund_functional(f, math.nan)
 
     @given(
         lam=st.floats(min_value=0.05, max_value=5.0),
