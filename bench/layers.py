@@ -15,9 +15,17 @@ it produced.  The layers, at each n:
   of two corpus fields;
 - flow.gradient_bmo: the f0 scan of one sample, random_42 after 5 steps at
   nu = 1e-3 (the sweeps' per-sample BMO cost);
+- norms.bmo_seminorm.d1u1: the BMO scan of that sample's gradient component
+  d1 u1, one of the three scans of flow.gradient_bmo;
 - norms.hardy_norm: the Hardy norm of log_cap;
 - flow.step: one CFL step of that state;
 - logineq.scan_corpus: scan_corpus((n,)).
+
+One layer runs at one grid only, n = 64 (n = 16 under --quick):
+
+- osgood.integrate_majorant: the majorant of the nu = 1e-4 member of the
+  sweep_f0 benchmark's random_42 sweep (T = 0.5, 50 samples, c_emp the
+  corpus max ratio at n = 64); the sweep that builds it runs untimed.
 
 The default output is BENCH_layers.json at the repository root; a later
 change reruns the script and commits the new file, and the file's history
@@ -41,28 +49,34 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from loglimit import flow, logineq, norms  # noqa: E402
+from loglimit import flow, inviscid, logineq, norms, osgood  # noqa: E402
 from loglimit.grid import GridSpec  # noqa: E402
 
 SCHEMA = "loglimit-layers/1"
-SIZES, REPEATS = (32, 64, 128, 256), 5
+SIZES, REPEATS, MAJORANT_SIZE = (32, 64, 128, 256), 5, 64
+C_EMP = 5.579666089445635  # the corpus max ratio at n = 64, as sweep_f0 and acceptance 10 use
 LAYERS = (
     "norms.bmo_seminorm.log_cap",
     "norms.bmo_seminorm.mode_coscos",
     "flow.gradient_bmo",
+    "norms.bmo_seminorm.d1u1",
     "norms.hardy_norm",
     "flow.step",
     "logineq.scan_corpus",
+    "osgood.integrate_majorant",
 )
 
 
 def digest(value) -> str:
     """sha256 of a layer's output: a float's bits, a flow state's mode
-    vector and time, or a corpus scan's trial rows and maxima."""
+    vector and time, a majorant trajectory's times, ln y and blow-up flag,
+    or a corpus scan's trial rows and maxima."""
     if isinstance(value, float):
         data = np.float64(value).tobytes()
     elif isinstance(value, flow.FlowState):
         data = value._box.tobytes() + np.float64(value.time).tobytes()
+    elif isinstance(value, osgood.Trajectory):
+        data = value.times.tobytes() + value.log_y.tobytes() + bytes([value.blow_up])
     else:
         data = repr((value.trials, value.max_ratio, value.duality_max_by_size,
                      value.chain_max_by_size)).encode()
@@ -77,14 +91,28 @@ def layer_calls(n: int) -> dict:
     state = flow.FlowState.from_velocity(flow.random_band_velocity(grid, seed=42))
     for _ in range(5):
         state = flow.step(state, cfg)
+    d1u1 = flow._state_gradient(state)[0]
     return {
         "norms.bmo_seminorm.log_cap": lambda: norms.bmo_seminorm(corpus["log_cap"]),
         "norms.bmo_seminorm.mode_coscos": lambda: norms.bmo_seminorm(corpus["mode_coscos"]),
         "flow.gradient_bmo": lambda: flow.gradient_bmo(state),
+        "norms.bmo_seminorm.d1u1": lambda: norms.bmo_seminorm(d1u1),
         "norms.hardy_norm": lambda: norms.hardy_norm(corpus["log_cap"]),
         "flow.step": lambda: flow.step(state, cfg),
         "logineq.scan_corpus": lambda: logineq.scan_corpus((n,)),
     }
+
+
+def majorant_call(n: int):
+    """integrate_majorant of the nu = 1e-4 member of sweep_f0's random_42
+    sweep at grid n, with no arguments; the sweep runs here.  The member's
+    run and its pairing with the reference do not depend on the other
+    viscosities, so the sweep runs nu = 1e-4 alone."""
+    sweep = inviscid.run_sweep(inviscid.ExperimentConfig(
+        grid_points=n, horizon=0.5, nu_list=(1e-4,), initial_condition_id="random_42",
+        min_samples=50))
+    problem = inviscid.majorant_problem(sweep, 1e-4, C_EMP)
+    return lambda: osgood.integrate_majorant(problem)
 
 
 def time_layer(call, repeats: int) -> dict:
@@ -137,11 +165,17 @@ def main(argv=None) -> int:
     cpu = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
     layers = {name: {"unit": "ms", "by_size": {}} for name in LAYERS}
+
+    def record(name: str, n: int, call) -> None:
+        layers[name]["by_size"][str(n)] = row = time_layer(call, repeats)
+        print(f"{name:32s} n={n:4d}  median {row['median']:9.3f} ms  "
+              f"[{row['q1']:.3f}, {row['q3']:.3f}]", flush=True)
+
     for n in sizes:
         for name, call in layer_calls(n).items():
-            layers[name]["by_size"][str(n)] = row = time_layer(call, repeats)
-            print(f"{name:32s} n={n:4d}  median {row['median']:9.3f} ms  "
-                  f"[{row['q1']:.3f}, {row['q3']:.3f}]", flush=True)
+            record(name, n, call)
+    n = 16 if args.quick else MAJORANT_SIZE
+    record("osgood.integrate_majorant", n, majorant_call(n))
     command = " ".join(["python3", "bench/layers.py", *(sys.argv[1:] if argv is None else argv)])
     report = {"schema": SCHEMA, "command": command, "sizes": list(sizes), "repeats": repeats,
               "environment": environment(cpu), "layers": layers}

@@ -7,7 +7,7 @@ command asserts holds, 1 when one fails, and 2 on an input it rejects.
 
 `simulate` and `sweep` read a structured text config of `key = value` lines
 (# starts a comment).  Both accept exactly the keys grid, nu (comma list for
-sweep), T, cfl, ic, stride, samples, sigma and out; ic takes the ids of
+sweep), T, ic, samples and out; ic takes the ids of
 inviscid.initial_condition as written (taylor_green, two_mode, zero,
 random_<seed>).  An unknown key, a key set twice, a value that does not
 convert and a sweep whose viscosities collide on one run directory name
@@ -17,7 +17,8 @@ rows that disagree on M or theory_exponent).
 
 `simulate` and `sweep` print the realised CFL number (flow.RunResult.max_cfl;
 of a sweep, the largest over its runs) and, on stderr, a warning line when it
-exceeds the configured cfl; the warning does not change the exit status.
+exceeds flow.CFL, the Courant number the time step is fixed at; the warning
+does not change the exit status.
 `simulate` maps flow.gradient_bmo over its run's states (grid._map_tasks).
 """
 
@@ -35,16 +36,14 @@ from .flow import SolverConfig, run
 from .grid import GridSpec, _map_tasks, csv_line, load_field_csv, write_csv
 from .norms import NORM_CSV_HEADER, compute_norms
 
-_COMMON_DEFAULTS = {"grid": "64", "cfl": "0.5", "ic": "taylor_green", "stride": "1",
-                    "sigma": "1.0"}
+_COMMON_DEFAULTS = {"grid": "64", "ic": "taylor_green"}
 _SIMULATE_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "0.0", "T": "1.0", "samples": "1",
                       "out": "run_output"}
 _SWEEP_DEFAULTS = {**_COMMON_DEFAULTS, "nu": "1e-1,1e-2,1e-3", "T": "0.5", "samples": "100",
                    "out": "sweep_output"}
 # the solver keys of both configs: config key -> (ExperimentConfig field, type)
-_SOLVER_KEYS = {"grid": ("grid_points", int), "T": ("horizon", float), "cfl": ("cfl", float),
-                "stride": ("output_stride", int), "samples": ("min_samples", int),
-                "sigma": ("sigma", float)}
+_SOLVER_KEYS = {"grid": ("grid_points", int), "T": ("horizon", float),
+                "samples": ("min_samples", int)}
 
 
 def _load_config(path: str, defaults: dict) -> dict:
@@ -148,12 +147,12 @@ def _cmd_split(args) -> int:
     return 0 if ok else 1
 
 
-def _report_cfl(max_cfl: float, cfl: float) -> None:
+def _report_cfl(max_cfl: float) -> None:
     """Print the realised CFL number of a run (of a sweep: its largest), and
-    a warning line on stderr when it exceeds the configured cfl beyond rounding."""
-    print(f"realised CFL: {max_cfl:.4g} (configured {cfl:g})")
-    if max_cfl > cfl * (1 + 1e-9):
-        print(f"warning: realised CFL {max_cfl:.4g} exceeds the configured cfl = {cfl:g}",
+    a warning line on stderr when it exceeds flow.CFL beyond rounding."""
+    print(f"realised CFL: {max_cfl:.4g} (dt set for {flow.CFL:g})")
+    if max_cfl > flow.CFL * (1 + 1e-9):
+        print(f"warning: realised CFL {max_cfl:.4g} exceeds the {flow.CFL:g} that dt was set for",
               file=sys.stderr)
 
 
@@ -166,9 +165,9 @@ def _cmd_simulate(args) -> int:
     result = result.with_f0(_map_tasks(flow.gradient_bmo, [(s,) for s in result.states]))
     inviscid.write_run(result, Path(conf["out"]))
     e = result.series.energy
-    print(f"steps: {round(cfg.horizon / result.dt)}, samples: {len(result.sample_times)}")
+    print(f"steps: {len(result.states) - 1}, samples: {len(result.sample_times)}")
     print(f"energy: {e[0]:.9g} -> {e[-1]:.9g}")
-    _report_cfl(result.max_cfl, cfg.cfl)
+    _report_cfl(result.max_cfl)
     ok = not result.blow_up and (cfg.nu == 0.0 or bool(np.all(np.diff(e) <= 1e-12 + 1e-9 * e[:-1])))
     print("PASS" if ok else "FAIL (blow-up or energy increase under viscosity)")
     return 0 if ok else 1
@@ -180,7 +179,7 @@ def _cmd_sweep(args) -> int:
     print(f"M = {series.M:.6g}, theory exponent = {series.theory_exponent:.6g}")
     for nu, sup in zip(series.nu, series.sup_gap):
         print(f"nu = {nu:>9.3e}: sup gap = {sup:.9g}")
-    _report_cfl(max(r.max_cfl for r in (result.euler, *result.runs.values())), result.config.cfl)
+    _report_cfl(max(r.max_cfl for r in (result.euler, *result.runs.values())))
     ok = not result.aborted and series.monotone
     if len(series.nu) >= 3:
         rate = inviscid.verify_rate(series)

@@ -14,15 +14,16 @@ that computes only the kept modes (grid._band_fft2); both give numpy's 2-D
 transforms bit for bit, and both run in per-grid scratch arrays
 (grid._band_scratch), so a stage allocates little more than its result.
 
-A run records, at every sample time, the norm series needed by the majorant
-machinery: g0 = ||grad u||_L2, h0 = ||u||_{L_{2+sigma}}, kinetic energy,
-and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2) are Parseval sums
-over the state's mode vector, with no FFT; h0 is read off the sample's
-velocity, which the blow-up test, the CFL record and the first stage of the
-next step share.  f0 is 0.0 until a caller maps gradient_bmo over the states
-(grid._map_tasks) and sets it (RunResult.with_f0); gradient_bmo scans three
-gradient components of the mode vector (_state_gradient, the one
-velocity-gradient path of the package).
+A run's time step is fixed from the initial state at the Courant number CFL,
+and every step is a sample.  At every sample the run records the norm series
+needed by the majorant machinery: g0 = ||grad u||_L2, h0 = ||u||_L3, kinetic
+energy, and enstrophy.  Energy, enstrophy and g0 (= ||omega||_L2) are
+Parseval sums over the state's mode vector, with no FFT; h0 is read off the
+sample's velocity, which the blow-up test, the CFL record and the first
+stage of the next step share.  f0 is 0.0 until a caller maps gradient_bmo
+over the states (grid._map_tasks) and sets it (RunResult.with_f0);
+gradient_bmo scans three gradient components of the mode vector
+(_state_gradient, the one velocity-gradient path of the package).
 
 Paired runs are compared through one gap state, the difference of the two
 states' mode vectors (_gap_state, which also checks that they share a grid):
@@ -47,17 +48,18 @@ from .norms import _U, bmo_seminorm, lp_norm
 
 SERIES_CSV_HEADER = ("t", "f0", "g0", "h0", "energy", "enstrophy")
 BLOW_UP_SPEED = 1e8  # a sample with max |u| above this marks the run as blown up
+CFL = 0.5  # the Courant number dt * max(|u1|, |u2|) / h that fixes a run's time step
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run's grid, viscosity and horizon, and the fewest samples (= steps)
+    that cover the horizon."""
+
     grid: GridSpec
     nu: float
     horizon: float
-    cfl: float = 0.5
-    output_stride: int = 1
     min_samples: int = 1
-    sigma: float = 1.0
 
     def __post_init__(self) -> None:
         # written so that nan fails each test, as it fails every comparison
@@ -65,12 +67,8 @@ class SolverConfig:
             raise ValueError(f"viscosity must be finite and nonnegative, got {self.nu}")
         if not 0 < self.horizon < math.inf:
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
-        if not 0 < self.cfl <= 1:
-            raise ValueError("cfl must lie in (0, 1]")
-        if self.output_stride < 1 or self.min_samples < 1:
-            raise ValueError("output_stride and min_samples must be positive integers")
-        if not 0 < self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be a positive integer")
 
 
 class FlowState:
@@ -185,11 +183,11 @@ def _advection_rhs(grid: GridSpec, omega_box: np.ndarray,
 
 
 def cfl_timestep(state: FlowState, cfg: SolverConfig) -> float:
-    """dt = cfl * h / max(|u1|, |u2|) (capped by the horizon for resting fields)."""
+    """dt = CFL * h / max(|u1|, |u2|) (capped by the horizon for resting fields)."""
     umax = _max_speed(state.velocity)
     if umax == 0.0:
         return cfg.horizon
-    return cfg.cfl * state.grid.spacing / umax
+    return CFL * state.grid.spacing / umax
 
 
 @lru_cache(maxsize=32)
@@ -281,7 +279,7 @@ class RunResult:
     """A run's states and series, f0 0.0 until with_f0 sets it.  max_cfl is
     the realised CFL number, the largest dt * max(|u1|, |u2|) / h over the
     samples: the fixed dt is set from the initial speed, so a flow that
-    speeds up can exceed config.cfl."""
+    speeds up can exceed CFL."""
 
     config: SolverConfig
     states: tuple[FlowState, ...]
@@ -300,39 +298,36 @@ class RunResult:
 
 
 def run(u0: VectorField, cfg: SolverConfig) -> RunResult:
-    """Integrate from u0 over [0, horizon], sampling every output_stride steps.
+    """Integrate from u0 over [0, horizon], sampling after every step.
 
     The initial field is Leray-projected defensively; any mean velocity
     component is dropped by the vorticity formulation, so initial data are
     expected to be mean-free.  The time step is fixed from the initial CFL
-    bound (shrunk so that min_samples * output_stride steps at least cover
-    the horizon and steps land exactly on sample times), making sample times
-    identical across runs that share an initial condition, e.g. a zero
-    viscosity reference paired with small viscosity runs.  f0 is left 0.0.
+    bound, shrunk so that at least min_samples steps cover the horizon and
+    the last lands on it: dt = T / max(min_samples, ceil(T / dt_CFL)).  That
+    makes sample times identical across runs that share an initial
+    condition, e.g. a zero viscosity reference paired with small viscosity
+    runs.  f0 is left 0.0.
     """
     u0 = leray_project(u0)
     for comp in (u0.u1, u0.u2):
         if abs(comp.mean()) > 1e-10 * max(1.0, float(np.abs(comp.values).max())):
             raise ValueError("initial velocity must have zero mean on the torus")
     state = FlowState.from_velocity(u0, 0.0)
-    dt0 = cfl_timestep(state, cfg)
-    chunk = cfg.output_stride
-    n_chunks = max(cfg.min_samples, math.ceil(cfg.horizon / (dt0 * chunk)))
-    dt = cfg.horizon / (n_chunks * chunk)
+    n_steps = max(cfg.min_samples, math.ceil(cfg.horizon / cfl_timestep(state, cfg)))
+    dt = cfg.horizon / n_steps
     states, rows = [], []
     blow_up, max_cfl = False, 0.0
-    for sample in range(n_chunks + 1):
+    for sample in range(n_steps + 1):
         if sample:
             try:
-                for _ in range(chunk):
-                    state = step(state, cfg, dt, velocity=u)
-                    u = None  # the velocity of the chunk's first state only
+                state = step(state, cfg, dt, velocity=u)
             except FloatingPointError:
                 blow_up = True
                 break
         states.append(state)
         u = state.velocity  # derived once: the row, the blow-up test and the next step share it
-        rows.append(_sample_row(state, u, cfg))
+        rows.append(_sample_row(state, u))
         umax = _max_speed(u)
         max_cfl = max(max_cfl, dt * umax / cfg.grid.spacing)
         # a ScalarField holds only finite values, so the speed cap is the one test
@@ -349,15 +344,15 @@ def _max_speed(u: VectorField) -> float:
     return max(float(np.abs(c.values).max()) for c in (u.u1, u.u2))
 
 
-def _sample_row(state: FlowState, u: VectorField, cfg: SolverConfig):
+def _sample_row(state: FlowState, u: VectorField):
     """(f0, g0, h0, energy, enstrophy) of one sample, f0 = 0.0 (unscanned);
-    u is the state's velocity.  Only h0 reads u; g0 = ||omega||_L2, as for
-    any mean-free, divergence-free field on the torus."""
+    u is the state's velocity.  Only h0 = ||u||_L3 reads u; g0 =
+    ||omega||_L2, as for any mean-free, divergence-free field on the torus."""
     energy, enstrophy = _energy_enstrophy(state)
     return (
         0.0,
         math.sqrt(2.0 * enstrophy),
-        lp_norm(ScalarField(u.grid, np.sqrt(u.u1.values**2 + u.u2.values**2)), 2.0 + cfg.sigma),
+        lp_norm(ScalarField(u.grid, np.sqrt(u.u1.values**2 + u.u2.values**2)), 3.0),
         energy,
         enstrophy,
     )

@@ -68,8 +68,8 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         n = self.points_per_axis
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"points_per_axis must be a power of two >= 8, got {n}")
+        if not isinstance(n, (int, np.integer)) or n < 8 or (n & (n - 1)) != 0:
+            raise ValueError(f"points_per_axis must be a power of two >= 8, got {n!r}")
 
     @property
     def spacing(self) -> float:

@@ -69,11 +69,8 @@ class ExperimentConfig:
     grid_points: int
     horizon: float
     nu_list: tuple[float, ...]
-    sigma: float = 1.0
     initial_condition_id: str = "taylor_green"
-    cfl: float = 0.5
     min_samples: int = 100
-    output_stride: int = 1
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -93,10 +90,7 @@ class ExperimentConfig:
             grid=GridSpec(self.grid_points),
             nu=nu,
             horizon=self.horizon,
-            cfl=self.cfl,
-            output_stride=self.output_stride,
             min_samples=self.min_samples,
-            sigma=self.sigma,
         )
 
 

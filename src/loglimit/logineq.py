@@ -21,6 +21,7 @@ import numpy as np
 from .grid import TWO_PI, GridSpec, ScalarField, _call, _map_tasks, write_csv
 from .inviscid import fit_exponent
 from .norms import _hardy_riesz, bmo_seminorm, lp_norm, riesz_l1, zygmund_functional
+from .splitting import support_measure
 
 # riesz_transform and hardy_norm stay bound here for the benchmark's call
 # tracer (perfbench/tracing.py); this module's Riesz transforms and Hardy
@@ -234,8 +235,7 @@ def verify_zygmund_estimate(h: ScalarField, h_id: str = "h") -> ZygmundTrial:
     llogl = zygmund_functional(h, 1.0)
     lhs = riesz_l1(h)
     constant = max(lhs) / (1.0 + llogl)
-    supp = float(np.count_nonzero(h.values) * h.grid.cell_volume)
-    return ZygmundTrial(h_id, h.grid.points_per_axis, supp, llogl, lhs, constant)
+    return ZygmundTrial(h_id, h.grid.points_per_axis, support_measure(h), llogl, lhs, constant)
 
 
 def _indicator_trial(grid: GridSpec, N: int) -> ZygmundTrial:

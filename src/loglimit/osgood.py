@@ -284,7 +284,9 @@ class RateBound:
 
 
 def rate_iterate(M: float, T: float, n: float) -> float | None:
-    """(1 - T/n)^(2 M n); undefined (None) when T/n >= 1."""
+    """(1 - T/n)^(2 M n) for a finite n > 0; undefined (None) when T/n >= 1."""
+    if not 0 < n < math.inf:  # nan fails too
+        raise ValueError(f"rate iterate needs a finite n > 0, got {n}")
     if T / n >= 1.0:
         return None
     return math.exp(2.0 * M * n * math.log1p(-T / n))

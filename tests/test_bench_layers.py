@@ -15,7 +15,8 @@ from loglimit.norms import bmo_seminorm, hardy_norm
 SCRIPT = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 LAYERS = {
     "norms.bmo_seminorm.log_cap", "norms.bmo_seminorm.mode_coscos", "flow.gradient_bmo",
-    "norms.hardy_norm", "flow.step", "logineq.scan_corpus",
+    "norms.bmo_seminorm.d1u1", "norms.hardy_norm", "flow.step", "logineq.scan_corpus",
+    "osgood.integrate_majorant",
 }
 
 

@@ -54,6 +54,16 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n)
 
+    @pytest.mark.parametrize("n", [64.0, np.float64(32.0), "64"], ids=["float", "np-float", "str"])
+    def test_non_integral_size_names_the_value(self, n):
+        with pytest.raises(ValueError) as exc:
+            GridSpec(n)
+        assert f"got {n!r}" in str(exc.value)
+
+    def test_numpy_integer_size_accepted(self):
+        assert GridSpec(np.int64(64)) == GridSpec(64)
+        assert GridSpec(np.int32(16)).spacing == GridSpec(16).spacing
+
     def test_cell_volume(self):
         g = GridSpec(32)
         assert_allclose(g.cell_volume, (TWO_PI / 32) ** 2, rtol=1e-15)

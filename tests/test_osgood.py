@@ -298,6 +298,13 @@ class TestRateExponent:
         assert rb.iterates[2] is None
         assert rb.iterates[8] is not None
 
+    @pytest.mark.parametrize("n", [0, -4, 0.0, math.nan, math.inf])
+    def test_nonpositive_or_non_finite_n_rejected(self, n):
+        with pytest.raises(ValueError, match="finite n > 0"):
+            rate_iterate(1.0, 1.0, n)
+        with pytest.raises(ValueError, match="finite n > 0"):
+            rate_exponent(1.0, 1.0, n_values=[100, n])
+
     def test_richardson_extrapolation(self):
         for M, T in [(1.0, 1.0), (2.0, 0.5)]:
             rb = rate_exponent(M, T)
