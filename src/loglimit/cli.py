@@ -7,9 +7,8 @@ command asserts holds, 1 when one fails, and 2 on an input it rejects.
 
 `simulate` and `sweep` read a structured text config of `key = value` lines
 (# starts a comment).  Both accept exactly the keys grid, nu (comma list for
-sweep), T, ic, samples and out; ic takes the ids of
-inviscid.initial_condition as written (taylor_green, two_mode, zero,
-random_<seed>).  An unknown key, a key set twice, a value that does not
+sweep), T, ic, samples and out; ic takes the ids of inviscid.initial_condition
+as written (taylor_green, two_mode, zero, random_<seed>).  An unknown key, a key set twice, a value that does not
 convert and a sweep whose viscosities collide on one run directory name
 (nu_<nu:.1e>) are errors (exit status 2).  So is a gaps.csv that `rate-fit`
 cannot take as a GapSeries (a malformed CSV, a nan sup gap, a repeated nu,
