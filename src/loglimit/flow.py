@@ -197,7 +197,7 @@ def _integrating_factors(n: int, nu: float, dt: float) -> tuple:
     computes them once."""
     if nu <= 0:
         return 1.0, 1.0
-    ksq = _pack_dealiased(_laplacian(n)[0])
+    ksq = _pack_dealiased(_laplacian(n))
     e_half = np.exp(-nu * ksq * (dt / 2.0))
     e_full = e_half * e_half
     for a in (e_half, e_full):

@@ -8,8 +8,13 @@ computed, cached array of Fourier coefficients.  The normalization is
 so a field is the trigonometric polynomial  sum_k coeff[k] * exp(i k.x)  and
 Parseval reads  (cell volume) * sum(values**2) == (2pi)**2 * sum(|coeff|**2).
 This module is the only one that knows the wavenumber layout and this
-normalization; the solver's Biot-Savart, Laplacian and 2/3 dealiasing
-symbols are cached here beside the derivative and Riesz multipliers.  The
+normalization; the solver's Biot-Savart and 2/3 dealiasing symbols are
+cached here beside the derivative and Riesz multipliers, one n x n array
+each per grid.  The wavenumbers are cached as broadcast views of one
+length-n vector, and |k|^2 (`_laplacian`) is built where a symbol needs it
+and not kept.  A field's coefficients are transformed in their own memory,
+and an inverse transform scales and transforms one complex work array, so a
+transform holds one complex grid and the real grid of its result.  The
 2/3 rule is stated once, in `_dealias_band`: the rows it keeps, which are
 also the columns it keeps, and the kept modes of those rows.  A flow state
 and the solver's stages hold the kept modes as a vector in row-major order
@@ -32,7 +37,9 @@ It also holds the package's one parallel map (`_map_tasks`), which runs
 independent tasks side by side, in this process and in forked children
 that draw task indices from one locked counter: a sweep's flows, pairings
 and f0 scans, its file writes and its majorant checks, a corpus scan's BMO
-norms, the Zygmund family's trials.
+norms, the Zygmund family's trials.  The caller unpickles each child's
+results straight from its pipe (pickle.load), so no copy of their pickle
+sits beside them.
 
 All operations are pure: they return new fields and never mutate inputs, so
 they are safe to call concurrently on distinct inputs, except the band
@@ -91,23 +98,22 @@ class GridSpec:
 
 @lru_cache(maxsize=32)
 def _wavenumbers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k1, k2) with k1[i, j] = k[i] and k2[i, j] = k[j], for the integer
+    wavenumbers k = fftfreq(n, 1/n): read-only broadcast views of that one
+    length-n vector."""
     k = np.fft.fftfreq(n, d=1.0 / n)
-    k1 = np.repeat(k[:, None], n, axis=1)
-    k2 = np.repeat(k[None, :], n, axis=0)
-    for a in (k1, k2):
-        a.setflags(write=False)
-    return k1, k2
+    return np.broadcast_to(k[:, None], (n, n)), np.broadcast_to(k[None, :], (n, n))
 
 
-@lru_cache(maxsize=32)
-def _laplacian(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """|k|^2, and a copy with the zero mode set to 1 that is safe to divide by."""
+def _laplacian(n: int, safe: bool = False) -> np.ndarray:
+    """|k|^2 as a fresh n x n array, with its zero mode set to 1 when `safe`,
+    so that it can be divided by.  Not cached: the symbols built from it are."""
     k1, k2 = _wavenumbers(n)
-    ksq = k1**2 + k2**2
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)
-    for a in (ksq, ksq_safe):
-        a.setflags(write=False)
-    return ksq, ksq_safe
+    ksq = k1**2
+    ksq += k2[0] ** 2
+    if safe:
+        ksq[0, 0] = 1.0  # the only zero of |k|^2
+    return ksq
 
 
 def _as_valid_values(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -147,7 +153,11 @@ class ScalarField:
         if self._spectral is None:
             with self._lock:
                 if self._spectral is None:
-                    coeff = np.fft.fft2(self.values) / self.values.size
+                    # fft2 of real values transforms their complex cast; here
+                    # the cast is transformed and divided in its own memory
+                    coeff = self.values.astype(complex)
+                    coeff = np.fft.fft2(coeff, out=coeff)
+                    coeff /= self.values.size
                     coeff.setflags(write=False)
                     self._spectral = coeff
         return self._spectral
@@ -209,13 +219,22 @@ def _require_same_grid(a: GridSpec, b: GridSpec) -> None:
 
 def inverse_transform(grid: GridSpec, coeff: np.ndarray) -> ScalarField:
     """Field whose Fourier coefficients are `coeff` (real part taken)."""
+    return _field_of_coefficients(grid, np.array(coeff, dtype=complex))
+
+
+def _field_of_coefficients(grid: GridSpec, work: np.ndarray) -> ScalarField:
+    """inverse_transform(grid, work) bit for bit, computed in `work`, a fresh
+    complex n x n array that this overwrites: it is scaled by n twice and
+    inverse transformed in place, by ifftn's passes with out=, which are
+    ifft2's (numpy 2.4's ifft2 drops its out)."""
     n = grid.points_per_axis
-    values = np.real(np.fft.ifft2(np.asarray(coeff) * n * n))
-    return ScalarField(grid, values)
+    work *= n
+    work *= n
+    return ScalarField(grid, np.fft.ifftn(work, out=work).real)
 
 
 def _apply_multiplier(field: ScalarField, mult: np.ndarray) -> ScalarField:
-    return inverse_transform(field.grid, field.spectral * mult)
+    return _field_of_coefficients(field.grid, field.spectral * mult)
 
 
 @lru_cache(maxsize=32)
@@ -223,7 +242,8 @@ def _derivative_multiplier(n: int, axis: int) -> np.ndarray:
     # Odd multiplier: the unpaired Nyquist row is zeroed so real fields map
     # to real fields exactly (its sine samples vanish on the grid anyway).
     k1, k2 = _wavenumbers(n)
-    mult = 1j * (k1 if axis == 1 else k2).astype(complex)
+    mult = (k1 if axis == 1 else k2).astype(complex)
+    np.multiply(1j, mult, out=mult)
     mult[n // 2, :] = 0.0
     mult[:, n // 2] = 0.0
     mult.setflags(write=False)
@@ -233,8 +253,10 @@ def _derivative_multiplier(n: int, axis: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _riesz_multiplier(n: int, axis: int) -> np.ndarray:
     k1, k2 = _wavenumbers(n)
-    _, ksq_safe = _laplacian(n)
-    mult = -1j * (k1 if axis == 1 else k2) / np.sqrt(ksq_safe)
+    root = _laplacian(n, safe=True)
+    np.sqrt(root, out=root)
+    mult = -1j * (k1 if axis == 1 else k2)
+    mult /= root
     mult[0, 0] = 0.0
     mult[n // 2, :] = 0.0
     mult[:, n // 2] = 0.0
@@ -246,8 +268,8 @@ def _riesz_multiplier(n: int, axis: int) -> np.ndarray:
 def _biot_savart_multiplier(n: int, axis: int) -> np.ndarray:
     """Biot-Savart: u = (d2 psi, -d1 psi) from omega = -Laplace psi, zero mode annihilated."""
     k1, k2 = _wavenumbers(n)
-    _, ksq_safe = _laplacian(n)
-    mult = 1j * k2 / ksq_safe if axis == 1 else -1j * k1 / ksq_safe
+    mult = 1j * k2 if axis == 1 else -1j * k1
+    mult /= _laplacian(n, safe=True)
     mult[0, 0] = 0.0
     mult.setflags(write=False)
     return mult
@@ -370,13 +392,14 @@ def leray_project(v: VectorField) -> VectorField:
     """
     n = v.grid.points_per_axis
     k1, k2 = _wavenumbers(n)
-    _, ksq_safe = _laplacian(n)
     v1 = v.u1.spectral
     v2 = v.u2.spectral
-    kdotv = (k1 * v1 + k2 * v2) / ksq_safe
+    kdotv = k1 * v1
+    kdotv += k2 * v2
+    kdotv /= _laplacian(n, safe=True)
     p1 = v1 - k1 * kdotv
     p2 = v2 - k2 * kdotv
-    return VectorField(inverse_transform(v.grid, p1), inverse_transform(v.grid, p2))
+    return VectorField(_field_of_coefficients(v.grid, p1), _field_of_coefficients(v.grid, p2))
 
 
 def csv_line(cells) -> str:
@@ -457,17 +480,19 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
     children draw the other task indices, in order, from one shared counter
     (_drawn), so a caller that wants its longest tasks done first lists
     them first.  Each child pickles its results back once, after its last
-    task, and exits; those results must pickle, but fn and the tasks need
-    not, since they reach the children through the fork, with the caller's
-    imports and replaced names (a tracer's wrappers, a test's fakes).
+    task, and exits, and the caller unpickles them as they stream from the
+    pipe, so their pickle is never held whole beside them; those results
+    must pickle, but fn and the tasks need not, since they reach the
+    children through the fork, with the caller's imports and replaced names
+    (a tracer's wrappers, a test's fakes).
 
     A process stops drawing at its first task that raises.  When tasks
     raise, the first in task order raises here, wherever it ran; a task
-    whose child exited without sending its results counts as one that
-    raised.  Every child is reaped, and every pipe and the counter closed,
-    before this returns or raises.  Runs in-process below 2 CPUs or tasks,
-    and inside a mapped task.  The package starts no thread that a fork
-    could break."""
+    whose child exited without sending its results, or whose results
+    stream ended early, counts as one that raised.  Every child is reaped,
+    and every pipe and the counter closed, before this returns or raises.
+    Runs in-process below 2 CPUs or tasks, and inside a mapped task.  The
+    package starts no thread that a fork could break."""
     global _in_map
     procs = min(len(tasks), len(os.sched_getaffinity(0)))
     if procs < 2 or _in_map:
@@ -495,12 +520,15 @@ def _map_tasks(fn, tasks: list[tuple]) -> list:
             children[pid] = open(read_end, "rb")
         _run_tasks(fn, tasks, chain((0,), _drawn(counter, len(tasks))), done)
         for pid, results in list(children.items()):
-            payload = results.read()
+            try:  # from the pipe, so that no copy of the pickle sits beside them
+                sent = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):  # the stream ended early
+                sent = None
             results.close()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            if status == 0:
-                done.update(pickle.loads(payload))
+            if status == 0 and sent is not None:
+                done.update(sent)
             else:
                 lost.append(status)
     finally:

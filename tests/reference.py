@@ -191,7 +191,7 @@ def _full_array_advection_rhs(grid, omega_hat: np.ndarray) -> np.ndarray:
 
 def full_array_step(grid, omega_hat: np.ndarray, nu: float, dt: float) -> np.ndarray:
     """One integrating-factor RK4 step of omega_t + u.grad omega = nu Laplace omega."""
-    ksq, _ = _laplacian(grid.points_per_axis)
+    ksq = _laplacian(grid.points_per_axis)
     e_half = np.exp(-nu * ksq * (dt / 2.0)) if nu > 0 else 1.0
     e_full = e_half * e_half if nu > 0 else 1.0
     k1 = _full_array_advection_rhs(grid, omega_hat)

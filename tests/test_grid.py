@@ -2,10 +2,12 @@
 
 import math
 import os
+import pickle
 import re
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from loglimit.grid import (
     _map_tasks,
     _pack_dealiased,
     _unpack_band,
+    _wavenumbers,
     curl,
     divergence,
     gradient,
@@ -180,6 +183,7 @@ class TestBandTransforms:
         helpers = {name: fn for module in (loglimit.grid, loglimit.flow)
                    for name, fn in vars(module).items() if hasattr(fn, "cache_info")}
         assert "_band_scratch" in helpers and set(args) <= set(helpers)
+        assert "_wavenumbers" in helpers and "_laplacian" not in helpers  # built where used
         for name, fn in helpers.items():
             arrays = [a for call in args.get(name, [(n,)]) for a in _arrays_in(fn(*call))]
             assert arrays, name
@@ -204,6 +208,70 @@ class TestBandTransforms:
         for values in (np.random.default_rng(n).standard_normal((n, n)),
                        np.sin(x1) * np.cos(x2) * np.cos(x1)):
             assert _band_fft2(values).tobytes() == _pack_dealiased(np.fft.fft2(values)).tobytes()
+
+
+def _traced_peak(call):
+    """(call(), the tracemalloc peak of the bytes it allocated)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSpectralMemory:
+    """The spectral helpers keep O(n) per grid and build no grid that nothing keeps."""
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_wavenumbers_are_views_of_one_vector(self, n):
+        k1, k2 = _wavenumbers(n)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        assert np.array_equal(k1, np.repeat(k[:, None], n, axis=1))
+        assert np.array_equal(k2, np.repeat(k[None, :], n, axis=0))
+        bounds = np.lib.array_utils.byte_bounds
+        assert bounds(k1) == bounds(k2) and bounds(k1)[1] - bounds(k1)[0] == k.nbytes
+
+    def test_laplacian_is_fresh_and_safe_only_at_the_zero_mode(self):
+        ksq, safe = loglimit.grid._laplacian(16), loglimit.grid._laplacian(16, safe=True)
+        k1, k2 = _wavenumbers(16)
+        assert ksq.tobytes() == (k1**2 + k2**2).tobytes() and ksq.flags.writeable
+        assert safe[0, 0] == 1.0 and ksq[0, 0] == 0.0
+        assert np.array_equal(np.flatnonzero(safe != ksq), [0])
+
+    def test_riesz_transform_holds_one_complex_and_one_real_grid(self):
+        # the product is scaled and inverse transformed in one buffer, and
+        # the field's values are the one copy of its real part
+        n = 256
+        f = ScalarField(GridSpec(n), np.random.default_rng(1).standard_normal((n, n)))
+        want = riesz_transform(f, 1)  # caches the spectrum and the multiplier
+        got, peak = _traced_peak(lambda: riesz_transform(f, 1))
+        assert got.values.tobytes() == want.values.tobytes()
+        assert peak <= 16 * n * n + 8 * n * n + 2 * n * n  # and 2 n^2 bytes of slack
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_in_place_forms_keep_the_bits(self, n):
+        # each symbol, spectrum and transform as the whole-array expression
+        # that its in-place form replaces
+        k1, k2 = np.meshgrid(np.fft.fftfreq(n, d=1.0 / n), np.fft.fftfreq(n, d=1.0 / n),
+                             indexing="ij")
+        safe = np.where(k1**2 + k2**2 == 0, 1.0, k1**2 + k2**2)
+        riesz, biot_savart = -1j * k1 / np.sqrt(safe), 1j * k2 / safe
+        riesz[0, 0] = riesz[n // 2, :] = riesz[:, n // 2] = biot_savart[0, 0] = 0.0
+        assert loglimit.grid._riesz_multiplier(n, 1).tobytes() == riesz.tobytes()
+        assert loglimit.grid._biot_savart_multiplier(n, 1).tobytes() == biot_savart.tobytes()
+        vals = np.random.default_rng(n).standard_normal((n, n))
+        f = ScalarField(GridSpec(n), vals)
+        assert f.spectral.tobytes() == (np.fft.fft2(vals) / vals.size).tobytes()
+        want = np.real(np.fft.ifft2(f.spectral * riesz * n * n))
+        assert riesz_transform(f, 1).values.tobytes() == want.tobytes()
+        want = np.real(np.fft.ifft2(f.spectral * n * n))
+        assert inverse_transform(f.grid, f.spectral).values.tobytes() == want.tobytes()
+
+    def test_inverse_transform_leaves_its_input(self, grid16):
+        coeff = np.random.default_rng(2).standard_normal(grid16.shape) * (1 + 1j)
+        before = coeff.copy()
+        inverse_transform(grid16, coeff)
+        assert coeff.tobytes() == before.tobytes()
 
 
 class TestGradient:
@@ -443,6 +511,11 @@ def _index_after(k: int, delay: float) -> int:
     return k
 
 
+def _array_in_child(caller: int, delay: float, array: np.ndarray):
+    time.sleep(delay)
+    return os.getpid(), None if os.getpid() == caller else array
+
+
 def _open_fds() -> list:
     return sorted(os.listdir("/proc/self/fd"))
 
@@ -528,6 +601,35 @@ class TestMapTasks:
         with pytest.raises(RuntimeError, match=r"^task 1 sent no result: .* status \[3\]$"):
             _map_tasks(_exit_in_child, [(os.getpid(), 0.3), (os.getpid(), 0.0)])
         assert_no_child_left()
+        assert _open_fds() == fds
+
+    def test_large_result_streams_from_the_pipe(self, cpus):
+        # the caller unpickles the 8 MB array that task 1's child returns
+        # straight from the pipe, so its pickle is never held whole beside it
+        cpus(2)
+        caller, array = os.getpid(), np.random.default_rng(5).standard_normal(2**20)
+        tasks = [(caller, 0.3, array), (caller, 0.0, array)]
+        results, peak = _traced_peak(lambda: _map_tasks(_array_in_child, tasks))
+        (pid0, first), (pid1, sent) = results
+        assert pid0 == caller and first is None and pid1 != caller
+        assert sent.tobytes() == array.tobytes()
+        assert peak < 1.5 * array.nbytes
+        assert_no_child_left()
+
+    def test_truncated_results_raise(self, cpus, monkeypatch):
+        # task 1's child sends half of its pickle and exits 0
+        cpus(2)
+        dumps, fds = pickle.dumps, _open_fds()
+
+        def half(obj, protocol):
+            payload = dumps(obj, protocol)
+            return payload[:len(payload) // 2]
+
+        monkeypatch.setattr(pickle, "dumps", half)
+        for tasks in ([(0, 0.3), (1, 0.0)], [(0, 0.3), (np.ones(2**16), 0.0)]):
+            with pytest.raises(RuntimeError, match=r"^task 1 sent no result: .* status \[0\]$"):
+                _map_tasks(_index_after, tasks)
+            assert_no_child_left()
         assert _open_fds() == fds
 
     def test_result_that_does_not_pickle_raises(self, cpus, capfd):
