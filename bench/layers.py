@@ -209,6 +209,7 @@ def time_end_to_end(config: str | None, argv: list, repeats: int) -> dict:
     runs = [run_end_to_end(config, argv) for _ in range(repeats)]
     if len({(r["usage"]["status"], r["digest"]) for r in runs}) != 1:
         raise RuntimeError("an end-to-end run's output changed between repeats")
+
     def by_process(key: str) -> dict:
         return {who: summary([r["usage"][who][key] for r in runs]) for who in ("self", "children")}
 
@@ -250,8 +251,8 @@ def main(argv=None) -> int:
     sizes, repeats = ((16,), 1) if args.quick else (SIZES, REPEATS)
     e2e_sizes, e2e_repeats = ((16, 32), 1) if args.quick else (E2E_SIZES, E2E_REPEATS)
     end_to_end = {}
-    for name, (config, argv) in end_to_end_commands(e2e_sizes).items():
-        end_to_end[name] = row = time_end_to_end(config, argv, e2e_repeats)
+    for name, (config, cli_argv) in end_to_end_commands(e2e_sizes).items():
+        end_to_end[name] = row = time_end_to_end(config, cli_argv, e2e_repeats)
         print(f"{name:32s} wall {row['wall_s']['median']:8.2f} s  peak RSS "
               f"{row['peak_rss_mb']['self']['median']:.1f} MB, children "
               f"{row['peak_rss_mb']['children']['median']:.1f} MB", flush=True)

@@ -30,6 +30,7 @@ def test_quick_mode_writes_every_layer(tmp_path):
     report = json.loads(out.read_text())
     assert report["schema"] == "loglimit-layers/2"
     assert report["sizes"] == [16] and report["repeats"] == 1
+    assert report["command"] == f"python3 bench/layers.py --quick --out {out}"
     env = report["environment"]
     assert {"commit", "dirty", "machine", "cpu_count", "pinned_cpu", "python", "numpy",
             "threads", "end_to_end_cpus"} <= set(env)
